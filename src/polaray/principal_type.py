@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .minkowski import PhaseSpacePoint
-from .symbols import MatrixSymbol, check_homogeneity
+from .symbols import GRAD, VALUE, MatrixSymbol, check_homogeneity, scalar_coefficients
 
 MACHINE_FLOOR = 1e-300
 
@@ -56,18 +56,6 @@ class KernelBasis:
         return len(self.vectors)
 
 
-def _scalar_coefficients(sym: MatrixSymbol) -> dict | None:
-    """{exponents: scalar} when every principal coefficient is c * identity."""
-    eye = np.eye(sym.dimension)
-    out = {}
-    for (x_exp, k_exp), mat in sym.principal.items():
-        c = mat[0, 0]
-        if not np.array_equal(mat, c * eye):
-            return None
-        out[(x_exp, k_exp)] = c
-    return out
-
-
 def decompose_principal_type(
     p: MatrixSymbol, hint: MatrixSymbol | None = None
 ) -> PrincipalTypeDecomposition:
@@ -89,7 +77,7 @@ def decompose_principal_type(
         raise NoDecomposition("principal part mixes k-degrees; no scalar q exists")
 
     if hint is None:
-        scalars = _scalar_coefficients(p)
+        scalars = scalar_coefficients(p)
         if scalars is None:
             raise NoDecomposition(
                 "p is not a scalar multiple of the identity and no p~ hint was given"
@@ -104,7 +92,7 @@ def decompose_principal_type(
     if not hint_holds:
         raise NoDecomposition("hint p~ mixes k-degrees")
     product = hint.matmul(p)
-    scalars = _scalar_coefficients(product)
+    scalars = scalar_coefficients(product)
     if scalars is None:
         raise NoDecomposition("product p~ p is not a scalar multiple of the identity")
     q = MatrixSymbol(
@@ -122,13 +110,13 @@ def is_real_principal_type(q: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e
     """
     if q.dimension != 1:
         raise InvalidInput("is_real_principal_type requires a scalar symbol")
-    value = q.eval(pt)[0, 0]
+    jet = q.compiled(pt.x, pt.k)[:, 0, 0]
+    value = jet[VALUE]
     if abs(value.imag) > tol:
         raise ComplexSymbol(f"q has imaginary part {value.imag} at the point")
     if abs(value.real) > tol:
         return True
-    grad_k = np.array([q.diff_k(mu).eval(pt)[0, 0] for mu in range(4)])
-    return bool(np.max(np.abs(grad_k)) > tol)
+    return bool(np.max(np.abs(jet[GRAD][4:])) > tol)
 
 
 def char_membership(

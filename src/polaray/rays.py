@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .minkowski import SIGNATURE, PhaseSpacePoint, as_point4
-from .symbols import MatrixSymbol
+from .symbols import GRAD, VALUE, MatrixSymbol
 
 
 class ZeroSpatialPart(InvalidInput):
@@ -90,25 +90,24 @@ def null_project(k, branch: str = "+") -> np.ndarray:
     return out
 
 
+# dy/dtau from the gradient (dq/dx, dq/dk) of the compiled outputs
+_FLOW = np.array([5, 6, 7, 8, 1, 2, 3, 4])
+_FLOW_SIGN = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+
+
 class HamiltonSystem:
-    """Cached derivative symbols of a scalar q for repeated evaluation."""
+    """The compiled Hamilton flow of a scalar q on states y = (x, k)."""
 
     def __init__(self, q: MatrixSymbol):
         if q.dimension != 1:
             raise InvalidInput("ray tracing requires a scalar (N=1) symbol")
-        self.q = q
-        self.dq_dk = [q.diff_k(mu) for mu in range(4)]
-        self.dq_dx = [q.diff_x(mu) for mu in range(4)]
-        self.x_independent = all(d.is_zero() for d in self.dq_dx)
+        self.compiled = q.compiled
+        self.x_independent = not any(any(xe) for part in (q.principal, q.lower) for xe, _ in part)
 
-    def value(self, x, k) -> float:
-        return self.q.eval_raw(x, k)[0, 0].real
-
-    def velocity(self, x, k) -> np.ndarray:
-        return np.array([d.eval_raw(x, k)[0, 0].real for d in self.dq_dk])
-
-    def force(self, x, k) -> np.ndarray:
-        return np.array([-d.eval_raw(x, k)[0, 0].real for d in self.dq_dx])
+    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """q and dy/dtau = (dq/dk, -dq/dx) at states of shape (..., 8)."""
+        jet = self.compiled(y[..., :4], y[..., 4:])[..., : GRAD.stop, 0, 0].real
+        return jet[..., VALUE], jet[..., _FLOW] * _FLOW_SIGN
 
 
 def trace_ray(
@@ -143,7 +142,8 @@ def trace_ray(
         raise InvalidInput(f"unknown method {method!r}")
 
     system = HamiltonSystem(q)
-    q0 = system.value(x0, k0)
+    y = np.concatenate([x0, k0])
+    q0, f = system(y)
     if abs(q0) > start_tol:
         raise NonNullStart(f"|q(x0,k0)| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e}")
 
@@ -161,46 +161,37 @@ def trace_ray(
     if method == "rk4":
         n = max(1, math.ceil(span / step - 1e-9))
         h = span / n
+        tau = tau0 + np.arange(n + 1) * h
         if system.x_independent:
             # dk/dtau is the zero polynomial: k is exactly constant and the
             # RK4 stages all equal the same velocity, so the update is the
             # exact linear flow.
-            v = system.velocity(x0, k0)
-            tau = tau0 + np.arange(n + 1) * h
-            x = x0 + (tau - tau0)[:, np.newaxis] * v
+            x = x0 + (tau - tau0)[:, np.newaxis] * f[:4]
             k = np.broadcast_to(k0, (n + 1, 4)).copy()
             qs = np.full(n + 1, q0)
             return Ray(tau=tau, x=x, k=k, q=qs, method="rk4", step=h)
-        tau = tau0 + np.arange(n + 1) * h
-        x = np.empty((n + 1, 4))
-        k = np.empty((n + 1, 4))
+        ys = np.empty((n + 1, 8))
         qs = np.empty(n + 1)
-        x[0], k[0], qs[0] = x0, k0, q0
-        xi, ki = x0.copy(), k0.copy()
+        ys[0], qs[0] = y, q0
         for i in range(n):
-            xi, ki = _rk4_step(system, xi, ki, h)
-            qi = system.value(xi, ki)
+            y = _rk4_step(system, y, f, h)
+            # the next step's first stage also gives q for the drift check
+            qi, f = system(y)
             if abs(qi) > drift_tol:
                 raise ConstraintDrift(
                     f"|q| = {abs(qi):.3e} exceeded drift bound {drift_tol:.1e} at tau = {tau[i + 1]}"
                 )
-            x[i + 1], k[i + 1], qs[i + 1] = xi, ki, qi
-        return Ray(tau=tau, x=x, k=k, q=qs, method="rk4", step=h)
+            ys[i + 1], qs[i + 1] = y, qi
+        return Ray(tau=tau, x=ys[:, :4], k=ys[:, 4:], q=qs, method="rk4", step=h)
 
-    return _trace_adaptive(system, x0, k0, tau0, tau1, step, drift_tol, rtol, atol)
+    return _trace_adaptive(system, y, q0, f, tau0, tau1, step, drift_tol, rtol, atol)
 
 
-def _rk4_step(system: HamiltonSystem, x, k, h):
-    def f(xx, kk):
-        return system.velocity(xx, kk), system.force(xx, kk)
-
-    ax1, ak1 = f(x, k)
-    ax2, ak2 = f(x + 0.5 * h * ax1, k + 0.5 * h * ak1)
-    ax3, ak3 = f(x + 0.5 * h * ax2, k + 0.5 * h * ak2)
-    ax4, ak4 = f(x + h * ax3, k + h * ak3)
-    x_new = x + (h / 6.0) * (ax1 + 2 * ax2 + 2 * ax3 + ax4)
-    k_new = k + (h / 6.0) * (ak1 + 2 * ak2 + 2 * ak3 + ak4)
-    return x_new, k_new
+def _rk4_step(system: HamiltonSystem, y, f1, h):
+    f2 = system(y + 0.5 * h * f1)[1]
+    f3 = system(y + 0.5 * h * f2)[1]
+    f4 = system(y + h * f3)[1]
+    return y + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
 
 
 # Dormand-Prince 5(4) tableau
@@ -216,19 +207,13 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
-def _trace_adaptive(system, x0, k0, tau0, tau1, h0, drift_tol, rtol, atol):
+def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
     taus = [tau0]
-    xs = [x0.copy()]
-    ks = [k0.copy()]
-    qs = [system.value(x0, k0)]
-
-    def f(y):
-        x, k = y[:4], y[4:]
-        return np.concatenate([system.velocity(x, k), system.force(x, k)])
-
-    y = np.concatenate([x0, k0])
+    ys = [y]
+    qs = [q0]
     tau = tau0
     h = min(h0, tau1 - tau0)
     h_min = 16 * np.finfo(float).eps * max(abs(tau0), abs(tau1), 1.0)
@@ -239,35 +224,35 @@ def _trace_adaptive(system, x0, k0, tau0, tau1, h0, drift_tol, rtol, atol):
         h = min(h, tau1 - tau)
         if h < h_min:
             raise StepFailure(f"adaptive step underflowed to {h:.3e} at tau = {tau}")
-        stages = []
-        for i in range(7):
+        stages = [f]
+        for i in range(1, 7):
             yi = y.copy()
             for j, a in enumerate(_DP_A[i]):
                 yi += h * a * stages[j]
-            stages.append(f(yi))
-        y5 = y + h * sum(b * s for b, s in zip(_DP_B5, stages))
-        y4 = y + h * sum(b * s for b, s in zip(_DP_B4, stages))
-        err = np.max(np.abs(y5 - y4) / (atol + rtol * np.maximum(np.abs(y), np.abs(y5))))
+            qi, fi = system(yi)
+            stages.append(fi)
+        # the last stage sits at the 5th-order solution (first same as last)
+        err_y = h * sum(e * s for e, s in zip(_DP_E, stages))
+        err = np.max(np.abs(err_y) / (atol + rtol * np.maximum(np.abs(y), np.abs(yi))))
         if err <= 1.0:
             tau += h
-            y = y5
-            qv = system.value(y[:4], y[4:])
-            if abs(qv) > drift_tol:
+            y, f = yi, fi
+            if abs(qi) > drift_tol:
                 raise ConstraintDrift(
-                    f"|q| = {abs(qv):.3e} exceeded drift bound {drift_tol:.1e} at tau = {tau}"
+                    f"|q| = {abs(qi):.3e} exceeded drift bound {drift_tol:.1e} at tau = {tau}"
                 )
             taus.append(tau)
-            xs.append(y[:4].copy())
-            ks.append(y[4:].copy())
-            qs.append(qv)
+            ys.append(y)
+            qs.append(qi)
         factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
     else:
         raise StepFailure("adaptive integrator exceeded the step budget")
+    ys = np.array(ys)
     return Ray(
         tau=np.array(taus),
-        x=np.array(xs),
-        k=np.array(ks),
+        x=ys[:, :4],
+        k=ys[:, 4:],
         q=np.array(qs),
         method="adaptive",
         step=h0,
@@ -301,13 +286,5 @@ def line_deviation(points: np.ndarray) -> float:
 
 def null_curve_residual(q: MatrixSymbol, ray: Ray) -> float:
     """Max of |1/4 eta_{mu nu} xdot^mu xdot^nu| along the ray samples."""
-    system = HamiltonSystem(q)
-    eta = np.asarray(SIGNATURE)
-    if system.x_independent and len(ray) > 1 and np.all(ray.k == ray.k[0]):
-        v = system.velocity(ray.x[0], ray.k[0])
-        return abs(0.25 * float(np.sum(eta * v * v)))
-    worst = 0.0
-    for i in range(len(ray)):
-        v = system.velocity(ray.x[i], ray.k[i])
-        worst = max(worst, abs(0.25 * float(np.sum(eta * v * v))))
-    return worst
+    v = HamiltonSystem(q)(np.concatenate([ray.x, ray.k], axis=1))[1][:, :4]
+    return float(np.max(np.abs(0.25 * np.sum(np.asarray(SIGNATURE) * v * v, axis=1))))

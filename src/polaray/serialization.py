@@ -35,8 +35,12 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _data_lines(path: str, expected_header: str, kind: str):
-    """Yield (lineno, fields) rows after validating the header line."""
+def _data_lines(path: str, expected_header, kind: str):
+    """Yield (lineno, fields, metadata) rows after validating the header line.
+
+    ``expected_header`` is the header text, or a function of the metadata
+    read from the comment lines before it.
+    """
     meta: dict[str, str] = {}
     header_seen = False
     with open(path, "r") as handle:
@@ -51,6 +55,8 @@ def _data_lines(path: str, expected_header: str, kind: str):
                         meta[key] = val
                 continue
             if not header_seen:
+                if callable(expected_header):
+                    expected_header = expected_header(meta)
                 if line != expected_header:
                     raise ParseError(
                         f"{kind} line {lineno}: expected header {expected_header!r}"
@@ -135,26 +141,21 @@ def write_orbit_csv(path: str, orbit: HamiltonOrbit) -> None:
     _write_text(path, orbit_csv_text(orbit))
 
 
-def read_orbit_csv(path: str) -> HamiltonOrbit:
-    meta: dict[str, str] = {}
-    rows = []
-    with open(path, "r") as handle:
-        text = handle.read()
-    for line in text.splitlines():
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, _, val = token.partition("=")
-                    meta[key] = val
+def _orbit_header_from(meta: dict) -> str:
     try:
-        dim = int(meta["dimension"])
+        return _orbit_header(int(meta["dimension"]))
     except (KeyError, ValueError) as exc:
         raise ParseError("orbit csv: missing or bad dimension metadata") from exc
-    expected = 10 + 2 * dim + 1
-    for lineno, fields, _ in _data_lines(path, _orbit_header(dim), "orbit csv"):
-        rows.append(_parse_floats(fields, expected, lineno, "orbit csv"))
+
+
+def read_orbit_csv(path: str) -> HamiltonOrbit:
+    rows = []
+    meta: dict[str, str] = {}
+    for lineno, fields, meta in _data_lines(path, _orbit_header_from, "orbit csv"):
+        rows.append(_parse_floats(fields, 11 + 2 * int(meta["dimension"]), lineno, "orbit csv"))
     if not rows:
         raise ParseError("orbit csv: no sample rows")
+    dim = int(meta["dimension"])
     data = np.array(rows)
     ray = Ray(
         tau=data[:, 0],

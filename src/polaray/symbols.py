@@ -9,7 +9,8 @@ leading (principal) part, homogeneous of the declared order in k for
 well-formed symbols, plus an optional first lower-order part.  All
 derivatives are computed on the exponent data, never by finite
 differences, so every calculus identity in the test suite can be checked
-against an independent finite-difference oracle.
+against an independent finite-difference oracle.  Every evaluation goes
+through :class:`CompiledSymbol`, built once per symbol.
 
 Operations provided: evaluation, partial derivatives, Hamilton fields of
 scalar symbols, matrix-ordered Poisson brackets, subprincipal symbols,
@@ -58,32 +59,69 @@ def _normalize_terms(terms, dimension: int) -> dict[tuple[Expo, Expo], np.ndarra
     return {key: m for key, m in sorted(acc.items()) if np.any(m != 0)}
 
 
-def _diff_terms(terms, slot: int, index: int):
-    """Differentiate a term dict wrt x^index (slot 0) or k_index (slot 1)."""
-    out = []
-    for (x_exp, k_exp), mat in terms.items():
-        exps = [list(x_exp), list(k_exp)]
-        e = exps[slot][index]
-        if e == 0:
-            continue
-        exps[slot][index] = e - 1
-        out.append((tuple(exps[0]), tuple(exps[1]), e * mat))
-    return out
+# outputs of a compiled symbol, in order: the principal part, its partial
+# derivatives in x^0..x^3 then k_0..k_3, the lower-order part, and the
+# mixed derivative sum_mu d^2(principal)/dx^mu dk_mu
+VALUE, GRAD, LOWER, MIXED = 0, slice(1, 9), 9, 10
 
 
-def _eval_terms(terms, x: np.ndarray, k: np.ndarray, dimension: int) -> np.ndarray:
-    out = np.zeros((dimension, dimension), dtype=complex)
-    for (x_exp, k_exp), mat in terms.items():
-        mono = 1.0
-        for i in range(4):
-            e = x_exp[i]
-            if e:
-                mono *= x[i] ** e
-            e = k_exp[i]
-            if e:
-                mono *= k[i] ** e
-        out += mat * mono
-    return out
+def _stack(terms: dict, dimension: int):
+    """(T, 8) exponents over (x, k) and (T, N, N) coefficients of a term dict."""
+    expo = np.array([xe + ke for xe, ke in terms], dtype=int).reshape(-1, 8)
+    coeff = np.array(list(terms.values()), dtype=complex).reshape(-1, dimension, dimension)
+    return expo, coeff
+
+
+def _derive(expo: np.ndarray, coeff: np.ndarray, slot: int):
+    """Exact derivative of stacked terms in variable ``slot`` (x^0..x^3, k_0..k_3)."""
+    e = expo[:, slot]
+    keep = e > 0
+    expo = expo[keep]
+    expo[:, slot] -= 1
+    return expo, coeff[keep] * e[keep, None, None]
+
+
+class CompiledSymbol:
+    """A symbol and its derivatives stacked into one polynomial evaluation.
+
+    The term dicts of the outputs listed at :data:`VALUE` .. :data:`MIXED`
+    are stacked into a ``(T, 8)`` exponent array ``E`` over
+    ``z = (x, k)``, one row per distinct monomial in canonical term order,
+    and a ``(T, S*N*N)`` coefficient matrix ``C``.  Derivatives are taken
+    on the exponent arrays.  One call evaluates ``prod(z**E) @ C``; each
+    ``z**E`` row is formed as a product of repeated factors of z.  Points
+    broadcast over leading batch axes: ``(B, 4)`` x and k give
+    ``(B, S, N, N)``, and every batch row holds the same bits as a
+    single-point call at that row.
+    """
+
+    def __init__(self, sym: "MatrixSymbol"):
+        dim = sym.dimension
+        principal = _stack(sym.principal, dim)
+        mixed = [_derive(*_derive(*principal, 4 + mu), mu) for mu in range(4)]
+        outputs = [principal, *(_derive(*principal, s) for s in range(8))]
+        outputs += [_stack(sym.lower, dim), tuple(np.concatenate(m) for m in zip(*mixed))]
+        rows = np.concatenate([e for e, _ in outputs])
+        which = np.concatenate([np.full(len(e), i) for i, (e, _) in enumerate(outputs)])
+        expo, inverse = np.unique(rows, axis=0, return_inverse=True)
+        coeff = np.zeros((len(expo), len(outputs), dim, dim), dtype=complex)
+        np.add.at(coeff, (inverse.ravel(), which), np.concatenate([c for _, c in outputs]))
+        self.shape = (len(outputs), dim, dim)
+        self.mixed_is_zero = not np.any(coeff[:, MIXED])
+        # real and imaginary parts interleaved, so the real product views as complex
+        self.coeff = coeff.reshape(len(expo), len(outputs) * dim * dim).view(float)
+        # each row of E as a list of factor slots, padded with slot 8 (= 1.0)
+        degree = expo.sum(axis=1)
+        self.factors = np.full((len(expo), int(degree.max(initial=0))), 8)
+        for t, row in enumerate(expo):
+            self.factors[t, : degree[t]] = np.repeat(np.arange(8), row)
+
+    def __call__(self, x, k) -> np.ndarray:
+        z = np.concatenate([x, k, np.ones(np.shape(x)[:-1] + (1,))], axis=-1)
+        mono = z[..., self.factors].prod(axis=-1)
+        # (..., 1, T) @ (T, 2M) makes the same product for every batch row
+        out = (mono[..., None, :] @ self.coeff)[..., 0, :].view(complex)
+        return out.reshape(out.shape[:-1] + self.shape)
 
 
 class MatrixSymbol:
@@ -105,7 +143,7 @@ class MatrixSymbol:
         Display name used by the CLI.
     """
 
-    __slots__ = ("dimension", "order", "principal", "lower", "name")
+    __slots__ = ("dimension", "order", "principal", "lower", "name", "_compiled")
 
     def __init__(self, dimension, order, principal_terms=(), lower_terms=(), name=None):
         if int(dimension) < 1:
@@ -115,6 +153,7 @@ class MatrixSymbol:
         self.principal = _normalize_terms(principal_terms, self.dimension)
         self.lower = _normalize_terms(lower_terms, self.dimension)
         self.name = name
+        self._compiled = None
 
     # -- constructors -------------------------------------------------
 
@@ -147,6 +186,10 @@ class MatrixSymbol:
             return self.lower
         raise InvalidInput(f"unknown symbol part {part!r} (use 'principal' or 'lower')")
 
+    def _output(self, part: str) -> int:
+        self._part(part)
+        return VALUE if part == "principal" else LOWER
+
     def same_terms(self, other: "MatrixSymbol") -> bool:
         """Exact coefficient-level equality of both parts."""
         if self.dimension != other.dimension or self.order != other.order:
@@ -160,31 +203,38 @@ class MatrixSymbol:
 
     # -- calculus -----------------------------------------------------
 
+    @property
+    def compiled(self) -> CompiledSymbol:
+        """The symbol compiled for evaluation, built on first use.
+
+        Symbols are treated as immutable: the terms are compiled once.
+        """
+        if self._compiled is None:
+            self._compiled = CompiledSymbol(self)
+        return self._compiled
+
     def eval(self, pt: PhaseSpacePoint, part: str = "principal") -> np.ndarray:
         """Exact polynomial evaluation of one part at (x, k)."""
-        return _eval_terms(self._part(part), pt.x, pt.k, self.dimension)
+        return self.compiled(pt.x, pt.k)[self._output(part)]
 
     def eval_raw(self, x, k, part: str = "principal") -> np.ndarray:
-        """Evaluation on raw arrays; used by integrators on hot paths."""
-        return _eval_terms(self._part(part), x, k, self.dimension)
+        """Evaluation on raw arrays of shape (..., 4); gives (..., N, N)."""
+        return self.compiled(x, k)[..., self._output(part), :, :]
 
     def diff_x(self, mu: int) -> "MatrixSymbol":
         """Exact partial derivative with respect to x^mu (both parts)."""
-        return MatrixSymbol(
-            self.dimension,
-            self.order,
-            _diff_terms(self.principal, 0, mu),
-            _diff_terms(self.lower, 0, mu),
-        )
+        return self._derived(mu, self.order)
 
     def diff_k(self, mu: int) -> "MatrixSymbol":
         """Exact partial derivative with respect to k_mu; order drops by one."""
-        return MatrixSymbol(
-            self.dimension,
-            self.order - 1,
-            _diff_terms(self.principal, 1, mu),
-            _diff_terms(self.lower, 1, mu),
+        return self._derived(4 + mu, self.order - 1)
+
+    def _derived(self, slot: int, order: int) -> "MatrixSymbol":
+        principal, lower = (
+            [(e[:4], e[4:], c) for e, c in zip(*_derive(*_stack(part, self.dimension), slot))]
+            for part in (self.principal, self.lower)
         )
+        return MatrixSymbol(self.dimension, order, principal, lower)
 
     def scaled(self, z) -> "MatrixSymbol":
         return MatrixSymbol(
@@ -293,17 +343,10 @@ def hamilton_field(q: MatrixSymbol, pt: PhaseSpacePoint) -> tuple[np.ndarray, np
     """
     if q.dimension != 1:
         raise DimensionMismatch("hamilton_field requires a scalar (N=1) symbol")
-    dx = np.empty(4)
-    dk = np.empty(4)
-    for mu in range(4):
-        vx = q.diff_k(mu).eval(pt)[0, 0]
-        vk = -q.diff_x(mu).eval(pt)[0, 0]
-        for v in (vx, vk):
-            if abs(v.imag) > 1e-10 * (1.0 + abs(v.real)):
-                raise InvalidInput("hamilton_field needs a real-valued symbol")
-        dx[mu] = vx.real
-        dk[mu] = vk.real
-    return dx, dk
+    grad = q.compiled(pt.x, pt.k)[GRAD, 0, 0]
+    if np.any(np.abs(grad.imag) > 1e-10 * (1.0 + np.abs(grad.real))):
+        raise InvalidInput("hamilton_field needs a real-valued symbol")
+    return grad[4:].real, -grad[:4].real
 
 
 def poisson_bracket(a: MatrixSymbol, b: MatrixSymbol, pt: PhaseSpacePoint) -> np.ndarray:
@@ -316,39 +359,37 @@ def poisson_bracket(a: MatrixSymbol, b: MatrixSymbol, pt: PhaseSpacePoint) -> np
     """
     if a.dimension != b.dimension and 1 not in (a.dimension, b.dimension):
         raise DimensionMismatch("poisson_bracket needs compatible dimensions")
-    dim = max(a.dimension, b.dimension)
-    out = np.zeros((dim, dim), dtype=complex)
+    return _bracket(a.compiled(pt.x, pt.k)[GRAD], b.compiled(pt.x, pt.k)[GRAD])
+
+
+def _bracket(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Ordered bracket of evaluated gradients, each of shape (..., 8, N, N)."""
+    out = 0.0
     for mu in range(4):
-        out += _matmul_compat(a.diff_k(mu).eval(pt), b.diff_x(mu).eval(pt))
-        out -= _matmul_compat(a.diff_x(mu).eval(pt), b.diff_k(mu).eval(pt))
+        out = out + _matmul_compat(da[..., 4 + mu, :, :], db[..., mu, :, :])
+        out = out - _matmul_compat(da[..., mu, :, :], db[..., 4 + mu, :, :])
     return out
 
 
 def _matmul_compat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape == (1, 1):
-        return a[0, 0] * b
-    if b.shape == (1, 1):
-        return a * b[0, 0]
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-2:] == (1, 1):
+        return a[..., :1, :1] * b
+    if b.shape[-2:] == (1, 1):
+        return a * b[..., :1, :1]
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
     return a @ b
 
 
-def mixed_derivative_symbol(sym: MatrixSymbol) -> MatrixSymbol:
-    """sum_mu d^2(principal)/dx^mu dk_mu as a symbol one order down."""
-    principal_only = MatrixSymbol(sym.dimension, sym.order, sym.terms("principal"))
-    total = MatrixSymbol.zero(sym.dimension, sym.order - 1)
-    for mu in range(4):
-        total = total.add(principal_only.diff_x(mu).diff_k(mu))
-    return total
+def _subprincipal(jet: np.ndarray) -> np.ndarray:
+    """p_{m-1} - (1/2i) sum_mu d^2 p / dx^mu dk_mu from evaluated compiled outputs."""
+    # -(1/2i) == +i/2
+    return jet[..., LOWER, :, :] + 0.5j * jet[..., MIXED, :, :]
 
 
 def subprincipal_symbol(sym: MatrixSymbol, pt: PhaseSpacePoint) -> np.ndarray:
     """Evaluate p_{m-1} - (1/2i) sum_mu d^2 p / dx^mu dk_mu at a point."""
-    out = sym.eval(pt, "lower")
-    # -(1/2i) == +i/2
-    out += 0.5j * mixed_derivative_symbol(sym).eval(pt)
-    return out
+    return _subprincipal(sym.compiled(pt.x, pt.k))
 
 
 # -- built-in symbols ---------------------------------------------------
@@ -543,7 +584,7 @@ def _fmt_complex(z: complex) -> str:
 
 def pretty(sym: MatrixSymbol) -> str:
     """Short canonical text form; f(x) times k.k prints as '(f)*k^2'."""
-    scalar = _scalar_terms(sym)
+    scalar = scalar_coefficients(sym)
     if scalar is None:
         return repr(sym)
     wave = {ke: m[0, 0] for (_, ke), m in _normalize_terms(wave_quadratic_terms(), 1).items()}
@@ -579,8 +620,8 @@ def _factor_wave_quadratic(scalar: dict, wave: dict) -> dict | None:
     return out
 
 
-def _scalar_terms(sym: MatrixSymbol) -> dict | None:
-    """Principal terms as scalars when every coefficient is c * identity."""
+def scalar_coefficients(sym: MatrixSymbol) -> dict | None:
+    """{exponents: scalar} when every principal coefficient is c * identity."""
     out = {}
     eye = np.eye(sym.dimension)
     for (xe, ke), mat in sym.principal.items():

@@ -21,7 +21,7 @@ from .errors import InvalidInput, NumericalFailure
 from .minkowski import PhaseSpacePoint
 from .principal_type import PrincipalTypeDecomposition, kernel_basis, kernel_residual
 from .rays import Ray
-from .symbols import mixed_derivative_symbol, _matmul_compat
+from .symbols import GRAD, VALUE, _bracket, _matmul_compat, _subprincipal
 
 
 class KernelEscape(NumericalFailure):
@@ -63,37 +63,24 @@ class PolarizationSample:
             raise InvalidInput("strength must be nonnegative")
 
 
-class ConnectionEvaluator:
-    """Precomputed derivative symbols for fast evaluation of M(x, k)."""
+def _connection_matrices(d: PrincipalTypeDecomposition, x, k) -> np.ndarray:
+    """M = 1/2 {p~, p} + i p~ p^s at points of shape (..., 4)."""
+    a, b = d.p_tilde.compiled(x, k), d.p.compiled(x, k)
+    return 0.5 * _bracket(a[..., GRAD, :, :], b[..., GRAD, :, :]) + 1j * _matmul_compat(
+        a[..., VALUE, :, :], _subprincipal(b)
+    )
 
-    def __init__(self, d: PrincipalTypeDecomposition):
-        self.d = d
-        p, pt = d.p, d.p_tilde
-        self.dpt_dk = [pt.diff_k(mu) for mu in range(4)]
-        self.dpt_dx = [pt.diff_x(mu) for mu in range(4)]
-        self.dp_dk = [p.diff_k(mu) for mu in range(4)]
-        self.dp_dx = [p.diff_x(mu) for mu in range(4)]
-        self.mixed = mixed_derivative_symbol(p)
-        bracket_zero = all(s.is_zero() for s in self.dpt_dk + self.dpt_dx)
-        sub_zero = p.is_zero("lower") and self.mixed.is_zero()
-        # {p~, p} also vanishes when p has no x-dependence and p~ no
-        # k-dependence (and vice versa); the conservative test above is
-        # enough for the constant-coefficient fast path that matters.
-        self.identically_zero = bracket_zero and sub_zero
 
-    def matrix_raw(self, x, k) -> np.ndarray:
-        dim = max(self.d.p.dimension, self.d.p_tilde.dimension)
-        out = np.zeros((dim, dim), dtype=complex)
-        for mu in range(4):
-            out += 0.5 * _matmul_compat(
-                self.dpt_dk[mu].eval_raw(x, k), self.dp_dx[mu].eval_raw(x, k)
-            )
-            out -= 0.5 * _matmul_compat(
-                self.dpt_dx[mu].eval_raw(x, k), self.dp_dk[mu].eval_raw(x, k)
-            )
-        subprincipal = self.d.p.eval_raw(x, k, "lower") + 0.5j * self.mixed.eval_raw(x, k)
-        out += 1j * _matmul_compat(self.d.p_tilde.eval_raw(x, k), subprincipal)
-        return out
+def _connection_vanishes(d: PrincipalTypeDecomposition) -> bool:
+    """Whether every ingredient of M is the zero polynomial.
+
+    {p~, p} also vanishes when p has no x-dependence and p~ no
+    k-dependence (and vice versa); a constant p~ and a zero subprincipal
+    symbol are enough for the constant-coefficient fast path that matters.
+    """
+    pt = d.p_tilde
+    constant = not any(any(xe + ke) for part in (pt.principal, pt.lower) for xe, ke in part)
+    return constant and d.p.is_zero("lower") and d.p.compiled.mixed_is_zero
 
 
 def connection_matrix(d: PrincipalTypeDecomposition, pt: PhaseSpacePoint) -> np.ndarray:
@@ -102,7 +89,7 @@ def connection_matrix(d: PrincipalTypeDecomposition, pt: PhaseSpacePoint) -> np.
     The along-ray derivative part of the full transport law is realized
     as d/dtau by :func:`transport`; this returns only the matrix factor.
     """
-    return ConnectionEvaluator(d).matrix_raw(pt.x, pt.k)
+    return _connection_matrices(d, pt.x, pt.k)
 
 
 def transport(
@@ -114,10 +101,13 @@ def transport(
 ) -> HamiltonOrbit:
     """Transport a fiber vector along a ray: d omega/dtau = -M omega.
 
-    Integration reuses the ray's tau grid with a classic RK4 step per
-    interval; M at stage midpoints is evaluated on linearly interpolated
-    (x, k).  Optional reprojection onto the numerical kernel after each
-    step is off by default and recorded on the orbit when enabled.
+    Integration reuses the ray's tau grid with one RK4 step per interval.
+    M is evaluated in one batched call at every sample and every interval
+    midpoint, so neighbouring steps share M at their common sample.  The
+    midpoint (x, k) is linearly interpolated, which limits the transport
+    to second order in the step.  Optional reprojection onto the
+    numerical kernel after each step is off by default and recorded on
+    the orbit when enabled.
 
     Raises
     ------
@@ -130,25 +120,23 @@ def transport(
     if omega0.shape != (dim,):
         raise InvalidInput(f"omega0 must have shape ({dim},)")
     n = len(ray)
-    evaluator = ConnectionEvaluator(d)
 
     omega = np.empty((n, dim), dtype=complex)
     omega[0] = omega0
-    if evaluator.identically_zero:
+    if _connection_vanishes(d):
         omega[1:] = omega0
     else:
+        x = np.concatenate([ray.x, 0.5 * (ray.x[:-1] + ray.x[1:])])
+        k = np.concatenate([ray.k, 0.5 * (ray.k[:-1] + ray.k[1:])])
+        # -M at the samples, then at the interval midpoints
+        a = -_connection_matrices(d, x, k)
         w = omega0.copy()
         for i in range(n - 1):
             h = ray.tau[i + 1] - ray.tau[i]
-            x_mid = 0.5 * (ray.x[i] + ray.x[i + 1])
-            k_mid = 0.5 * (ray.k[i] + ray.k[i + 1])
-            m0 = evaluator.matrix_raw(ray.x[i], ray.k[i])
-            m_mid = evaluator.matrix_raw(x_mid, k_mid)
-            m1 = evaluator.matrix_raw(ray.x[i + 1], ray.k[i + 1])
-            s1 = -(m0 @ w)
-            s2 = -(m_mid @ (w + 0.5 * h * s1))
-            s3 = -(m_mid @ (w + 0.5 * h * s2))
-            s4 = -(m1 @ (w + h * s3))
+            s1 = a[i] @ w
+            s2 = a[n + i] @ (w + 0.5 * h * s1)
+            s3 = a[n + i] @ (w + 0.5 * h * s2)
+            s4 = a[i + 1] @ (w + h * s3)
             w = w + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
             if reproject:
                 basis = kernel_basis(d.p, ray.point(i + 1))
@@ -199,16 +187,19 @@ def project_wavefront(
     deduplicated within the stated tolerances, keeping first occurrences
     in input order.
     """
+    samples = list(samples)
     kept: list[PhaseSpacePoint] = []
+    kept_x = np.empty((len(samples), 4))
+    kept_k = np.empty((len(samples), 4))
     for sample in samples:
         if float(np.linalg.norm(sample.omega)) <= zero_tol:
             continue
         pt = sample.pt
-        duplicate = any(
-            np.max(np.abs(pt.x - other.x)) <= x_tol
-            and np.max(np.abs(pt.k - other.k)) <= k_tol
-            for other in kept
+        n = len(kept)
+        close = (np.max(np.abs(kept_x[:n] - pt.x), axis=1) <= x_tol) & (
+            np.max(np.abs(kept_k[:n] - pt.k), axis=1) <= k_tol
         )
-        if not duplicate:
+        if not close.any():
+            kept_x[n], kept_k[n] = pt.x, pt.k
             kept.append(pt)
     return kept

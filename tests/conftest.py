@@ -191,3 +191,41 @@ def random_matrix_symbol(rng, dimension=2, order=2, n_terms=5, lower_terms=2):
     principal = [term(order) for _ in range(n_terms)]
     lower = [term(order - 1) for _ in range(lower_terms)]
     return MatrixSymbol(dimension, order, principal, lower)
+
+
+_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+def graded_index_symbol(dimension=1, grade=0.1):
+    """(k0^2 - (1 + grade x3^2)|k|^2) times the identity; rays bend in x3.
+
+    The 2x2 version adds the x-dependent, non-commuting lower-order part
+    0.05 x3 k0 sigma_x + 0.03 k3 sigma_y, so its transport matrix is
+    neither zero nor a multiple of the identity.
+    """
+    eye = np.eye(dimension)
+    zero = (0, 0, 0, 0)
+    principal = [(zero, (2, 0, 0, 0), eye)]
+    for i in (1, 2, 3):
+        k_exp = [0, 0, 0, 0]
+        k_exp[i] = 2
+        principal.append((zero, tuple(k_exp), -eye))
+        principal.append(((0, 0, 0, 2), tuple(k_exp), -grade * eye))
+    lower = []
+    if dimension == 2:
+        lower = [((0, 0, 0, 1), (1, 0, 0, 0), 0.05 * _SIGMA_X), (zero, (0, 0, 0, 1), 0.03 * _SIGMA_Y)]
+    return MatrixSymbol(dimension, 2, principal, lower)
+
+
+def graded_null_start(grade=0.1):
+    """A start (x, k) on the cone of :func:`graded_index_symbol`."""
+    x = np.array([0.0, 0.4, 0.0, 0.5])
+    spatial = np.array([1.2, 0.0, 0.6])
+    return x, np.array([np.sqrt((1 + grade * x[3] ** 2) * spatial @ spatial), *spatial])
+
+
+def observed_orders(ends) -> list[float]:
+    """Convergence orders from end states at successively halved steps."""
+    gaps = [float(np.max(np.abs(b - a))) for a, b in zip(ends, ends[1:])]
+    return [float(np.log2(g0 / g1)) for g0, g1 in zip(gaps, gaps[1:])]

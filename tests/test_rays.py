@@ -17,7 +17,7 @@ from polaray.rays import (
 )
 from polaray.symbols import parse_x_polynomial, scaled_wave
 
-from conftest import random_null_covector
+from conftest import graded_index_symbol, graded_null_start, observed_orders, random_null_covector
 
 
 class TestNullProject:
@@ -137,6 +137,18 @@ class TestGeodesicResidual:
         )
         with pytest.raises(TooFewSamples):
             geodesic_residual(ray)
+
+
+class TestConvergenceOrder:
+    def test_rk4_reaches_fourth_order_on_a_bending_ray(self):
+        q = graded_index_symbol()
+        x0, k0 = graded_null_start()
+        ends = []
+        for n in (25, 50, 100, 200):
+            ray = trace_ray(q, x0, k0, (0.0, 4.0), 4.0 / n, drift_tol=1e-3)
+            ends.append(np.concatenate([ray.x[-1], ray.k[-1]]))
+        assert ends[-1][7] < 0.0 < k0[3]  # the ray turns back in x3
+        assert all(3.8 <= p <= 4.2 for p in observed_orders(ends))
 
 
 class TestRayValidation:

@@ -282,3 +282,25 @@ class TestSymbolFiles:
             maxwell.add(scalar_wave())
         with pytest.raises(DimensionMismatch):
             maxwell.matmul(random_matrix_symbol(np.random.default_rng(0), 3, 1))
+
+
+class TestCompiledSymbol:
+    def test_batch_rows_have_the_bits_of_single_points(self, rng):
+        sym = random_matrix_symbol(rng, dimension=3, n_terms=6, lower_terms=3)
+        x, k = rng.uniform(-2, 2, (9, 4)), rng.uniform(-2, 2, (9, 4))
+        batch = sym.compiled(x, k)
+        assert batch.shape == (9, 11, 3, 3)
+        singles = np.array([sym.compiled(x[i], k[i]) for i in range(9)])
+        assert batch.tobytes() == singles.tobytes()
+
+    def test_outputs_match_derivative_symbols(self, rng):
+        sym = random_matrix_symbol(rng)
+        pt = phase_point(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
+        jet = sym.compiled(pt.x, pt.k)
+        expected = [sym.eval(pt), *(sym.diff_x(mu).eval(pt) for mu in range(4))]
+        expected += [sym.diff_k(mu).eval(pt) for mu in range(4)]
+        expected.append(sym.eval(pt, "lower"))
+        principal = MatrixSymbol(sym.dimension, sym.order, sym.terms("principal"))
+        mixed = sum(principal.diff_x(mu).diff_k(mu).eval(pt) for mu in range(4))
+        expected.append(mixed)
+        assert np.allclose(jet, np.array(expected), rtol=1e-13, atol=1e-13)

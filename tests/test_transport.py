@@ -14,7 +14,7 @@ from polaray.transport import (
     transport,
 )
 
-from conftest import random_null_covector
+from conftest import graded_index_symbol, graded_null_start, observed_orders, random_null_covector
 
 NULL_PT = phase_point([0, 0, 0, 0], [1, 0, 0, -1])
 
@@ -182,3 +182,50 @@ class TestProjectWavefront:
         other = phase_point([0, 0, 0, 1], [1, 0, 0, -1])
         b = PolarizationSample(pt=other, omega=np.array([0, 1, 0, 0]))
         assert len(project_wavefront([a, b])) == 2
+
+    def test_matches_pairwise_reference_on_chained_near_duplicates(self, rng):
+        def pairwise(samples, zero_tol=1e-12, x_tol=1e-9, k_tol=1e-9):
+            kept = []
+            for sample in samples:
+                if float(np.linalg.norm(sample.omega)) <= zero_tol:
+                    continue
+                pt = sample.pt
+                if not any(
+                    np.max(np.abs(pt.x - o.x)) <= x_tol and np.max(np.abs(pt.k - o.k)) <= k_tol
+                    for o in kept
+                ):
+                    kept.append(pt)
+            return kept
+
+        samples = []
+        for _ in range(12):
+            x, k = rng.uniform(-1, 1, 4), random_null_covector(rng)
+            # a ~ b and b ~ c within 1e-9, but a and c are 1.2e-9 apart
+            for step in range(3):
+                shift = np.zeros(4)
+                shift[rng.integers(4)] = 0.6e-9 * step
+                on_x = rng.integers(2) == 0
+                omega = np.zeros(2) if rng.uniform() < 0.25 else rng.normal(size=2)
+                pt = phase_point(x + shift if on_x else x, k if on_x else k + shift)
+                samples.append(PolarizationSample(pt=pt, omega=omega))
+        order = rng.permutation(len(samples))
+        samples = [samples[i] for i in order]
+        kept = project_wavefront(samples)
+        reference = pairwise(samples)
+        assert len(kept) == len(reference)
+        assert all(a is b for a, b in zip(kept, reference))
+        assert len(reference) < len([s for s in samples if np.any(s.omega != 0)])
+
+
+class TestConvergenceOrder:
+    def test_transport_order_is_two_with_linear_midpoints(self):
+        """M at each RK4 midpoint is taken at the linearly interpolated
+        (x, k), an O(h^2) error, so the fiber vector converges at second
+        order even though the ray converges at fourth."""
+        d = decompose_principal_type(graded_index_symbol(2))
+        x0, k0 = graded_null_start()
+        ends = []
+        for n in (25, 50, 100, 200):
+            ray = trace_ray(d.q, x0, k0, (0.0, 4.0), 4.0 / n, drift_tol=1e-3)
+            ends.append(transport(d, ray, [0.6, 0.8j], residual_tol=1e-3).omega[-1])
+        assert all(1.8 <= p <= 2.2 for p in observed_orders(ends))
