@@ -272,8 +272,6 @@ def _parse_centers(text: str) -> list[np.ndarray]:
 
 def _cmd_estimate(args) -> int:
     field = ser.read_gridfield(args.field)
-    if not (0.0 < args.threshold < 1.0):
-        raise InvalidInput("--threshold must lie strictly between 0 and 1")
     estimates = estimate_polarization_set(
         field,
         _parse_centers(args.centers),

@@ -274,8 +274,8 @@ def read_estimates(path: str) -> list[PolarizationEstimate]:
 # -- grid-field binary -----------------------------------------------------
 
 
-def write_gridfield(path: str, field: GridField) -> None:
-    """Self-describing binary: magic, JSON header line, raw complex128."""
+def _gridfield_bytes(field: GridField) -> tuple[bytes, bytes]:
+    """The grid-field file as two parts: magic plus JSON header line, then the body."""
     grid = field.grid
     header = {
         "extents": [float(v) for v in grid.extents],
@@ -287,11 +287,14 @@ def write_gridfield(path: str, field: GridField) -> None:
         "dtype": "complex128-le",
         "metadata": field.metadata,
     }
-    body = np.ascontiguousarray(field.data, dtype="<c16").tobytes()
+    head = GRIDFIELD_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
+    return head, np.ascontiguousarray(field.data, dtype="<c16").tobytes()
+
+
+def write_gridfield(path: str, field: GridField) -> None:
+    """Self-describing binary: magic, JSON header line, raw complex128."""
     with open(path, "wb") as handle:
-        handle.write(GRIDFIELD_MAGIC)
-        handle.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        handle.write(body)
+        handle.writelines(_gridfield_bytes(field))
 
 
 def read_gridfield(path: str) -> GridField:
@@ -333,25 +336,8 @@ def roundtrip(path: str) -> bool:
     with open(path, "rb") as handle:
         original = handle.read()
     if original.startswith(GRIDFIELD_MAGIC):
-        field = read_gridfield(path)
-        grid = field.grid
-        header = {
-            "extents": [float(v) for v in grid.extents],
-            "samples": [int(v) for v in grid.samples],
-            "time_slices": int(grid.time_slices),
-            "time_step": float(grid.time_step),
-            "times": [float(t) for t in grid.times],
-            "components": 4,
-            "dtype": "complex128-le",
-            "metadata": field.metadata,
-        }
-        rebuilt = (
-            GRIDFIELD_MAGIC
-            + json.dumps(header, sort_keys=True).encode()
-            + b"\n"
-            + np.ascontiguousarray(field.data, dtype="<c16").tobytes()
-        )
-        return rebuilt == original
+        head, body = _gridfield_bytes(read_gridfield(path))
+        return head + body == original
     text = original.decode()
     first = text.splitlines()[0] if text else ""
     if first.startswith("# polaray ray"):

@@ -79,6 +79,10 @@ class GridSpec:
         L, n = self.extents[i], self.samples[i]
         return -0.5 * L + np.arange(n) * (L / n)
 
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three axes shaped (n1,1,1), (1,n2,1), (1,1,n3), to broadcast over the grid."""
+        return np.ix_(*(self.axis(i) for i in range(3)))
+
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.time_slices) * self.time_step
@@ -172,15 +176,14 @@ def synthesize(spec: WavePacketSpec, grid: GridSpec) -> GridField:
     velocity = kvec / omega
     prefactor = mode.amplitude / math.sqrt(2.0 * omega)
 
-    ax = [grid.axis(i) for i in range(3)]
-    shapes = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
-    phase_s = sum(kvec[i] * ax[i].reshape(shapes[i]) for i in range(3))
+    coords = grid.coordinates()
+    phase_s = sum(kvec[i] * coords[i] for i in range(3))
 
     data = np.empty((grid.time_slices, 4, *grid.samples), dtype=complex)
     inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
     for j, t in enumerate(grid.times):
         c = spec.center[1:4] + velocity * (t - spec.center[0])
-        dist2 = sum((ax[i].reshape(shapes[i]) - c[i]) ** 2 for i in range(3))
+        dist2 = sum((coords[i] - c[i]) ** 2 for i in range(3))
         scalar = prefactor * np.exp(1j * (phase_s - omega * t) - dist2 * inv_two_sigma2)
         for mu in range(4):
             data[j, mu] = mode.eps[mu] * scalar
@@ -227,9 +230,8 @@ def windowed_spectrum(field: GridField, center, window_width: float) -> Windowed
     times = grid.times
     j = int(np.argmin(np.abs(times - center[0])))
 
-    ax = [grid.axis(i) for i in range(3)]
-    shapes = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
-    dist2 = sum((ax[i].reshape(shapes[i]) - center[1 + i]) ** 2 for i in range(3))
+    coords = grid.coordinates()
+    dist2 = sum((coords[i] - center[1 + i]) ** 2 for i in range(3))
     window = np.exp(-dist2 / (2.0 * window_width**2))
     spectra = np.fft.fftn(field.data[j] * window, axes=(1, 2, 3))
     spectra = np.fft.fftshift(spectra, axes=(1, 2, 3))
@@ -259,23 +261,20 @@ class PolarizationEstimate:
         object.__setattr__(self, "omega_hat", np.asarray(self.omega_hat, dtype=complex))
 
 
-def _local_maxima(mag: np.ndarray) -> np.ndarray:
-    """Bins that dominate their full 3x3x3 wrap-around neighborhood."""
-    peak = np.ones(mag.shape, dtype=bool)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if dx == dy == dz == 0:
-                    continue
-                peak &= mag >= np.roll(mag, (dx, dy, dz), axis=(0, 1, 2))
-    return peak
+def _peak_candidates(mag: np.ndarray, k_axes, threshold: float) -> np.ndarray:
+    """Candidate peak bins of one window, strongest first (ties in argwhere order).
 
-
-def _dc_mask(spectrum: WindowedSpectrum) -> np.ndarray:
-    mask = np.zeros(spectrum.magnitude().shape, dtype=bool)
-    idx = [int(np.argmin(np.abs(axis))) for axis in spectrum.k_axes]
-    mask[idx[0], idx[1], idx[2]] = True
-    return mask
+    A candidate is at least its 3x3x3 wrap-around box maximum (a separable
+    running max, two rolls per axis), at least ``threshold`` times the
+    window's own maximum, positive, and not the DC bin.
+    """
+    box = mag
+    for axis in range(3):
+        box = np.maximum(box, np.maximum(np.roll(box, 1, axis), np.roll(box, -1, axis)))
+    mask = (mag >= box) & (mag >= threshold * float(mag.max())) & (mag > 0.0)
+    mask[tuple(int(np.argmin(np.abs(k))) for k in k_axes)] = False
+    indices = np.argwhere(mask)
+    return indices[np.argsort(-mag[tuple(indices.T)], kind="stable")]
 
 
 def _refine_axis(logmag: np.ndarray, idx: tuple[int, int, int], axis: int) -> float:
@@ -294,6 +293,40 @@ def _refine_axis(logmag: np.ndarray, idx: tuple[int, int, int], axis: int) -> fl
     return float(np.clip(delta, -0.5, 0.5))
 
 
+def _window_estimates(
+    field: GridField, center, window_width: float, threshold: float, refine: bool
+) -> tuple[float, list[PolarizationEstimate]]:
+    """One window's maximum magnitude and an estimate per candidate peak."""
+    spectrum = windowed_spectrum(field, center, window_width)
+    mag = spectrum.magnitude()
+    k_axes = spectrum.k_axes
+    candidates = _peak_candidates(mag, k_axes, threshold)
+    logmag = np.log(np.maximum(mag, 1e-300)) if refine and len(candidates) else None
+    steps = [k[1] - k[0] for k in k_axes]
+    out = []
+    for pos in candidates:
+        idx = tuple(int(v) for v in pos)
+        kvec = np.array([k_axes[a][idx[a]] for a in range(3)])
+        if refine:
+            deltas = [_refine_axis(logmag, idx, a) for a in range(3)]
+            kvec = kvec + np.array([d * s for d, s in zip(deltas, steps)])
+        freq = float(np.linalg.norm(kvec))
+        if freq == 0.0:
+            continue
+        amps = spectrum.amplitudes[(slice(None), *idx)]
+        norm = float(np.linalg.norm(amps))
+        out.append(
+            PolarizationEstimate(
+                x=spectrum.center,
+                k_hat=kvec / freq,
+                freq=freq,
+                omega_hat=amps / norm,
+                strength=float(mag[idx]),
+            )
+        )
+    return float(mag.max()), out
+
+
 def estimate_polarization_set(
     field: GridField,
     centers,
@@ -309,50 +342,33 @@ def estimate_polarization_set(
     peak contribute nothing.  With ``refine`` the peak location gets a
     log-parabolic sub-bin correction per axis (exact for Gaussian
     spectra), otherwise the raw bin direction is reported.
+
+    Windows are analysed one at a time, keeping only their candidate
+    peaks, so memory holds one spectrum whatever the window count.
     """
     if not (0.0 < threshold < 1.0):
         raise InvalidInput("threshold must lie strictly between 0 and 1")
-    spectra = [windowed_spectrum(field, c, window_width) for c in centers]
-    if not spectra:
-        return []
-    magnitudes = [s.magnitude() for s in spectra]
-    global_max = max(float(m.max()) for m in magnitudes)
-    if global_max <= 0.0:
-        return []
-
+    global_max = 0.0
     out: list[PolarizationEstimate] = []
-    for spectrum, mag in zip(spectra, magnitudes):
-        mask = _local_maxima(mag) & (mag >= threshold * global_max) & (mag > 0.0)
-        mask &= ~_dc_mask(spectrum)
-        indices = np.argwhere(mask)
-        order = np.argsort([-mag[tuple(i)] for i in indices], kind="stable")
-        logmag = None
-        if refine and indices.size:
-            logmag = np.log(np.maximum(mag, 1e-300))
-        for pos in (indices[i] for i in order):
-            idx = tuple(int(v) for v in pos)
-            kvec = np.array([spectrum.k_axes[a][idx[a]] for a in range(3)])
-            if refine:
-                deltas = [_refine_axis(logmag, idx, a) for a in range(3)]
-                steps = [
-                    spectrum.k_axes[a][1] - spectrum.k_axes[a][0] for a in range(3)
-                ]
-                kvec = kvec + np.array([d * s for d, s in zip(deltas, steps)])
-            freq = float(np.linalg.norm(kvec))
-            if freq == 0.0:
-                continue
-            amps = spectrum.amplitudes[(slice(None), *idx)]
-            norm = float(np.linalg.norm(amps))
-            out.append(
-                PolarizationEstimate(
-                    x=spectrum.center,
-                    k_hat=kvec / freq,
-                    freq=freq,
-                    omega_hat=amps / norm,
-                    strength=float(mag[idx]),
-                )
-            )
-    return out
+    for center in centers:
+        window_max, estimates = _window_estimates(field, center, window_width, threshold, refine)
+        global_max = max(global_max, window_max)
+        out.extend(estimates)
+    return [est for est in out if est.strength >= threshold * global_max]
+
+
+def _component_peaks(
+    field: GridField, center, window_width: float, threshold: float
+) -> tuple[list[float], list[float]]:
+    """Per component of one window: its maximum and its strongest candidate peak."""
+    spectrum = windowed_spectrum(field, center, window_width)
+    maxima, strongest = [], []
+    for mu in range(4):
+        mag = np.abs(spectrum.amplitudes[mu])
+        candidates = _peak_candidates(mag, spectrum.k_axes, threshold)
+        maxima.append(float(mag.max()))
+        strongest.append(float(mag[tuple(candidates[0])]) if len(candidates) else -math.inf)
+    return maxima, strongest
 
 
 def scalar_component_flags(
@@ -368,19 +384,12 @@ def scalar_component_flags(
     """
     if not (0.0 < threshold < 1.0):
         raise InvalidInput("threshold must lie strictly between 0 and 1")
-    spectra = [windowed_spectrum(field, c, window_width) for c in centers]
-    flags = [False] * len(spectra)
-    for mu in range(4):
-        mags = [np.abs(s.amplitudes[mu]) for s in spectra]
-        gmax = max((float(m.max()) for m in mags), default=0.0)
-        if gmax <= 0.0:
-            continue
-        for w, (spectrum, mag) in enumerate(zip(spectra, mags)):
-            mask = _local_maxima(mag) & (mag >= threshold * gmax) & (mag > 0.0)
-            mask &= ~_dc_mask(spectrum)
-            if bool(np.any(mask)):
-                flags[w] = True
-    return flags
+    peaks = [_component_peaks(field, c, window_width, threshold) for c in centers]
+    gmax = [max((maxima[mu] for maxima, _ in peaks), default=0.0) for mu in range(4)]
+    return [
+        any(strongest[mu] >= threshold * gmax[mu] for mu in range(4))
+        for _, strongest in peaks
+    ]
 
 
 @dataclass(frozen=True)
@@ -399,8 +408,7 @@ def straightness_track(field: GridField, energy_floor: float = 1e-30) -> LineTra
     grid = field.grid
     if grid.time_slices < 3:
         raise InvalidInput("straightness tracking needs at least 3 time slices")
-    ax = [grid.axis(i) for i in range(3)]
-    shapes = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
+    coords = grid.coordinates()
     centroids = np.empty((grid.time_slices, 3))
     for j in range(grid.time_slices):
         weight = np.sum(np.abs(field.data[j]) ** 2, axis=0)
@@ -408,7 +416,7 @@ def straightness_track(field: GridField, energy_floor: float = 1e-30) -> LineTra
         if total <= energy_floor:
             raise DegenerateField(f"time slice {j} carries no energy")
         for i in range(3):
-            centroids[j, i] = float(np.sum(weight * ax[i].reshape(shapes[i]))) / total
+            centroids[j, i] = float(np.sum(weight * coords[i])) / total
     times = grid.times
     t_center = times - times.mean()
     c_center = centroids - centroids.mean(axis=0)
@@ -482,19 +490,23 @@ class CompareReport:
         }
 
 
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each summed exactly as the 1-D ``u[i] @ v[i]``."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _point_to_polyline(point: np.ndarray, polyline: np.ndarray) -> tuple[float, int]:
     """Distance from a point to a piecewise-linear path, plus nearest vertex."""
     nearest_vertex = int(np.argmin(np.linalg.norm(polyline - point, axis=1)))
     best = float(np.linalg.norm(polyline[nearest_vertex] - point))
-    for i in range(len(polyline) - 1):
-        a, b = polyline[i], polyline[i + 1]
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom == 0.0:
-            continue
-        t = float(np.clip((point - a) @ ab / denom, 0.0, 1.0))
-        best = min(best, float(np.linalg.norm(a + t * ab - point)))
-    return best, nearest_vertex
+    a = polyline[:-1]
+    ab = polyline[1:] - a
+    denom = _row_dot(ab, ab)
+    live = denom != 0.0
+    a, ab = a[live], ab[live]
+    t = np.clip(_row_dot(point - a, ab) / denom[live], 0.0, 1.0)
+    gap = a + t[:, None] * ab - point
+    return float(np.min(np.sqrt(_row_dot(gap, gap)), initial=best)), nearest_vertex
 
 
 def _suppression_db(num: float, denom: float) -> float:

@@ -197,14 +197,15 @@ _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
-def graded_index_symbol(dimension=1, grade=0.1):
-    """(k0^2 - (1 + grade x3^2)|k|^2) times the identity; rays bend in x3.
+def graded_index_symbol(dimension=1, grade=0.1, scale=None):
+    """(k0^2 - (1 + grade x3^2)|k|^2) times ``scale`` (default the identity);
+    rays bend in x3.
 
     The 2x2 version adds the x-dependent, non-commuting lower-order part
     0.05 x3 k0 sigma_x + 0.03 k3 sigma_y, so its transport matrix is
     neither zero nor a multiple of the identity.
     """
-    eye = np.eye(dimension)
+    eye = np.eye(dimension) if scale is None else np.asarray(scale, dtype=complex)
     zero = (0, 0, 0, 0)
     principal = [(zero, (2, 0, 0, 0), eye)]
     for i in (1, 2, 3):

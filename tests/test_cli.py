@@ -3,7 +3,7 @@ import json
 import numpy as np
 
 from polaray.cli import run
-from polaray.serialization import read_estimates_json, read_ray_csv
+from polaray.serialization import read_estimates_json, read_orbit_csv, read_ray_csv
 
 PI = "3.141592653589793"
 K_PI = f"{PI},0,0,-{PI}"
@@ -79,7 +79,14 @@ class TestTrace:
         assert code == 0
         assert read_ray_csv(str(out_path)).k[0, 0] == 5.0
 
-    def test_validation_failures_exit_one(self, capsys):
+    def test_validation_failures_exit_one(self, capsys, tmp_path):
+        field_path = tmp_path / "f.gf"
+        code, _, _ = run_cli(
+            capsys,
+            "synth", "--k", K_PI, "--eps", "0,1,0,0", "--center", "0,0,0,0", "--sigma", "2.0",
+            "--extent", "16,16,16", "--samples", "32,32,32", "-o", str(field_path),
+        )
+        assert code == 0
         bad_argvs = [
             ("trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0", "--k", "1,0,0,-1",
              "--tau", "1:0", "--step", "0.01"),
@@ -91,11 +98,30 @@ class TestTrace:
              "--tau", "0:1", "--step", "0.01"),
             ("check-type", "--symbol", "flat-maxwell", "--point", "0,0,0,0",
              "--k", "1,0,0,-1", "--tol", "-1"),
+            ("estimate", "--field", str(field_path), "--centers", "0,0,0,0",
+             "--window", "2.0", "--threshold", "1.5"),
         ]
         for argv in bad_argvs:
             code, _, err = run_cli(capsys, *argv)
             assert code == 1, argv
             assert err
+
+
+class TestTransport:
+    def test_reproject_recorded_in_orbit_header(self, capsys, tmp_path):
+        paths = {flag: tmp_path / f"orbit{flag}.csv" for flag in (0, 1)}
+        for flag, path in paths.items():
+            code, _, _ = run_cli(
+                capsys,
+                "transport", "--symbol", "scaled-wave", "--scale", "1+x3^2", "--dimension", "2",
+                "--x0", "0,0,0,0", "--k", "1,0.6,0,0.8", "--tau", "0:0.1", "--step", "0.01",
+                "--omega0", "0.6,0.8", *(["--reproject"] if flag else []), "-o", str(path),
+            )
+            assert code == 0
+        for flag, path in paths.items():
+            header = path.read_text().splitlines()[0]
+            assert f"reprojected={flag}" in header.split()
+        assert read_orbit_csv(str(paths[1])).reprojected
 
 
 class TestDeterminism:

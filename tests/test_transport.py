@@ -217,6 +217,24 @@ class TestProjectWavefront:
         assert len(reference) < len([s for s in samples if np.any(s.omega != 0)])
 
 
+class TestReprojection:
+    def test_reprojected_orbit_residuals_no_larger(self):
+        """The non-scalar diag(1, 2) graded symbol, decomposed with the
+        hint diag(2, 1).  Off the exact cone p = diag(1, 2) q has no
+        numerical kernel, so reprojection has nothing to project onto
+        here; it must still be recorded and must not raise the residual."""
+        sym = graded_index_symbol(2, scale=np.diag([1.0, 2.0]))
+        hint = MatrixSymbol(2, 0, [((0, 0, 0, 0), (0, 0, 0, 0), np.diag([2.0, 1.0]))])
+        d = decompose_principal_type(sym, hint=hint)
+        assert not d.scalar_multiple
+        x0, k0 = graded_null_start()
+        ray = trace_ray(d.q, x0, k0, (0.0, 1.0), 0.02)
+        plain = transport(d, ray, [0.6, 0.8j])
+        projected = transport(d, ray, [0.6, 0.8j], reproject=True)
+        assert projected.reprojected and not plain.reprojected
+        assert np.all(projected.residuals <= plain.residuals)
+
+
 class TestConvergenceOrder:
     def test_transport_order_is_two_with_linear_midpoints(self):
         """M at each RK4 midpoint is taken at the linearly interpolated

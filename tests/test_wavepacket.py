@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from polaray.wavepacket import (
     GridSpec,
     WavePacketSpec,
     WindowOutOfBounds,
+    _peak_candidates,
+    _point_to_polyline,
     compare,
     estimate_polarization_set,
     scalar_component_flags,
@@ -74,6 +78,13 @@ class TestGridSpec:
         assert grid.axis(0)[0] == -8.0
         k = grid.k_axis(0)
         assert k[len(k) // 2] == 0.0
+
+    def test_coordinates_broadcast_the_axes(self):
+        grid = GridSpec(extents=(L, 12.0, 10.0), samples=(8, 9, 10))
+        coords = grid.coordinates()
+        assert [c.shape for c in coords] == [(8, 1, 1), (1, 9, 1), (1, 1, 10)]
+        for i, c in enumerate(coords):
+            assert np.array_equal(c.ravel(), grid.axis(i))
 
 
 class TestSynthesize:
@@ -226,6 +237,85 @@ class TestEstimates:
                 estimate_polarization_set(field, [np.zeros(4)], 2.0, bad)
 
 
+def brute_force_candidates(mag, k_axes, threshold):
+    """The 26-neighbour peak rule: one wrap-around roll per neighbour."""
+    peak = (mag >= threshold * mag.max()) & (mag > 0.0)
+    for shift in itertools.product((-1, 0, 1), repeat=3):
+        if shift != (0, 0, 0):
+            peak &= mag >= np.roll(mag, shift, axis=(0, 1, 2))
+    peak[tuple(int(np.argmin(np.abs(k))) for k in k_axes)] = False
+    indices = np.argwhere(peak)
+    order = np.argsort([-mag[tuple(i)] for i in indices], kind="stable")
+    return indices[order]
+
+
+class TestPeakCandidates:
+    SHAPE = (8, 9, 10)
+    K_AXES = tuple(np.fft.fftshift(np.fft.fftfreq(n)) for n in SHAPE)
+
+    def assert_matches_oracle(self, mag):
+        for threshold in (0.05, 0.2, 0.6, 0.999):
+            found = _peak_candidates(mag, self.K_AXES, threshold)
+            expected = brute_force_candidates(mag, self.K_AXES, threshold)
+            assert found.shape == expected.shape
+            assert np.array_equal(found, expected)
+
+    def test_plateaus_keep_argwhere_order(self, rng):
+        for levels in (2, 3, 5):
+            mag = rng.integers(0, levels, self.SHAPE).astype(float)
+            self.assert_matches_oracle(mag)
+            ties = _peak_candidates(mag, self.K_AXES, 0.5)
+            assert len(ties) > 1
+
+    def test_peaks_on_the_wrap_around_edge(self):
+        mag = np.zeros(self.SHAPE)
+        for corner in itertools.product((0, -1), repeat=3):
+            mag[corner] = 1.0 + 0.1 * sum(corner)
+        mag[0, 4, :] = 0.9  # a plateau crossing the last-axis edge
+        mag[-1, 0, 5] = 0.95
+        mag[4, 4, 5] = 2.0  # the DC bin, never a candidate
+        self.assert_matches_oracle(mag)
+        assert len(_peak_candidates(mag, self.K_AXES, 0.1)) > 0
+
+    def test_all_zero_window_has_no_candidates(self):
+        mag = np.zeros(self.SHAPE)
+        self.assert_matches_oracle(mag)
+        assert _peak_candidates(mag, self.K_AXES, 0.2).shape == (0, 3)
+
+    def test_random_and_spectral_magnitudes(self, rng):
+        self.assert_matches_oracle(rng.random(self.SHAPE))
+        kcov, _, _ = carrier([0, 3, 8])
+        field = synthesize(
+            WavePacketSpec(FourierMode(kcov, [0, 1, 0.5j, 0]), np.zeros(4), 2.0), small_grid()
+        )
+        spectrum = windowed_spectrum(field, np.zeros(4), 2.0)
+        mag = spectrum.magnitude()
+        for threshold in (1e-6, 0.2):
+            assert np.array_equal(
+                _peak_candidates(mag, spectrum.k_axes, threshold),
+                brute_force_candidates(mag, spectrum.k_axes, threshold),
+            )
+
+
+class TestEstimatorMemory:
+    def test_peak_memory_does_not_grow_with_the_window_count(self):
+        kcov, _, _ = carrier([0, 0, 8])
+        field = synthesize(
+            WavePacketSpec(FourierMode(kcov, [0, 1, 0, 0]), np.zeros(4), 2.0), small_grid()
+        )
+
+        def peak_bytes(n_windows):
+            centers = [np.array([0.0, 0.0, 0.0, x3]) for x3 in np.linspace(-4, 4, n_windows)]
+            tracemalloc.start()
+            try:
+                estimate_polarization_set(field, centers, 2.0, 0.2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(16) < 2 * peak_bytes(1)
+
+
 class TestProjectionConsistency:
     def test_flags_match_estimates_window_for_window(self):
         kcov, _, _ = carrier([0, 0, 8])
@@ -319,6 +409,39 @@ class TestStraightnessTrack:
         field = GridField(grid, np.zeros((3, 4, 32, 32, 32), dtype=complex))
         with pytest.raises(DegenerateField):
             straightness_track(field)
+
+
+def loop_point_to_polyline(point, polyline):
+    """Reference: project the point onto one segment at a time."""
+    nearest_vertex = int(np.argmin(np.linalg.norm(polyline - point, axis=1)))
+    best = float(np.linalg.norm(polyline[nearest_vertex] - point))
+    for i in range(len(polyline) - 1):
+        a, b = polyline[i], polyline[i + 1]
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom == 0.0:
+            continue
+        t = float(np.clip((point - a) @ ab / denom, 0.0, 1.0))
+        best = min(best, float(np.linalg.norm(a + t * ab - point)))
+    return best, nearest_vertex
+
+
+class TestPointToPolyline:
+    def test_matches_the_segment_loop(self, rng):
+        # a single vertex, and a path of one repeated vertex
+        paths = [np.zeros((1, 4)), np.tile([1.0, 2.0, 2.0, 0.0], (5, 1))]
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            path = np.cumsum(rng.normal(size=(n, 4)), axis=0)
+            # repeated vertices give zero-length segments
+            path[rng.integers(1, n)] = path[rng.integers(0, n)]
+            paths.append(np.insert(path, int(rng.integers(0, n)), path[0], axis=0))
+        for path in paths:
+            for point in (path[rng.integers(len(path))], rng.normal(size=4) * 3):
+                distance, nearest = _point_to_polyline(point, path)
+                ref_distance, ref_nearest = loop_point_to_polyline(point, path)
+                assert nearest == ref_nearest
+                assert math.isclose(distance, ref_distance, rel_tol=1e-14, abs_tol=0.0)
 
 
 class TestCompare:
