@@ -10,62 +10,79 @@ standard CSV tooling.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 from .rays import Ray
 from .transport import HamiltonOrbit
 from .wavepacket import GridField, GridSpec, PolarizationEstimate
 
 GRIDFIELD_MAGIC = b"polaray-gridfield v1\n"
 
+# bytes per read when roundtrip compares a re-encoded grid-field body with the file
+_COMPARE_CHUNK = 1 << 20
+
 
 def fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt_row(values) -> str:
-    return ",".join(fmt(v) for v in values)
+def _table_text(comment: str, header: str, columns) -> str:
+    """A CSV file: the comment line, the header, then one line per row of the
+    column-stacked arrays, every value in shortest round-trip form."""
+    rows = np.column_stack(columns).tolist()
+    return "\n".join([comment, header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
+def _re_im(z) -> np.ndarray:
+    """Complex (n, d) as float (n, 2d): the real and imaginary part of each component side by side."""
+    return np.ascontiguousarray(z, dtype=complex).view(float)
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 
 
-def _data_lines(path: str, expected_header, kind: str):
-    """Yield (lineno, fields, metadata) rows after validating the header line.
+def _read_table(path: str, kind: str, expected_header) -> tuple[dict[str, str], np.ndarray]:
+    """The metadata and the (rows, fields) float table of a CSV file.
 
-    ``expected_header`` is the header text, or a function of the metadata
-    read from the comment lines before it.
+    Metadata are the ``key=value`` tokens of the comment lines before the
+    header line; ``expected_header`` is the header text, or a function of
+    that metadata.  Every data row has as many fields as the header.
     """
     meta: dict[str, str] = {}
-    header_seen = False
-    with open(path, "r") as handle:
+    header = None
+    rows = []
+    with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{kind} line {lineno}: not UTF-8 text") from exc
             if not line:
                 continue
             if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, _, val = token.partition("=")
-                        meta[key] = val
+                if header is None:
+                    for token in line[1:].split():
+                        key, eq, val = token.partition("=")
+                        if eq:
+                            meta[key] = val
                 continue
-            if not header_seen:
-                if callable(expected_header):
-                    expected_header = expected_header(meta)
-                if line != expected_header:
-                    raise ParseError(
-                        f"{kind} line {lineno}: expected header {expected_header!r}"
-                    )
-                header_seen = True
+            if header is None:
+                header = expected_header(meta) if callable(expected_header) else expected_header
+                if line != header:
+                    raise ParseError(f"{kind} line {lineno}: expected header {header!r}")
+                width = header.count(",") + 1
                 continue
-            yield lineno, line.split(","), meta
-    if not header_seen:
+            rows.append(_parse_floats(line.split(","), width, lineno, kind))
+    if header is None:
         raise ParseError(f"{kind}: missing header line")
+    return meta, np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def _parse_floats(fields, count, lineno, kind):
@@ -77,16 +94,36 @@ def _parse_floats(fields, count, lineno, kind):
         raise ParseError(f"{kind} line {lineno}: {exc}") from exc
 
 
+def _ray_from_columns(data: np.ndarray, meta: dict[str, str], kind: str) -> Ray:
+    """The ray held in the first ten columns of a ray or orbit table."""
+    try:
+        step = float(meta.get("step", "nan"))
+    except ValueError as exc:
+        raise ParseError(f"{kind}: bad step metadata {meta['step']!r}") from exc
+    try:
+        return Ray(
+            tau=data[:, 0],
+            x=data[:, 1:5],
+            k=data[:, 5:9],
+            q=data[:, 9],
+            method=meta.get("method", "rk4"),
+            step=step,
+        )
+    except InvalidInput as exc:
+        raise ParseError(f"{kind}: {exc}") from exc
+
+
 # -- ray CSV -------------------------------------------------------------
 
 RAY_HEADER = "tau,x0,x1,x2,x3,k0,k1,k2,k3,q"
 
 
 def ray_csv_text(ray: Ray) -> str:
-    lines = [f"# polaray ray v1 method={ray.method} step={fmt(ray.step)}", RAY_HEADER]
-    for i in range(len(ray)):
-        lines.append(_fmt_row([ray.tau[i], *ray.x[i], *ray.k[i], ray.q[i]]))
-    return "\n".join(lines) + "\n"
+    return _table_text(
+        f"# polaray ray v1 method={ray.method} step={fmt(ray.step)}",
+        RAY_HEADER,
+        [ray.tau, ray.x, ray.k, ray.q],
+    )
 
 
 def write_ray_csv(path: str, ray: Ray) -> None:
@@ -94,21 +131,8 @@ def write_ray_csv(path: str, ray: Ray) -> None:
 
 
 def read_ray_csv(path: str) -> Ray:
-    rows = []
-    meta: dict[str, str] = {}
-    for lineno, fields, meta in _data_lines(path, RAY_HEADER, "ray csv"):
-        rows.append(_parse_floats(fields, 10, lineno, "ray csv"))
-    if not rows:
-        raise ParseError("ray csv: no sample rows")
-    data = np.array(rows)
-    return Ray(
-        tau=data[:, 0],
-        x=data[:, 1:5],
-        k=data[:, 5:9],
-        q=data[:, 9],
-        method=meta.get("method", "rk4"),
-        step=float(meta.get("step", "nan")),
-    )
+    meta, data = _read_table(path, "ray csv", RAY_HEADER)
+    return _ray_from_columns(data, meta, "ray csv")
 
 
 # -- orbit CSV -----------------------------------------------------------
@@ -122,19 +146,13 @@ def _orbit_header(dim: int) -> str:
 def orbit_csv_text(orbit: HamiltonOrbit) -> str:
     dim = orbit.omega.shape[1]
     ray = orbit.ray
-    lines = [
+    return _table_text(
         "# polaray orbit v1 "
         f"method={ray.method} step={fmt(ray.step)} dimension={dim} "
         f"reprojected={int(orbit.reprojected)}",
         _orbit_header(dim),
-    ]
-    for i in range(len(orbit)):
-        row = [ray.tau[i], *ray.x[i], *ray.k[i], ray.q[i]]
-        for z in orbit.omega[i]:
-            row.extend([z.real, z.imag])
-        row.append(orbit.residuals[i])
-        lines.append(_fmt_row(row))
-    return "\n".join(lines) + "\n"
+        [ray.tau, ray.x, ray.k, ray.q, _re_im(orbit.omega), orbit.residuals],
+    )
 
 
 def write_orbit_csv(path: str, orbit: HamiltonOrbit) -> None:
@@ -143,34 +161,26 @@ def write_orbit_csv(path: str, orbit: HamiltonOrbit) -> None:
 
 def _orbit_header_from(meta: dict) -> str:
     try:
-        return _orbit_header(int(meta["dimension"]))
+        dim = int(meta["dimension"])
     except (KeyError, ValueError) as exc:
         raise ParseError("orbit csv: missing or bad dimension metadata") from exc
+    if dim < 1:
+        raise ParseError(f"orbit csv: dimension metadata {dim} is not positive")
+    return _orbit_header(dim)
 
 
 def read_orbit_csv(path: str) -> HamiltonOrbit:
-    rows = []
-    meta: dict[str, str] = {}
-    for lineno, fields, meta in _data_lines(path, _orbit_header_from, "orbit csv"):
-        rows.append(_parse_floats(fields, 11 + 2 * int(meta["dimension"]), lineno, "orbit csv"))
-    if not rows:
-        raise ParseError("orbit csv: no sample rows")
-    dim = int(meta["dimension"])
-    data = np.array(rows)
-    ray = Ray(
-        tau=data[:, 0],
-        x=data[:, 1:5],
-        k=data[:, 5:9],
-        q=data[:, 9],
-        method=meta.get("method", "rk4"),
-        step=float(meta.get("step", "nan")),
-    )
-    omega = data[:, 10 : 10 + 2 * dim : 2] + 1j * data[:, 11 : 10 + 2 * dim : 2]
+    meta, data = _read_table(path, "orbit csv", _orbit_header_from)
+    dim = (data.shape[1] - 11) // 2
+    try:
+        reprojected = bool(int(meta.get("reprojected", "0")))
+    except ValueError as exc:
+        raise ParseError(f"orbit csv: bad reprojected metadata {meta['reprojected']!r}") from exc
     return HamiltonOrbit(
-        ray=ray,
-        omega=omega,
+        ray=_ray_from_columns(data, meta, "orbit csv"),
+        omega=data[:, 10 : 10 + 2 * dim : 2] + 1j * data[:, 11 : 10 + 2 * dim : 2],
         residuals=data[:, 10 + 2 * dim],
-        reprojected=bool(int(meta.get("reprojected", "0"))),
+        reprojected=reprojected,
     )
 
 
@@ -184,14 +194,18 @@ ESTIMATES_HEADER = (
 
 
 def estimates_csv_text(estimates) -> str:
-    lines = ["# polaray estimates v1", ESTIMATES_HEADER]
-    for est in estimates:
-        row = [*est.x, *est.k_hat, est.freq]
-        for z in est.omega_hat:
-            row.extend([z.real, z.imag])
-        row.append(est.strength)
-        lines.append(_fmt_row(row))
-    return "\n".join(lines) + "\n"
+    count = len(estimates)
+    return _table_text(
+        "# polaray estimates v1",
+        ESTIMATES_HEADER,
+        [
+            np.reshape([est.x for est in estimates], (count, 4)),
+            np.reshape([est.k_hat for est in estimates], (count, 3)),
+            [est.freq for est in estimates],
+            _re_im(np.reshape([est.omega_hat for est in estimates], (count, 4))),
+            [est.strength for est in estimates],
+        ],
+    )
 
 
 def write_estimates_csv(path: str, estimates) -> None:
@@ -199,20 +213,20 @@ def write_estimates_csv(path: str, estimates) -> None:
 
 
 def read_estimates_csv(path: str) -> list[PolarizationEstimate]:
-    out = []
-    for lineno, fields, _ in _data_lines(path, ESTIMATES_HEADER, "estimates csv"):
-        vals = _parse_floats(fields, 17, lineno, "estimates csv")
-        omega = np.array(vals[8:16:2]) + 1j * np.array(vals[9:16:2])
-        out.append(
+    _, data = _read_table(path, "estimates csv", ESTIMATES_HEADER)
+    try:
+        return [
             PolarizationEstimate(
-                x=np.array(vals[0:4]),
-                k_hat=np.array(vals[4:7]),
-                freq=vals[7],
-                omega_hat=omega,
-                strength=vals[16],
+                x=row[0:4],
+                k_hat=row[4:7],
+                freq=float(row[7]),
+                omega_hat=row[8:16:2] + 1j * row[9:16:2],
+                strength=float(row[16]),
             )
-        )
-    return out
+            for row in data
+        ]
+    except ValueError as exc:
+        raise ParseError(f"estimates csv: {exc}") from exc
 
 
 def estimates_json_text(estimates) -> str:
@@ -240,27 +254,32 @@ def write_estimates_json(path: str, estimates) -> None:
 
 def read_estimates_json(path: str) -> list[PolarizationEstimate]:
     try:
-        with open(path, "r") as handle:
+        with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ParseError(f"estimates json: {exc}") from exc
-    if payload.get("format") != "polaray-estimates":
+    if not isinstance(payload, dict) or payload.get("format") != "polaray-estimates":
         raise ParseError("estimates json: not a polaray estimates file")
+    entries = payload.get("estimates", [])
+    if not isinstance(entries, list):
+        raise ParseError("estimates json: estimates is not a list")
     out = []
-    for i, entry in enumerate(payload.get("estimates", [])):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParseError(f"estimates json: entry {i} is not an object")
         try:
-            omega = np.array(entry["omega_hat_re"]) + 1j * np.array(entry["omega_hat_im"])
-            out.append(
-                PolarizationEstimate(
-                    x=np.array(entry["x"], dtype=float),
-                    k_hat=np.array(entry["k_hat"], dtype=float),
-                    freq=float(entry["freq"]),
-                    omega_hat=omega,
-                    strength=float(entry["strength"]),
-                )
+            est = PolarizationEstimate(
+                x=np.array(entry["x"], dtype=float),
+                k_hat=np.array(entry["k_hat"], dtype=float),
+                freq=float(entry["freq"]),
+                omega_hat=np.array(entry["omega_hat_re"]) + 1j * np.array(entry["omega_hat_im"]),
+                strength=float(entry["strength"]),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"estimates json: entry {i}: {exc}") from exc
+        if est.k_hat.shape != (3,) or est.omega_hat.shape != (4,):
+            raise ParseError(f"estimates json: entry {i}: k_hat needs 3 and omega_hat 4 components")
+        out.append(est)
     return out
 
 
@@ -274,8 +293,10 @@ def read_estimates(path: str) -> list[PolarizationEstimate]:
 # -- grid-field binary -----------------------------------------------------
 
 
-def _gridfield_bytes(field: GridField) -> tuple[bytes, bytes]:
-    """The grid-field file as two parts: magic plus JSON header line, then the body."""
+def _gridfield_bytes(field: GridField) -> tuple[bytes, np.ndarray]:
+    """The grid-field file as two parts: magic plus JSON header line, then the
+    body as a contiguous little-endian complex128 array (no copy when the data
+    already is one)."""
     grid = field.grid
     header = {
         "extents": [float(v) for v in grid.extents],
@@ -288,7 +309,7 @@ def _gridfield_bytes(field: GridField) -> tuple[bytes, bytes]:
         "metadata": field.metadata,
     }
     head = GRIDFIELD_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
-    return head, np.ascontiguousarray(field.data, dtype="<c16").tobytes()
+    return head, np.ascontiguousarray(field.data, dtype="<c16")
 
 
 def write_gridfield(path: str, field: GridField) -> None:
@@ -298,32 +319,55 @@ def write_gridfield(path: str, field: GridField) -> None:
 
 
 def read_gridfield(path: str) -> GridField:
+    """Decode a grid-field file straight into one owned, writable array."""
     with open(path, "rb") as handle:
-        magic = handle.readline()
-        if magic != GRIDFIELD_MAGIC:
+        if handle.read(len(GRIDFIELD_MAGIC)) != GRIDFIELD_MAGIC:
             raise ParseError("gridfield: bad magic line")
         try:
             header = json.loads(handle.readline().decode())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ParseError(f"gridfield: bad header: {exc}") from exc
-        body = handle.read()
+        try:
+            grid = GridSpec(
+                extents=tuple(header["extents"]),
+                samples=tuple(header["samples"]),
+                time_slices=operator.index(header["time_slices"]),
+                time_step=header["time_step"],
+            )
+        except (KeyError, TypeError, ValueError, OverflowError, InvalidInput) as exc:
+            raise ParseError(
+                f"gridfield: bad header extents, samples, time_slices or time_step: {exc}"
+            ) from exc
+        metadata = header.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ParseError("gridfield: header metadata is not an object")
+        shape = (grid.time_slices, 4, *grid.samples)
+        expected = math.prod(shape) * 16
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size != expected:
+            raise ParseError(f"gridfield: body has {size} bytes, header implies {expected}")
+        data = np.empty(shape, dtype="<c16")
+        size = handle.readinto(data)
+        if size != expected:
+            raise ParseError(f"gridfield: body has {size} bytes, header implies {expected}")
     try:
-        grid = GridSpec(
-            extents=tuple(header["extents"]),
-            samples=tuple(header["samples"]),
-            time_slices=header["time_slices"],
-            time_step=header["time_step"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"gridfield: incomplete header: {exc}") from exc
-    shape = (grid.time_slices, 4, *grid.samples)
-    expected = int(np.prod(shape)) * 16
-    if len(body) != expected:
-        raise ParseError(
-            f"gridfield: body has {len(body)} bytes, header implies {expected}"
-        )
-    data = np.frombuffer(body, dtype="<c16").reshape(shape).astype(complex)
-    return GridField(grid, data, header.get("metadata", {}))
+        return GridField(grid, data, metadata)
+    except InvalidInput as exc:
+        raise ParseError(f"gridfield: {exc}") from exc
+
+
+def _gridfield_roundtrip(path: str) -> bool:
+    """Decode a grid-field file, re-encode it and compare with the file, the
+    body one chunk at a time."""
+    head, body = _gridfield_bytes(read_gridfield(path))
+    body = body.reshape(-1).view(np.uint8)
+    with open(path, "rb") as handle:
+        if handle.read(len(head)) != head:
+            return False
+        for start in range(0, body.size, _COMPARE_CHUNK):
+            if handle.read(_COMPARE_CHUNK) != body[start : start + _COMPARE_CHUNK].tobytes():
+                return False
+        return handle.read(1) == b""
 
 
 # -- round-trip check ------------------------------------------------------
@@ -334,18 +378,17 @@ def roundtrip(path: str) -> bool:
     if not os.path.exists(path):
         raise ParseError(f"no such file: {path}")
     with open(path, "rb") as handle:
-        original = handle.read()
-    if original.startswith(GRIDFIELD_MAGIC):
-        head, body = _gridfield_bytes(read_gridfield(path))
-        return head + body == original
-    text = original.decode()
-    first = text.splitlines()[0] if text else ""
-    if first.startswith("# polaray ray"):
+        original = handle.read(len(GRIDFIELD_MAGIC))
+        if original != GRIDFIELD_MAGIC:
+            original += handle.read()
+    if original == GRIDFIELD_MAGIC:
+        return _gridfield_roundtrip(path)
+    if original.startswith(b"# polaray ray"):
         return ray_csv_text(read_ray_csv(path)).encode() == original
-    if first.startswith("# polaray orbit"):
+    if original.startswith(b"# polaray orbit"):
         return orbit_csv_text(read_orbit_csv(path)).encode() == original
-    if first.startswith("# polaray estimates"):
+    if original.startswith(b"# polaray estimates"):
         return estimates_csv_text(read_estimates_csv(path)).encode() == original
-    if first.startswith("{"):
+    if original.startswith(b"{"):
         return estimates_json_text(read_estimates_json(path)).encode() == original
     raise ParseError(f"unrecognized file format: {path}")
