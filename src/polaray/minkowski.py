@@ -17,16 +17,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInput
+
 SIGNATURE = (1.0, -1.0, -1.0, -1.0)
+
+
+class InvalidPoint(InvalidInput, ValueError):
+    """A space-time point or covector that is not four finite reals.
+
+    It is also a ValueError, the type these checks raised before the
+    package's own error classes covered them.
+    """
 
 
 def as_point4(x, name: str = "point") -> np.ndarray:
     """Validate and return a finite length-4 float array."""
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidPoint(f"{name} is not an array of reals: {exc}") from exc
     if arr.shape != (4,):
-        raise ValueError(f"{name} must have 4 components, got shape {arr.shape}")
+        raise InvalidPoint(f"{name} must have 4 components, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite components: {arr}")
+        raise InvalidPoint(f"{name} has non-finite components: {arr}")
     return arr
 
 
@@ -82,7 +95,7 @@ class PhaseSpacePoint:
         object.__setattr__(self, "x", as_point4(self.x, "x"))
         object.__setattr__(self, "k", as_point4(self.k, "k"))
         if not np.any(self.k != 0.0):
-            raise ValueError("phase-space fiber point k must be nonzero")
+            raise InvalidPoint("phase-space fiber point k must be nonzero")
 
 
 def phase_point(x, k) -> PhaseSpacePoint:

@@ -90,24 +90,43 @@ def null_project(k, branch: str = "+") -> np.ndarray:
     return out
 
 
-# dy/dtau from the gradient (dq/dx, dq/dk) of the compiled outputs
-_FLOW = np.array([5, 6, 7, 8, 1, 2, 3, 4])
-_FLOW_SIGN = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
-
-
 class HamiltonSystem:
-    """The compiled Hamilton flow of a scalar q on states y = (x, k)."""
+    """The compiled Hamilton flow of a real scalar q on states y = (x, k, 1).
+
+    The trailing 1.0 is the compiled symbol's padding slot, so a state
+    indexes its monomial factors directly; its flow component is 0, so
+    every integrator stage keeps it at exactly 1.0.  One call is one real
+    product of the monomials with a ``(T, 10)`` matrix holding q and
+    dy/dtau = (dq/dk, -dq/dx, 0).
+    """
 
     def __init__(self, q: MatrixSymbol):
         if q.dimension != 1:
             raise InvalidInput("ray tracing requires a scalar (N=1) symbol")
-        self.compiled = q.compiled
+        compiled = q.compiled
+        # real and imaginary parts of each output sit in alternate columns
+        real, imag = compiled.coeff[:, 0::2], compiled.coeff[:, 1::2]
+        if np.any(np.abs(imag[:, VALUE]) > 1e-10 * (1.0 + np.abs(real[:, VALUE]))):
+            raise InvalidInput("ray tracing needs a real-valued symbol")
+        grad = real[:, GRAD]
+        self.factors = compiled.factors
+        self.matrix = np.column_stack(
+            [real[:, VALUE], grad[:, 4:], -grad[:, :4], np.zeros(len(real))]
+        )
         self.x_independent = not any(any(xe) for part in (q.principal, q.lower) for xe, _ in part)
 
     def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """q and dy/dtau = (dq/dk, -dq/dx) at states of shape (..., 8)."""
-        jet = self.compiled(y[..., :4], y[..., 4:])[..., : GRAD.stop, 0, 0].real
-        return jet[..., VALUE], jet[..., _FLOW] * _FLOW_SIGN
+        """q and dy/dtau at states of shape (..., 9)."""
+        # (..., 1, T) @ (T, 10) makes the same product for every batch row
+        out = (y[..., self.factors].prod(-1)[..., None, :] @ self.matrix)[..., 0, :]
+        return out[..., 0], out[..., 1:]
+
+
+def _where(label: str, i: int, tau: float, y: np.ndarray) -> str:
+    """Where along a ray something happened: the step or sample index, tau,
+    and x and k (the first eight entries of ``y``) after that step."""
+    x, k = (", ".join(f"{v:.9g}" for v in part) for part in (y[:4], y[4:8]))
+    return f"at {label} {i}, tau = {tau:.9g}, x = ({x}), k = ({k})"
 
 
 def trace_ray(
@@ -142,10 +161,13 @@ def trace_ray(
         raise InvalidInput(f"unknown method {method!r}")
 
     system = HamiltonSystem(q)
-    y = np.concatenate([x0, k0])
+    y = np.concatenate([x0, k0, [1.0]])
     q0, f = system(y)
     if abs(q0) > start_tol:
-        raise NonNullStart(f"|q(x0,k0)| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e}")
+        raise NonNullStart(
+            f"|q| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e} "
+            + _where("step", 0, tau0, y)
+        )
 
     span = tau1 - tau0
     if span == 0.0:
@@ -170,7 +192,7 @@ def trace_ray(
             k = np.broadcast_to(k0, (n + 1, 4)).copy()
             qs = np.full(n + 1, q0)
             return Ray(tau=tau, x=x, k=k, q=qs, method="rk4", step=h)
-        ys = np.empty((n + 1, 8))
+        ys = np.empty((n + 1, 9))
         qs = np.empty(n + 1)
         ys[0], qs[0] = y, q0
         for i in range(n):
@@ -179,10 +201,11 @@ def trace_ray(
             qi, f = system(y)
             if abs(qi) > drift_tol:
                 raise ConstraintDrift(
-                    f"|q| = {abs(qi):.3e} exceeded drift bound {drift_tol:.1e} at tau = {tau[i + 1]}"
+                    f"|q| = {abs(qi):.3e} exceeded drift bound {drift_tol:.1e} "
+                    + _where("step", i + 1, tau[i + 1], y)
                 )
             ys[i + 1], qs[i + 1] = y, qi
-        return Ray(tau=tau, x=ys[:, :4], k=ys[:, 4:], q=qs, method="rk4", step=h)
+        return Ray(tau=tau, x=ys[:, :4], k=ys[:, 4:8], q=qs, method="rk4", step=h)
 
     return _trace_adaptive(system, y, q0, f, tau0, tau1, step, drift_tol, rtol, atol)
 
@@ -194,20 +217,22 @@ def _rk4_step(system: HamiltonSystem, y, f1, h):
     return y + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+# Dormand-Prince 5(4) tableau, A zero-padded to 7 x 7: stage i is
+# y + h * A[i, :i] @ K[:i].  The last row holds the 5th-order weights, so
+# the last stage sits at the solution (first same as last).
+_DP_A = np.zeros((7, 7))
+_DP_A[np.tril_indices(7, -1)] = (  # row by row
+    1 / 5,
+    3 / 40, 9 / 40,
+    44 / 45, -56 / 15, 32 / 9,
+    19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+    35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
+)  # fmt: skip
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_A[6] - _DP_B4
+# attempted steps (accepted or rejected) before the adaptive trace gives up
+_MAX_STEPS = 10_000_000
 
 
 def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
@@ -217,29 +242,28 @@ def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
     tau = tau0
     h = min(h0, tau1 - tau0)
     h_min = 16 * np.finfo(float).eps * max(abs(tau0), abs(tau1), 1.0)
-    max_steps = 10_000_000
-    for _ in range(max_steps):
+    stages = np.empty((7, y.shape[0]))
+    stages[0] = f
+    for _ in range(_MAX_STEPS):
         if tau >= tau1:
             break
         h = min(h, tau1 - tau)
         if h < h_min:
-            raise StepFailure(f"adaptive step underflowed to {h:.3e} at tau = {tau}")
-        stages = [f]
+            raise StepFailure(
+                f"adaptive step underflowed to {h:.3e} " + _where("step", len(taus) - 1, tau, y)
+            )
         for i in range(1, 7):
-            yi = y.copy()
-            for j, a in enumerate(_DP_A[i]):
-                yi += h * a * stages[j]
-            qi, fi = system(yi)
-            stages.append(fi)
-        # the last stage sits at the 5th-order solution (first same as last)
-        err_y = h * sum(e * s for e, s in zip(_DP_E, stages))
+            yi = y + (h * _DP_A[i, :i]) @ stages[:i]
+            qi, stages[i] = system(yi)
+        err_y = h * (_DP_E @ stages)
         err = np.max(np.abs(err_y) / (atol + rtol * np.maximum(np.abs(y), np.abs(yi))))
         if err <= 1.0:
             tau += h
-            y, f = yi, fi
+            y, stages[0] = yi, stages[6]
             if abs(qi) > drift_tol:
                 raise ConstraintDrift(
-                    f"|q| = {abs(qi):.3e} exceeded drift bound {drift_tol:.1e} at tau = {tau}"
+                    f"|q| = {abs(qi):.3e} exceeded drift bound {drift_tol:.1e} "
+                    + _where("step", len(taus), tau, y)
                 )
             taus.append(tau)
             ys.append(y)
@@ -247,12 +271,15 @@ def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
         factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
     else:
-        raise StepFailure("adaptive integrator exceeded the step budget")
+        raise StepFailure(
+            f"adaptive integrator exceeded the step budget of {_MAX_STEPS} attempts "
+            + _where("step", len(taus) - 1, tau, y)
+        )
     ys = np.array(ys)
     return Ray(
         tau=np.array(taus),
         x=ys[:, :4],
-        k=ys[:, 4:],
+        k=ys[:, 4:8],
         q=np.array(qs),
         method="adaptive",
         step=h0,
@@ -286,5 +313,5 @@ def line_deviation(points: np.ndarray) -> float:
 
 def null_curve_residual(q: MatrixSymbol, ray: Ray) -> float:
     """Max of |1/4 eta_{mu nu} xdot^mu xdot^nu| along the ray samples."""
-    v = HamiltonSystem(q)(np.concatenate([ray.x, ray.k], axis=1))[1][:, :4]
+    v = HamiltonSystem(q)(np.column_stack([ray.x, ray.k, np.ones(len(ray))]))[1][:, :4]
     return float(np.max(np.abs(0.25 * np.sum(np.asarray(SIGNATURE) * v * v, axis=1))))

@@ -43,6 +43,13 @@ def _re_im(z) -> np.ndarray:
     return np.ascontiguousarray(z, dtype=complex).view(float)
 
 
+def _complex(re, im) -> np.ndarray:
+    """Complex array from real and imaginary parts; unlike re + 1j * im it keeps a -0.0 part."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
@@ -220,7 +227,7 @@ def read_estimates_csv(path: str) -> list[PolarizationEstimate]:
                 x=row[0:4],
                 k_hat=row[4:7],
                 freq=float(row[7]),
-                omega_hat=row[8:16:2] + 1j * row[9:16:2],
+                omega_hat=_complex(row[8:16:2], row[9:16:2]),
                 strength=float(row[16]),
             )
             for row in data
@@ -272,7 +279,7 @@ def read_estimates_json(path: str) -> list[PolarizationEstimate]:
                 x=np.array(entry["x"], dtype=float),
                 k_hat=np.array(entry["k_hat"], dtype=float),
                 freq=float(entry["freq"]),
-                omega_hat=np.array(entry["omega_hat_re"]) + 1j * np.array(entry["omega_hat_im"]),
+                omega_hat=_complex(entry["omega_hat_re"], entry["omega_hat_im"]),
                 strength=float(entry["strength"]),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

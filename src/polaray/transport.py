@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidInput, NumericalFailure
 from .minkowski import PhaseSpacePoint
 from .principal_type import PrincipalTypeDecomposition, kernel_basis, kernel_residual
-from .rays import Ray
+from .rays import Ray, _where
 from .symbols import GRAD, VALUE, _bracket, _matmul_compat, _subprincipal
 
 
@@ -103,11 +103,12 @@ def transport(
 
     Integration reuses the ray's tau grid with one RK4 step per interval.
     M is evaluated in one batched call at every sample and every interval
-    midpoint, so neighbouring steps share M at their common sample.  The
-    midpoint (x, k) is linearly interpolated, which limits the transport
-    to second order in the step.  Optional reprojection onto the
-    numerical kernel after each step is off by default and recorded on
-    the orbit when enabled.
+    midpoint, so neighbouring steps share M at their common sample, and
+    each interval's RK4 step of the linear system is formed once, for all
+    intervals together, as an N x N propagator.  The midpoint (x, k) is
+    linearly interpolated, which limits the transport to second order in
+    the step.  Optional reprojection onto the numerical kernel after each
+    step is off by default and recorded on the orbit when enabled.
 
     Raises
     ------
@@ -130,14 +131,17 @@ def transport(
         k = np.concatenate([ray.k, 0.5 * (ray.k[:-1] + ray.k[1:])])
         # -M at the samples, then at the interval midpoints
         a = -_connection_matrices(d, x, k)
-        w = omega0.copy()
+        h = np.diff(ray.tau)[:, None, None]
+        eye = np.eye(dim)
+        # each interval's RK4 step of d omega/dtau = a omega, as a matrix acting on w
+        s1, mid = a[: n - 1], a[n:]
+        s2 = mid @ (eye + 0.5 * h * s1)
+        s3 = mid @ (eye + 0.5 * h * s2)
+        s4 = a[1:n] @ (eye + h * s3)
+        propagator = eye + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
+        w = omega0
         for i in range(n - 1):
-            h = ray.tau[i + 1] - ray.tau[i]
-            s1 = a[i] @ w
-            s2 = a[n + i] @ (w + 0.5 * h * s1)
-            s3 = a[n + i] @ (w + 0.5 * h * s2)
-            s4 = a[i + 1] @ (w + h * s3)
-            w = w + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
+            w = propagator[i] @ w
             if reproject:
                 basis = kernel_basis(d.p, ray.point(i + 1))
                 if basis.vectors:
@@ -150,7 +154,7 @@ def transport(
     if residuals[worst] > residual_tol:
         raise KernelEscape(
             f"kernel residual {residuals[worst]:.3e} exceeds {residual_tol:.1e} "
-            f"at tau = {ray.tau[worst]}"
+            + _where("sample", worst, ray.tau[worst], np.concatenate([ray.x[worst], ray.k[worst]]))
         )
     return HamiltonOrbit(ray=ray, omega=omega, residuals=residuals, reprojected=reproject)
 

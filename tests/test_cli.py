@@ -106,6 +106,22 @@ class TestTrace:
             assert code == 1, argv
             assert err
 
+    def test_complex_symbol_exits_one(self, capsys, tmp_path):
+        from polaray.symbols import MatrixSymbol, format_symbol_file
+
+        # q = k0 + 0.5i k1 is not real-valued, so its Hamilton flow means nothing
+        z = (0, 0, 0, 0)
+        sym = MatrixSymbol(1, 1, [(z, (1, 0, 0, 0), 1.0), (z, (0, 1, 0, 0), 0.5j)])
+        path = tmp_path / "complex.txt"
+        path.write_text(format_symbol_file(sym))
+        code, out, err = run_cli(
+            capsys,
+            "trace", "--symbol-file", str(path), "--x0", "0,0,0,0", "--k", "0,0,0,1",
+            "--tau", "0:1", "--step", "0.1",
+        )
+        assert code == 1
+        assert "real-valued" in err and not out
+
 
 class TestTransport:
     def test_reproject_recorded_in_orbit_header(self, capsys, tmp_path):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from polaray.minkowski import MINKOWSKI, PhaseSpacePoint, as_point4, phase_point, spatial_momentum
+from polaray.errors import InvalidInput
+from polaray.minkowski import (
+    MINKOWSKI,
+    InvalidPoint,
+    PhaseSpacePoint,
+    as_point4,
+    phase_point,
+    spatial_momentum,
+)
 
 
 def test_raise_then_lower_is_exact_identity(rng):
@@ -31,3 +39,12 @@ def test_point_validation():
         phase_point([0, 0, 0, 0], [0, 0, 0, 0])
     pt = PhaseSpacePoint(np.arange(4.0), np.array([1.0, 0, 0, -1]))
     assert pt.k[0] == 1.0
+
+
+def test_bad_points_raise_invalid_point():
+    for bad in ([1, 2, 3], [1, 2, 3, np.nan], ["a", 0, 0, 0], [[1, 2], [3, 4]]):
+        with pytest.raises(InvalidPoint):
+            as_point4(bad, "x")
+    with pytest.raises(InvalidPoint, match="nonzero"):
+        PhaseSpacePoint(np.zeros(4), np.zeros(4))
+    assert issubclass(InvalidPoint, InvalidInput) and issubclass(InvalidPoint, ValueError)

@@ -141,6 +141,23 @@ class TestEstimates:
             assert a.freq == b.freq
         assert roundtrip(path)
 
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_negative_zero_imaginary_part_roundtrips(self, tmp_path, suffix):
+        # re + 1j * im turns a -0.0 imaginary part into +0.0
+        omega = complex_from_parts([0.6, 0.0, -0.0, 0.8], [-0.0, 0.0, -0.0, 0.5])
+        est = PolarizationEstimate(
+            x=np.zeros(4), k_hat=[0.6, 0.0, 0.8], freq=2.0, omega_hat=omega, strength=1.0
+        )
+        path = str(tmp_path / f"est.{suffix}")
+        write, read = {
+            "csv": (write_estimates_csv, read_estimates_csv),
+            "json": (write_estimates_json, read_estimates_json),
+        }[suffix]
+        write(path, [est])
+        back = read(path)[0].omega_hat
+        assert np.array_equal(np.signbit(back.view(float)), np.signbit(omega.view(float)))
+        assert roundtrip(path)
+
     def test_json_rejects_foreign_payload(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}\n')
@@ -404,7 +421,6 @@ def valid_files(tmp_path_factory, maxwell_decomposition) -> dict[str, bytes]:
     rng = np.random.default_rng(SEED)
     ray = trace_ray(maxwell_decomposition.q, np.zeros(4), random_null_covector(rng), (0, 0.05), 0.01)
     orbit = transport(maxwell_decomposition, ray, np.array([0, 1, 0.5j, 0]))
-    # imaginary parts are nonzero: a -0.0 one does not survive ``re + 1j * im`` on reading
     estimates = [
         PolarizationEstimate(
             x=rng.uniform(-1, 1, 4),

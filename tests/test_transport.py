@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polaray.minkowski import MINKOWSKI, phase_point
-from polaray.principal_type import decompose_principal_type
+from polaray.principal_type import decompose_principal_type, kernel_basis
 from polaray.rays import Ray, trace_ray
 from polaray.symbols import MatrixSymbol, parse_x_polynomial, scaled_wave
 from polaray.transport import (
@@ -247,3 +247,67 @@ class TestConvergenceOrder:
             ray = trace_ray(d.q, x0, k0, (0.0, 4.0), 4.0 / n, drift_tol=1e-3)
             ends.append(transport(d, ray, [0.6, 0.8j], residual_tol=1e-3).omega[-1])
         assert all(1.8 <= p <= 2.2 for p in observed_orders(ends))
+
+
+def per_stage_transport(d, ray, omega0, reproject):
+    """RK4 on d omega/dtau = -M omega, one stage at a time through
+    connection_matrix, with M at the linearly interpolated midpoints."""
+    w = np.asarray(omega0, dtype=complex)
+    out = [w]
+    for i in range(len(ray) - 1):
+        h = ray.tau[i + 1] - ray.tau[i]
+        mid = phase_point(0.5 * (ray.x[i] + ray.x[i + 1]), 0.5 * (ray.k[i] + ray.k[i + 1]))
+        a0, am, a1 = (-connection_matrix(d, pt) for pt in (ray.point(i), mid, ray.point(i + 1)))
+        s1 = a0 @ w
+        s2 = am @ (w + 0.5 * h * s1)
+        s3 = am @ (w + 0.5 * h * s2)
+        s4 = a1 @ (w + h * s3)
+        w = w + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
+        if reproject:
+            vectors = kernel_basis(d.p, ray.point(i + 1)).vectors
+            if vectors:
+                stack = np.array(vectors)
+                w = stack.T @ (stack.conj() @ w)
+        out.append(w)
+    return np.array(out)
+
+
+class TestPropagators:
+    @pytest.mark.parametrize("reproject", [False, True])
+    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
+    def test_matches_per_stage_loop(self, method, reproject):
+        d = decompose_principal_type(graded_index_symbol(2))
+        x0, k0 = graded_null_start()
+        ray = trace_ray(d.q, x0, k0, (0.0, 4.0), 0.02, method=method)
+        omega0 = np.array([0.6, 0.8j])
+        orbit = transport(d, ray, omega0, reproject=reproject)
+        reference = per_stage_transport(d, ray, omega0, reproject)
+        assert np.max(np.abs(orbit.omega - reference)) <= 1e-13 * np.max(np.abs(reference))
+        assert np.max(np.abs(orbit.omega[-1] - omega0)) > 1e-3  # M really acts
+
+    @pytest.mark.parametrize("reproject", [False, True])
+    def test_matches_per_stage_loop_where_the_kernel_is_the_fiber(self, reproject):
+        # on the exact cone p vanishes, so the kernel is the whole fiber at
+        # every sample and the reprojection branch runs after each step
+        d = decompose_principal_type(scaled_wave(parse_x_polynomial("1+x3^2"), dimension=2))
+        ray = frozen_ray([0, 0, 0, 1], [1, 0, 0, -1], 0.0)
+        assert len(kernel_basis(d.p, ray.point(1)).vectors) == 2
+        omega0 = np.array([1.0, -0.5j])
+        orbit = transport(d, ray, omega0, reproject=reproject)
+        reference = per_stage_transport(d, ray, omega0, reproject)
+        assert np.max(np.abs(orbit.omega - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+class TestKernelEscapeSaysWhere:
+    def test_message_names_the_worst_sample(self):
+        d = decompose_principal_type(graded_index_symbol(2))
+        x0, k0 = graded_null_start()
+        ray = trace_ray(d.q, x0, k0, (0.0, 1.0), 0.02)
+        orbit = transport(d, ray, [0.6, 0.8j])
+        j = int(np.argmax(orbit.residuals))
+        assert j > 0 and orbit.residuals[j] > 0
+        x, k = (", ".join(f"{v:.9g}" for v in part) for part in (ray.x[j], ray.k[j]))
+        place = f"at sample {j}, tau = {ray.tau[j]:.9g}, x = ({x}), k = ({k})"
+        with pytest.raises(KernelEscape) as info:
+            transport(d, ray, [0.6, 0.8j], residual_tol=0.5 * orbit.residuals[j])
+        assert place in str(info.value)
