@@ -5,21 +5,25 @@ compare, roundtrip.  Exit codes: 0 success (or comparison pass), 1
 invalid input or configuration, 2 numerical failure, 3 comparison
 failure.  Identical arguments and inputs produce byte-identical
 outputs: fixed field order, shortest round-trip float formatting, no
-timestamps.  A JSON config file may supply any long option (keys are
-the option names with dashes replaced by underscores); explicit flags
-override the file, and environment variables are never consulted.
+timestamps.  ``--config PATH`` reads a JSON object whose keys name the
+subcommand's long options with dashes replaced by underscores; a value
+is a string or number for an option that takes one, true or false for
+an on/off flag.  Each key acts as ``--opt=value`` given right after the
+subcommand, so explicit flags override the file.  Environment variables
+are never consulted.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import serialization as ser
-from .errors import InvalidInput, NumericalFailure, PolarayError
+from .errors import InvalidInput, NumericalFailure, ParseError, PolarayError
 from .gauge import (
     FourierMode,
     classify_mode,
@@ -30,6 +34,7 @@ from .gauge import (
 )
 from .minkowski import phase_point
 from .principal_type import (
+    PrincipalTypeDecomposition,
     char_membership,
     decompose_principal_type,
     is_real_principal_type,
@@ -54,6 +59,22 @@ EXIT_COMPARE_FAIL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    """Parser recording, per config key (long option, dashes as underscores),
+    whether the option takes a value, and each subcommand's parser."""
+
+    def __init__(self, **kwargs):
+        self.options: dict[str, bool] = {}
+        self.commands: dict[str, _Parser] = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *names, **kwargs):
+        action = super().add_argument(*names, **kwargs)
+        if kwargs.get("action") != "help":
+            for name in action.option_strings:
+                if name.startswith("--"):
+                    self.options[name[2:].replace("-", "_")] = action.nargs != 0
+        return action
+
     # argparse exits with code 2 on usage errors; the contract here is 1
     def error(self, message):
         raise InvalidInput(message)
@@ -61,8 +82,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", newline="\n") as handle:
-            handle.write(text)
+        ser._write_text(output, text)
     else:
         sys.stdout.write(text)
 
@@ -86,12 +106,9 @@ def _parse_span(text: str) -> tuple[float, float]:
     if not sep:
         raise InvalidInput("tau span must look like '0:1'")
     try:
-        a, b = float(lo), float(hi)
+        return float(lo), float(hi)
     except ValueError as exc:
         raise InvalidInput(f"bad tau span: {exc}") from exc
-    if b < a:
-        raise InvalidInput("tau span must be nondecreasing")
-    return a, b
 
 
 def _parse_complex_vec(real_text: str, imag_text: str | None, count: int, what: str):
@@ -108,23 +125,30 @@ def _positive(value: float, what: str) -> float:
     return value
 
 
-def _load_symbol(args) -> MatrixSymbol:
-    if getattr(args, "symbol_file", None):
-        with open(args.symbol_file, "r") as handle:
-            return parse_symbol_file(handle.read())
-    if not getattr(args, "symbol", None):
+def _read_symbol(path: str) -> MatrixSymbol:
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return parse_symbol_file(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"symbol file {path} is not UTF-8 text: {exc}") from exc
+
+
+def _decompose(args) -> PrincipalTypeDecomposition:
+    if args.symbol_file:
+        sym = _read_symbol(args.symbol_file)
+    elif args.symbol:
+        sym = builtin_symbol(args.symbol, scale=args.scale, dimension=args.dimension)
+    else:
         raise InvalidInput("give --symbol NAME or --symbol-file PATH")
-    return builtin_symbol(
-        args.symbol,
-        scale=getattr(args, "scale", None),
-        dimension=getattr(args, "dimension", None),
-    )
+    hint = _read_symbol(args.hint_file) if args.hint_file else None
+    return decompose_principal_type(sym, hint=hint)
 
 
 def _mode_from_args(args) -> FourierMode:
     k = _parse_reals(args.k, 4, "--k")
-    eps = _parse_complex_vec(args.eps, getattr(args, "eps_imag", None), 4, "--eps")
-    amp = complex(args.amp, getattr(args, "amp_imag", 0.0) or 0.0)
+    eps = _parse_complex_vec(args.eps, args.eps_imag, 4, "--eps")
+    amp = complex(args.amp, args.amp_imag)
     return FourierMode(k=k, eps=eps, amplitude=amp)
 
 
@@ -132,17 +156,12 @@ def _mode_from_args(args) -> FourierMode:
 
 
 def _cmd_check_type(args) -> int:
-    sym = _load_symbol(args)
-    hint = None
-    if args.hint_file:
-        with open(args.hint_file, "r") as handle:
-            hint = parse_symbol_file(handle.read())
-    decomp = decompose_principal_type(sym, hint=hint)
+    decomp = _decompose(args)
     pt = phase_point(_parse_reals(args.point, 4, "--point"), _parse_reals(args.k, 4, "--k"))
     tol = _positive(args.tol, "--tol")
-    basis = kernel_basis(sym, pt, tol=tol)
+    basis = kernel_basis(decomp.p, pt, tol=tol)
     result = {
-        "symbol": sym.name or "file",
+        "symbol": decomp.p.name or "file",
         "point": [float(v) for v in pt.x],
         "k": [float(v) for v in pt.k],
         "q": pretty(decomp.q),
@@ -157,21 +176,12 @@ def _cmd_check_type(args) -> int:
 
 
 def _trace_from_args(args):
-    sym = _load_symbol(args)
-    decomp = decompose_principal_type(sym)
+    decomp = _decompose(args)
     k0 = _parse_reals(args.k, 4, "--k")
     if args.project_null:
         k0 = null_project(k0, args.branch)
-    span = _parse_span(args.tau)
-    step = _positive(args.step, "--step")
-    ray = trace_ray(
-        decomp.q,
-        _parse_reals(args.x0, 4, "--x0"),
-        k0,
-        span,
-        step,
-        method=args.method,
-    )
+    x0 = _parse_reals(args.x0, 4, "--x0")
+    ray = trace_ray(decomp.q, x0, k0, _parse_span(args.tau), args.step, method=args.method)
     return decomp, ray
 
 
@@ -183,9 +193,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_transport(args) -> int:
     decomp, ray = _trace_from_args(args)
-    omega0 = _parse_complex_vec(
-        args.omega0, args.omega0_imag, decomp.p.dimension, "--omega0"
-    )
+    omega0 = _parse_complex_vec(args.omega0, args.omega0_imag, decomp.p.dimension, "--omega0")
     orbit = transport(decomp, ray, omega0, reproject=args.reproject)
     _emit(ser.orbit_csv_text(orbit), args.output)
     return EXIT_OK
@@ -242,11 +250,7 @@ def _grid_from_args(args) -> GridSpec:
 def _cmd_synth(args) -> int:
     grid = _grid_from_args(args)
     mode = _mode_from_args(args)
-    spec = WavePacketSpec(
-        mode=mode,
-        center=_parse_reals(args.center, 4, "--center"),
-        sigma=_positive(args.sigma, "--sigma"),
-    )
+    spec = WavePacketSpec(mode, _parse_reals(args.center, 4, "--center"), args.sigma)
     field = synthesize(spec, grid)
     ser.write_gridfield(args.output, field)
     info = {
@@ -275,24 +279,18 @@ def _cmd_estimate(args) -> int:
     estimates = estimate_polarization_set(
         field,
         _parse_centers(args.centers),
-        window_width=_positive(args.window, "--window"),
+        window_width=args.window,
         threshold=args.threshold,
         refine=not args.no_refine,
     )
-    if args.format == "json":
-        _emit(ser.estimates_json_text(estimates), args.output)
-    else:
-        _emit(ser.estimates_csv_text(estimates), args.output)
+    text = ser.estimates_json_text if args.format == "json" else ser.estimates_csv_text
+    _emit(text(estimates), args.output)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     estimates = ser.read_estimates(args.estimates)
     orbit = ser.read_orbit_csv(args.orbit)
-    for name in ("max_distance", "max_angle"):
-        _positive(getattr(args, name), f"--{name.replace('_', '-')}")
-    if not (0.0 < args.min_overlap <= 1.0):
-        raise InvalidInput("--min-overlap must lie in (0, 1]")
     tol = CompareTolerances(
         max_distance=args.max_distance,
         max_angle_deg=args.max_angle,
@@ -316,6 +314,7 @@ def _cmd_roundtrip(args) -> int:
 def _add_symbol_options(sub):
     sub.add_argument("--symbol", help="built-in symbol name")
     sub.add_argument("--symbol-file", help="symbol definition file")
+    sub.add_argument("--hint-file", help="symbol file with the p~ hint")
     sub.add_argument("--scale", help="x-polynomial for scaled-wave, e.g. '1+x3^2'")
     sub.add_argument("--dimension", type=int, help="fiber dimension for scaled-wave")
 
@@ -331,48 +330,49 @@ def _add_trace_options(sub):
     sub.add_argument("--branch", choices=("+", "-"), default="+", help="cone branch for projection")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="polaray", description=__doc__)
-    parser.add_argument("--config", help="JSON file supplying default option values")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("check-type", help="decomposition and principal-type verdict")
-    _add_symbol_options(sub)
-    sub.add_argument("--hint-file", help="symbol file with the p~ hint")
-    sub.add_argument("--point", required=True, help="base point t,x1,x2,x3")
-    sub.add_argument("--k", required=True, help="covector k0,k1,k2,k3")
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("-o", "--output")
-    sub.set_defaults(func=_cmd_check_type)
-
-    sub = subs.add_parser("trace", help="integrate a null ray, emit CSV")
-    _add_trace_options(sub)
-    sub.add_argument("-o", "--output")
-    sub.set_defaults(func=_cmd_trace)
-
-    sub = subs.add_parser("transport", help="transport a fiber vector along a ray")
-    _add_trace_options(sub)
-    sub.add_argument("--omega0", required=True, help="fiber vector real parts")
-    sub.add_argument("--omega0-imag", help="fiber vector imaginary parts")
-    sub.add_argument("--reproject", action="store_true")
-    sub.add_argument("-o", "--output")
-    sub.set_defaults(func=_cmd_transport)
-
-    sub = subs.add_parser("gauge", help="classify a mode, fix the gauge, emit JSON")
+def _add_mode_options(sub):
     sub.add_argument("--k", required=True, help="null covector k0,k1,k2,k3")
     sub.add_argument("--eps", required=True, help="polarization real parts")
     sub.add_argument("--eps-imag", help="polarization imaginary parts")
     sub.add_argument("--amp", type=float, default=1.0)
     sub.add_argument("--amp-imag", type=float, default=0.0)
-    sub.add_argument("-o", "--output")
-    sub.set_defaults(func=_cmd_gauge)
 
-    sub = subs.add_parser("synth", help="synthesize a wave packet grid field")
-    sub.add_argument("--k", required=True, help="null covector of the carrier")
-    sub.add_argument("--eps", required=True, help="polarization real parts")
-    sub.add_argument("--eps-imag", help="polarization imaginary parts")
-    sub.add_argument("--amp", type=float, default=1.0)
-    sub.add_argument("--amp-imag", type=float, default=0.0)
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The command-line parser, built once per process and never changed."""
+    parser = _Parser(prog="polaray", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, help_text):
+        sub = parser.commands[name] = subs.add_parser(name, help=help_text)
+        sub.set_defaults(func=func)
+        return sub
+
+    sub = command("check-type", _cmd_check_type, "decomposition and principal-type verdict")
+    _add_symbol_options(sub)
+    sub.add_argument("--point", required=True, help="base point t,x1,x2,x3")
+    sub.add_argument("--k", required=True, help="covector k0,k1,k2,k3")
+    sub.add_argument("--tol", type=float, default=1e-10)
+    sub.add_argument("-o", "--output")
+
+    sub = command("trace", _cmd_trace, "integrate a null ray, emit CSV")
+    _add_trace_options(sub)
+    sub.add_argument("-o", "--output")
+
+    sub = command("transport", _cmd_transport, "transport a fiber vector along a ray")
+    _add_trace_options(sub)
+    sub.add_argument("--omega0", required=True, help="fiber vector real parts")
+    sub.add_argument("--omega0-imag", help="fiber vector imaginary parts")
+    sub.add_argument("--reproject", action="store_true")
+    sub.add_argument("-o", "--output")
+
+    sub = command("gauge", _cmd_gauge, "classify a mode, fix the gauge, emit JSON")
+    _add_mode_options(sub)
+    sub.add_argument("-o", "--output")
+
+    sub = command("synth", _cmd_synth, "synthesize a wave packet grid field")
+    _add_mode_options(sub)
     sub.add_argument("--center", required=True, help="envelope center t,x1,x2,x3")
     sub.add_argument("--sigma", type=float, required=True, help="envelope width")
     sub.add_argument("--extent", required=True, help="domain lengths L1,L2,L3")
@@ -380,9 +380,8 @@ def build_parser() -> _Parser:
     sub.add_argument("--tslices", type=int, default=1)
     sub.add_argument("--tstep", type=float, default=0.1)
     sub.add_argument("-o", "--output", required=True, help="grid field output path")
-    sub.set_defaults(func=_cmd_synth)
 
-    sub = subs.add_parser("estimate", help="estimate oscillation directions from a field")
+    sub = command("estimate", _cmd_estimate, "estimate oscillation directions from a field")
     sub.add_argument("--field", required=True, help="grid field file")
     sub.add_argument("--centers", required=True, help="semicolon-separated t,x1,x2,x3 windows")
     sub.add_argument("--window", type=float, required=True, help="window width")
@@ -390,9 +389,8 @@ def build_parser() -> _Parser:
     sub.add_argument("--no-refine", action="store_true", help="report raw bin directions")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("-o", "--output")
-    sub.set_defaults(func=_cmd_estimate)
 
-    sub = subs.add_parser("compare", help="check estimates against a transported orbit")
+    sub = command("compare", _cmd_compare, "check estimates against a transported orbit")
     sub.add_argument("--estimates", required=True, help="estimates CSV or JSON")
     sub.add_argument("--orbit", required=True, help="orbit CSV")
     sub.add_argument("--max-distance", type=float, default=1.0)
@@ -400,62 +398,62 @@ def build_parser() -> _Parser:
     sub.add_argument("--min-overlap", type=float, default=0.99)
     sub.add_argument("--max-sideband-db", type=float, default=-20.0)
     sub.add_argument("-o", "--output")
-    sub.set_defaults(func=_cmd_compare)
 
-    sub = subs.add_parser("roundtrip", help="verify an emitted file re-reads bit-exactly")
+    sub = command("roundtrip", _cmd_roundtrip, "verify an emitted file re-reads bit-exactly")
     sub.add_argument("path")
-    sub.set_defaults(func=_cmd_roundtrip)
 
     return parser
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
-    """Inject config-file values as subparser defaults; flags still win."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise InvalidInput("--config needs a file path")
-    path = argv[idx + 1]
+def _config_arguments(sub: _Parser, path: str) -> list[str]:
+    """The arguments a JSON config file stands for, one ``--opt=value`` per key."""
     try:
-        with open(path, "r") as handle:
+        with open(path, "rb") as handle:
             config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InvalidInput(f"bad config file {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise InvalidInput("config file must hold a JSON object")
-    remaining = argv[:idx] + argv[idx + 2 :]
-    if not remaining:
-        raise InvalidInput("config file cannot choose the subcommand")
-    command = remaining[0]
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        sub = action.choices.get(command)
-        if sub is None:
-            continue
-        valid = {a.dest for a in sub._actions}  # noqa: SLF001
-        unknown = set(config) - valid
-        if unknown:
-            raise InvalidInput(f"config file has unknown keys: {sorted(unknown)}")
-        sub.set_defaults(**config)
-        for sub_action in sub._actions:  # noqa: SLF001
-            if sub_action.dest in config:
-                sub_action.required = False
-    return remaining
+    out = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        takes_value = sub.options.get(key)
+        if takes_value is None:
+            raise InvalidInput(f"config file has unknown key {key!r}")
+        if not isinstance(value, (str, int, float)) or isinstance(value, bool) == takes_value:
+            kind = "a string or a number" if takes_value else "true or false"
+            raise InvalidInput(f"config key {key!r} needs {kind}, got {json.dumps(value)}")
+        if takes_value:
+            out.append(f"{flag}={value}")  # a number formats as its exact repr
+        elif value:
+            out.append(flag)
+    return out
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    parser = build_parser()
+    if "--config" in argv:
+        idx = argv.index("--config")
+        if idx + 1 >= len(argv):
+            raise InvalidInput("--config needs a file path")
+        path = argv[idx + 1]
+        argv = argv[:idx] + argv[idx + 2 :]
+        if not argv:
+            raise InvalidInput("config file cannot choose the subcommand")
+        sub = parser.commands.get(argv[0])
+        if sub is not None:
+            argv = argv[:1] + _config_arguments(sub, path) + argv[1:]
+    return parser.parse_args(argv)
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        argv = _apply_config(parser, list(argv))
-        args = parser.parse_args(argv)
+        args = _parse(list(argv))
         return args.func(args)
     except NumericalFailure as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InvalidInput, OSError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except PolarayError as exc:
+    except (PolarayError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -54,9 +54,6 @@ class PolarizationBasis:
             raise InvalidInput("basis must be four 4-vectors")
         object.__setattr__(self, "eps", eps)
 
-    def vector(self, lam: int) -> np.ndarray:
-        return self.eps[lam]
-
 
 @dataclass(frozen=True)
 class FourierMode:
@@ -252,7 +249,7 @@ def physical_kernel(k) -> np.ndarray:
     return np.ascontiguousarray(qmat[:, :2].T)
 
 
-def transverse_oracle(k, extra_row=None) -> np.ndarray:
+def transverse_oracle(k) -> np.ndarray:
     """Brute-force transverse plane: nullspace of stacked constraint rows.
 
     Stacks the Lorenz functional k^mu and the time-component functional
@@ -261,10 +258,9 @@ def transverse_oracle(k, extra_row=None) -> np.ndarray:
     :func:`physical_kernel`; the two must agree as subspaces.
     """
     k = as_point4(k, "k")
-    rows = [MINKOWSKI.raise_index(k).astype(complex), np.array([1.0, 0, 0, 0], dtype=complex)]
-    if extra_row is not None:
-        rows.append(np.asarray(extra_row, dtype=complex))
-    mat = np.array(rows)
+    mat = np.array(
+        [MINKOWSKI.raise_index(k).astype(complex), np.array([1.0, 0, 0, 0], dtype=complex)]
+    )
     _, s, vh = np.linalg.svd(mat)
     rank = int(np.sum(s > 1e-12 * s[0]))
     return vh[rank:].conj()

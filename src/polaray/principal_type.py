@@ -77,28 +77,21 @@ def decompose_principal_type(
         raise NoDecomposition("principal part mixes k-degrees; no scalar q exists")
 
     if hint is None:
-        scalars = scalar_coefficients(p)
-        if scalars is None:
-            raise NoDecomposition(
-                "p is not a scalar multiple of the identity and no p~ hint was given"
-            )
-        q = MatrixSymbol(
-            1, p.order, [(xe, ke, np.array([[c]])) for (xe, ke), c in scalars.items()]
-        )
-        return PrincipalTypeDecomposition(
-            p=p, p_tilde=MatrixSymbol.identity(p.dimension), q=q, scalar_multiple=True
-        )
-    hint_holds, _ = check_homogeneity(hint)
-    if not hint_holds:
-        raise NoDecomposition("hint p~ mixes k-degrees")
-    product = hint.matmul(p)
+        p_tilde, product = MatrixSymbol.identity(p.dimension), p
+        failure = "p is not a scalar multiple of the identity and no p~ hint was given"
+    else:
+        hint_holds, _ = check_homogeneity(hint)
+        if not hint_holds:
+            raise NoDecomposition("hint p~ mixes k-degrees")
+        p_tilde, product = hint, hint.matmul(p)
+        failure = "product p~ p is not a scalar multiple of the identity"
     scalars = scalar_coefficients(product)
     if scalars is None:
-        raise NoDecomposition("product p~ p is not a scalar multiple of the identity")
+        raise NoDecomposition(failure)
     q = MatrixSymbol(
         1, product.order, [(xe, ke, np.array([[c]])) for (xe, ke), c in scalars.items()]
     )
-    return PrincipalTypeDecomposition(p=p, p_tilde=hint, q=q, scalar_multiple=False)
+    return PrincipalTypeDecomposition(p=p, p_tilde=p_tilde, q=q, scalar_multiple=hint is None)
 
 
 def is_real_principal_type(q: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> bool:

@@ -155,8 +155,8 @@ def trace_ray(
     tau0, tau1 = float(tau_span[0]), float(tau_span[1])
     if not (math.isfinite(tau0) and math.isfinite(tau1)) or tau1 < tau0:
         raise InvalidInput(f"bad tau span {tau_span}")
-    if step <= 0:
-        raise InvalidInput("step must be positive")
+    if not step > 0:
+        raise InvalidInput(f"step must be positive, got {step}")
     if method not in ("rk4", "adaptive"):
         raise InvalidInput(f"unknown method {method!r}")
 

@@ -161,10 +161,6 @@ class MatrixSymbol:
     def identity(cls, dimension: int, name=None) -> "MatrixSymbol":
         return cls(dimension, 0, [(_ZERO_EXPO, _ZERO_EXPO, np.eye(dimension))], name=name)
 
-    @classmethod
-    def zero(cls, dimension: int, order: int = 0) -> "MatrixSymbol":
-        return cls(dimension, order)
-
     # -- basic queries ------------------------------------------------
 
     def is_zero(self, part: str | None = None) -> bool:
@@ -275,19 +271,12 @@ class MatrixSymbol:
             )
         dim = max(self.dimension, other.dimension)
 
-        def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            if a.shape == (1, 1):
-                return a[0, 0] * b
-            if b.shape == (1, 1):
-                return a * b[0, 0]
-            return a @ b
-
         def convolve(left: dict, right: dict):
             for (xa, ka), ma in left.items():
                 for (xb, kb), mb in right.items():
                     x_exp = tuple(i + j for i, j in zip(xa, xb))
                     k_exp = tuple(i + j for i, j in zip(ka, kb))
-                    yield (x_exp, k_exp, mul(ma, mb))
+                    yield (x_exp, k_exp, _matmul_compat(ma, mb))
 
         principal = list(convolve(self.principal, other.principal))
         lower = list(convolve(self.principal, other.lower))
@@ -551,16 +540,18 @@ def parse_symbol_file(text: str) -> MatrixSymbol:
             raise ParseError(f"symbol file line {lineno}: {exc}") from exc
     if dimension is None or order is None:
         raise ParseError("symbol file must declare 'dimension' and 'order'")
+    if dimension < 1:
+        raise ParseError(f"symbol file dimension must be positive, got {dimension}")
 
     principal, lower = [], []
     for part, xs, ks, entries, lineno in raw_terms:
         if part not in ("principal", "lower"):
             raise ParseError(f"symbol file line {lineno}: unknown part {part!r}")
         try:
-            x_exp = tuple(int(v) for v in xs.split(","))
-            k_exp = tuple(int(v) for v in ks.split(","))
+            x_exp = _as_expo(xs.split(","))
+            k_exp = _as_expo(ks.split(","))
             values = [complex(tok) for tok in entries.split(",")]
-        except ValueError as exc:
+        except (ValueError, InvalidInput) as exc:
             raise ParseError(f"symbol file line {lineno}: {exc}") from exc
         if len(values) != dimension * dimension:
             raise ParseError(
@@ -569,7 +560,10 @@ def parse_symbol_file(text: str) -> MatrixSymbol:
             )
         mat = np.array(values, dtype=complex).reshape(dimension, dimension)
         (principal if part == "principal" else lower).append((x_exp, k_exp, mat))
-    return MatrixSymbol(dimension, order, principal, lower, name=name)
+    try:
+        return MatrixSymbol(dimension, order, principal, lower, name=name)
+    except InvalidInput as exc:
+        raise ParseError(f"symbol file: {exc}") from exc
 
 
 def _fmt_complex(z: complex) -> str:

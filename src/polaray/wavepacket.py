@@ -26,6 +26,9 @@ from .gauge import FourierMode, ZeroFrequency, standard_basis
 from .minkowski import as_point4, spatial_momentum
 from .transport import HamiltonOrbit
 
+# slice energy at or below which straightness_track finds no centroid
+ENERGY_FLOOR = 1e-30
+
 
 class WindowOutOfBounds(InvalidInput):
     """The analysis window does not fit inside the sampled domain."""
@@ -142,12 +145,6 @@ class GridField:
             raise InvalidInput("cannot add fields on different grids")
         return GridField(self.grid, self.data + other.data, self.metadata)
 
-    def scaled(self, z: complex) -> "GridField":
-        return GridField(self.grid, self.data * complex(z), self.metadata)
-
-    def slice_energy(self, j: int) -> float:
-        return float(np.sum(np.abs(self.data[j]) ** 2))
-
 
 def synthesize(spec: WavePacketSpec, grid: GridSpec) -> GridField:
     """Sample a single-mode wave packet on the grid in closed form.
@@ -202,9 +199,6 @@ class WindowedSpectrum:
     amplitudes: np.ndarray  # (4, n1, n2, n3), fftshifted
     k_axes: tuple[np.ndarray, np.ndarray, np.ndarray]
     center: np.ndarray
-    window_width: float
-    time: float
-    slice_index: int
 
     def magnitude(self) -> np.ndarray:
         """Hermitian norm over the 4 components per bin."""
@@ -218,8 +212,8 @@ def windowed_spectrum(field: GridField, center, window_width: float) -> Windowed
     1.5 window widths must stay within the domain box on every axis.
     """
     center = as_point4(center, "center")
-    if window_width <= 0:
-        raise InvalidInput("window width must be positive")
+    if not window_width > 0:
+        raise InvalidInput(f"window width must be positive, got {window_width}")
     grid = field.grid
     for i in range(3):
         lo, hi = -0.5 * grid.extents[i], 0.5 * grid.extents[i]
@@ -227,8 +221,7 @@ def windowed_spectrum(field: GridField, center, window_width: float) -> Windowed
             raise WindowOutOfBounds(
                 f"window at {center[1:4]} with width {window_width} leaves the domain on axis {i}"
             )
-    times = grid.times
-    j = int(np.argmin(np.abs(times - center[0])))
+    j = int(np.argmin(np.abs(grid.times - center[0])))
 
     coords = grid.coordinates()
     dist2 = sum((coords[i] - center[1 + i]) ** 2 for i in range(3))
@@ -239,9 +232,6 @@ def windowed_spectrum(field: GridField, center, window_width: float) -> Windowed
         amplitudes=spectra,
         k_axes=tuple(grid.k_axis(i) for i in range(3)),
         center=center,
-        window_width=float(window_width),
-        time=float(times[j]),
-        slice_index=j,
     )
 
 
@@ -403,7 +393,7 @@ class LineTrack:
     direction: np.ndarray  # (3,) unit fit direction
 
 
-def straightness_track(field: GridField, energy_floor: float = 1e-30) -> LineTrack:
+def straightness_track(field: GridField) -> LineTrack:
     """Track the energy-weighted centroid per slice and fit a line."""
     grid = field.grid
     if grid.time_slices < 3:
@@ -413,7 +403,7 @@ def straightness_track(field: GridField, energy_floor: float = 1e-30) -> LineTra
     for j in range(grid.time_slices):
         weight = np.sum(np.abs(field.data[j]) ** 2, axis=0)
         total = float(weight.sum())
-        if total <= energy_floor:
+        if total <= ENERGY_FLOOR:
             raise DegenerateField(f"time slice {j} carries no energy")
         for i in range(3):
             centroids[j, i] = float(np.sum(weight * coords[i])) / total
@@ -443,6 +433,13 @@ class CompareTolerances:
     max_angle_deg: float = 3.0
     min_overlap: float = 0.99
     max_sideband_db: float = -20.0
+
+    def __post_init__(self):
+        for name in ("max_distance", "max_angle_deg"):
+            if not getattr(self, name) > 0:
+                raise InvalidInput(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.min_overlap <= 1.0:
+            raise InvalidInput(f"min_overlap must lie in (0, 1], got {self.min_overlap}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
+import polaray
 from polaray.cli import run
-from polaray.serialization import read_estimates_json, read_orbit_csv, read_ray_csv
+from polaray.serialization import read_estimates_json, read_orbit_csv, read_ray_csv, roundtrip
+from polaray.symbols import MatrixSymbol, format_symbol_file
+
+from conftest import graded_index_symbol, graded_null_start
 
 PI = "3.141592653589793"
 K_PI = f"{PI},0,0,-{PI}"
@@ -46,6 +54,15 @@ class TestCheckType:
         )
         assert code == 0
         assert json.loads(out)["on_char"] is True
+
+    def test_undecodable_symbol_file(self, capsys, tmp_path):
+        path = tmp_path / "sym.txt"
+        path.write_bytes(b"dimension 1\norder 2\n\xff\xfe\n")
+        code, _, err = run_cli(
+            capsys, "check-type", "--symbol-file", str(path), "--point", "0,0,0,0", "--k", "1,0,0,-1"
+        )
+        assert code == 1
+        assert "ParseError" in err
 
 
 class TestTrace:
@@ -140,6 +157,35 @@ class TestTransport:
         assert read_orbit_csv(str(paths[1])).reprojected
 
 
+class TestHintFile:
+    @pytest.mark.parametrize("command", ["trace", "transport"])
+    def test_non_scalar_symbol_needs_the_hint(self, capsys, tmp_path, command):
+        # p = diag(1, 2) (k0^2 - n^2 |k|^2) + lower part; p~ = diag(2, 1) makes p~ p scalar
+        symbol = tmp_path / "p.txt"
+        symbol.write_text(format_symbol_file(graded_index_symbol(2, scale=np.diag([1.0, 2.0]))))
+        hint = tmp_path / "hint.txt"
+        zero = (0, 0, 0, 0)
+        hint.write_text(format_symbol_file(MatrixSymbol(2, 0, [(zero, zero, np.diag([2.0, 1.0]))])))
+        x0, k0 = graded_null_start()
+        out = tmp_path / "out.csv"
+        argv = [
+            command, "--symbol-file", str(symbol), "--x0", ",".join(str(float(v)) for v in x0),
+            "--k", ",".join(str(float(v)) for v in k0), "--tau", "0:0.5", "--step", "0.05",
+            "-o", str(out),
+        ]
+        if command == "transport":
+            argv += ["--omega0", "0.6,0.8", "--omega0-imag", "0,0.1"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and "NoDecomposition" in err
+        code, _, err = run_cli(capsys, *argv, "--hint-file", str(hint))
+        assert code == 0, err
+        assert roundtrip(str(out))
+        if command == "transport":
+            orbit = read_orbit_csv(str(out))
+            assert len(orbit) == 11
+            assert orbit.omega[0].tolist() == [0.6, 0.8 + 0.1j]
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -187,6 +233,58 @@ class TestConfigFile:
         )
         assert code == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"x0": "0,0,0,0", "step": [1]},
+            {"step": 0.1, "x0": 5},
+            {"x0": "0,0,0,0", "step": 0.1, "project_null": "false"},
+            {"x0": "0,0,0,0", "step": 0.1, "tau": True},
+            {"x0": "0,0,0,0", "ste": 0.1},
+            {"x0": "0,0,0,0", "step": 0.1, "help": True},
+            {"x0": "0,0,0,0", "step": 0.1, "config": "other.json"},
+        ],
+        ids=["list", "number-for-text", "text-for-flag", "flag-for-value", "prefix", "help", "config"],
+    )
+    def test_bad_config_entries_exit_one(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            capsys,
+            "trace", "--config", str(cfg), "--symbol", "flat-maxwell", "--k", "1,0,0,-1",
+            "--tau", "0:1",
+        )
+        assert code == 1 and not out
+        assert list(config)[-1] in err
+
+    def test_bad_config_entry_in_a_subprocess(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x0": 5, "step": 0.1}))
+        src = os.path.dirname(os.path.dirname(polaray.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "polaray.cli", "trace", "--config", str(cfg),
+                "--symbol", "flat-maxwell", "--k", "1,0,0,-1", "--tau", "0:1",
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "x0" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_config_does_not_leak_into_the_next_run(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x0": "-1,0,0,0", "tau": "0:1", "step": 0.5}))
+        argv = ("trace", "--symbol", "flat-maxwell", "--k", "1,0,0,-1")
+        out_path = tmp_path / "ray.csv"
+        code, _, _ = run_cli(capsys, argv[0], "--config", str(cfg), *argv[1:], "-o", str(out_path))
+        assert code == 0
+        assert read_ray_csv(str(out_path)).x[0].tolist() == [-1, 0, 0, 0]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "--x0" in err and "--step" in err
 
 
 class TestGauge:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,8 +91,9 @@ class TestTraceRay:
         q = maxwell_decomposition.q
         with pytest.raises(InvalidInput):
             trace_ray(q, [0] * 4, [1, 0, 0, -1], (1, 0), 0.01)
-        with pytest.raises(InvalidInput):
-            trace_ray(q, [0] * 4, [1, 0, 0, -1], (0, 1), -0.1)
+        for bad_step in (-0.1, math.nan):
+            with pytest.raises(InvalidInput):
+                trace_ray(q, [0] * 4, [1, 0, 0, -1], (0, 1), bad_step)
         with pytest.raises(InvalidInput):
             trace_ray(q, [0] * 4, [1, 0, 0, -1], (0, 1), 0.01, method="verlet")
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polaray.errors import DimensionMismatch, InvalidInput, ParseError
 from polaray.minkowski import phase_point
@@ -277,11 +277,48 @@ class TestSymbolFiles:
         with pytest.raises(ParseError, match="line 3"):
             parse_symbol_file(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dimension -2\norder 0\nterm principal 0,0,0,0 0,0,0,0 1,0,0,1\n",
+            "dimension 0\norder 0\n",
+            "dimension 1\norder 0\nterm principal 0,0,-1,0 0,0,0,0 1\n",
+            "dimension 1\norder 0\nterm lower 0,0,0 0,0,0,0 1\n",
+            "dimension 1\norder 0\nterm principal 0,0,0,0 0,0,0,0 nan\n",
+        ],
+        ids=["negative-dimension", "zero-dimension", "negative-exponent", "short-exponent", "nan"],
+    )
+    def test_bad_values_raise_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_symbol_file(text)
+
     def test_dimension_mismatch_in_arithmetic(self, maxwell):
         with pytest.raises(DimensionMismatch):
             maxwell.add(scalar_wave())
         with pytest.raises(DimensionMismatch):
             maxwell.matmul(random_matrix_symbol(np.random.default_rng(0), 3, 1))
+
+
+SYMBOL_FILE = format_symbol_file(random_matrix_symbol(np.random.default_rng(7), 2, 2)).encode()
+
+
+@st.composite
+def corrupted_symbol_files(draw):
+    pos = draw(st.integers(0, len(SYMBOL_FILE) - 1))
+    if draw(st.booleans()):
+        return SYMBOL_FILE[:pos]
+    byte = draw(st.sampled_from(b"09-.,ej \n#") | st.integers(0, 255))
+    return SYMBOL_FILE[:pos] + bytes([byte]) + SYMBOL_FILE[pos + 1 :]
+
+
+@settings(max_examples=400)
+@given(corrupted_symbol_files())
+def test_truncated_or_overwritten_symbol_files_raise_only_parse_error(raw):
+    # latin-1 maps each byte to one character, so every byte reaches the parser
+    try:
+        parse_symbol_file(raw.decode("latin-1"))
+    except ParseError:
+        pass
 
 
 class TestCompiledSymbol:

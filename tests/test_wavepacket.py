@@ -236,6 +236,15 @@ class TestEstimates:
             with pytest.raises(InvalidInput):
                 estimate_polarization_set(field, [np.zeros(4)], 2.0, bad)
 
+    def test_bad_window_width(self):
+        kcov, _, _ = carrier([0, 0, 8])
+        field = synthesize(
+            WavePacketSpec(FourierMode(kcov, [0, 1, 0, 0]), np.zeros(4), 2.0), small_grid()
+        )
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(InvalidInput, match="window width"):
+                estimate_polarization_set(field, [np.zeros(4)], bad, 0.2)
+
 
 def brute_force_candidates(mag, k_axes, threshold):
     """The 26-neighbour peak rule: one wrap-around roll per neighbour."""
@@ -477,6 +486,20 @@ class TestCompare:
         report = compare(estimates, rotated, CompareTolerances(max_distance=1.0))
         assert not report.passed
         assert all(e.overlap <= 0.1 for e in report.entries)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_distance": -1.0},
+            {"max_distance": math.nan},
+            {"max_angle_deg": 0.0},
+            {"min_overlap": 5.0},
+            {"min_overlap": 0.0},
+        ],
+    )
+    def test_tolerances_are_checked(self, bad):
+        with pytest.raises(InvalidInput, match=next(iter(bad))):
+            CompareTolerances(**bad)
 
     def test_empty_estimates_trivially_pass(self):
         _, orbit = self._matched_pair()
