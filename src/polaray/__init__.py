@@ -31,7 +31,6 @@ from .symbols import (
     builtin_symbol,
     check_homogeneity,
     differentiate,
-    eval_symbol,
     flat_maxwell,
     hamilton_field,
     parse_x_polynomial,
@@ -79,7 +78,6 @@ from .gauge import (
     FourierMode,
     GaugeFunction,
     ModeClassification,
-    NullSpatialPart,
     PolarizationBasis,
     ZeroFrequency,
     classify_mode,

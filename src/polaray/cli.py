@@ -91,12 +91,12 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def _parse_reals(text: str, count: int, what: str) -> np.ndarray:
+def _parse_reals(text: str, count: int, what: str, number=float) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != count:
         raise InvalidInput(f"{what} needs {count} comma-separated values, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        return np.array([number(p) for p in parts])
     except ValueError as exc:
         raise InvalidInput(f"bad {what}: {exc}") from exc
 
@@ -115,8 +115,7 @@ def _parse_complex_vec(real_text: str, imag_text: str | None, count: int, what: 
     re = _parse_reals(real_text, count, what)
     if imag_text is None:
         return re.astype(complex)
-    im = _parse_reals(imag_text, count, f"{what} imaginary part")
-    return re + 1j * im
+    return ser._complex(re, _parse_reals(imag_text, count, f"{what} imaginary part"))
 
 
 def _positive(value: float, what: str) -> float:
@@ -206,31 +205,20 @@ def _cmd_gauge(args) -> int:
     fixed, chi = radiation_fix(mode)
     strength = field_strength_mode(mode)
     kernel = physical_kernel(mode.k)
+    fields = ser._complex_fields
     result = {
         "k": [float(v) for v in mode.k],
-        "eps_re": [float(z.real) for z in mode.eps],
-        "eps_im": [float(z.imag) for z in mode.eps],
-        "amplitude_re": mode.amplitude.real,
-        "amplitude_im": mode.amplitude.imag,
-        "lorenz_residual_re": residual.real,
-        "lorenz_residual_im": residual.imag,
+        **fields("eps", mode.eps),
+        **fields("amplitude", mode.amplitude),
+        **fields("lorenz_residual", residual),
         "classification": {
-            "transverse_re": [float(z.real) for z in cls.transverse],
-            "transverse_im": [float(z.imag) for z in cls.transverse],
-            "pure_gauge_re": cls.pure_gauge.real,
-            "pure_gauge_im": cls.pure_gauge.imag,
-            "constraint_violation_re": cls.constraint_violation.real,
-            "constraint_violation_im": cls.constraint_violation.imag,
+            **fields("transverse", cls.transverse),
+            **fields("pure_gauge", cls.pure_gauge),
+            **fields("constraint_violation", cls.constraint_violation),
         },
-        "radiation_fix": {
-            "chi_hat_re": chi.chi_hat.real,
-            "chi_hat_im": chi.chi_hat.imag,
-            "eps_re": [float(z.real) for z in fixed.eps],
-            "eps_im": [float(z.imag) for z in fixed.eps],
-        },
+        "radiation_fix": {**fields("chi_hat", chi.chi_hat), **fields("eps", fixed.eps)},
         "field_strength_nonzero": bool(np.any(strength.F != 0)),
-        "physical_kernel_re": [[float(z.real) for z in row] for row in kernel],
-        "physical_kernel_im": [[float(z.imag) for z in row] for row in kernel],
+        **fields("physical_kernel", kernel),
     }
     _emit(_json_dump(result), args.output)
     return EXIT_OK
@@ -238,10 +226,10 @@ def _cmd_gauge(args) -> int:
 
 def _grid_from_args(args) -> GridSpec:
     extents = _parse_reals(args.extent, 3, "--extent")
-    samples = _parse_reals(args.samples, 3, "--samples").astype(int)
+    samples = _parse_reals(args.samples, 3, "--samples", int)
     return GridSpec(
         extents=tuple(extents),
-        samples=tuple(int(n) for n in samples),
+        samples=tuple(samples),
         time_slices=args.tslices,
         time_step=args.tstep,
     )
@@ -281,7 +269,6 @@ def _cmd_estimate(args) -> int:
         _parse_centers(args.centers),
         window_width=args.window,
         threshold=args.threshold,
-        refine=not args.no_refine,
     )
     text = ser.estimates_json_text if args.format == "json" else ser.estimates_csv_text
     _emit(text(estimates), args.output)
@@ -386,7 +373,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--centers", required=True, help="semicolon-separated t,x1,x2,x3 windows")
     sub.add_argument("--window", type=float, required=True, help="window width")
     sub.add_argument("--threshold", type=float, default=0.2)
-    sub.add_argument("--no-refine", action="store_true", help="report raw bin directions")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("-o", "--output")
 

@@ -15,18 +15,15 @@ complex polarization vectors numerically.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-from .minkowski import MINKOWSKI, as_point4, spatial_momentum
+from .minkowski import MINKOWSKI, as_point4, unit_momentum
 
 NULL_TOL = 1e-10
-
-
-class NullSpatialPart(InvalidInput):
-    """The operation needs a covector with a nonzero spatial part."""
 
 
 class ZeroFrequency(InvalidInput):
@@ -72,6 +69,8 @@ class FourierMode:
             raise InvalidInput("eps has non-finite components")
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
+        if not cmath.isfinite(self.amplitude):
+            raise InvalidInput(f"amplitude must be finite, got {self.amplitude}")
         if abs(MINKOWSKI.quadratic(self.k)) > NULL_TOL:
             raise InvalidInput(
                 f"mode covector is off the cone: k.k = {MINKOWSKI.quadratic(self.k):.3e}"
@@ -86,7 +85,7 @@ class GaugeFunction:
 
     def __post_init__(self):
         z = complex(self.chi_hat)
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        if not cmath.isfinite(z):
             raise InvalidInput("chi_hat must be finite")
         object.__setattr__(self, "chi_hat", z)
 
@@ -109,14 +108,6 @@ class FieldStrengthMode:
 def minkowski_pairing(a, b) -> complex:
     """Bilinear contraction eta^{mu nu} a_mu b_nu (no conjugation)."""
     return MINKOWSKI.pairing(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def _unit_spatial(k) -> np.ndarray:
-    sp = spatial_momentum(k)
-    norm = float(np.linalg.norm(sp))
-    if norm == 0.0:
-        raise NullSpatialPart("covector has zero spatial part")
-    return sp / norm
 
 
 def rotation_to(direction: np.ndarray) -> np.ndarray:
@@ -145,7 +136,7 @@ def standard_basis(k) -> PolarizationBasis:
     +z this is exactly the canonical unit-vector basis.
     """
     k = as_point4(k, "k")
-    rot = rotation_to(_unit_spatial(k))
+    rot = rotation_to(unit_momentum(k))
     eps = np.zeros((4, 4), dtype=complex)
     eps[0, 0] = 1.0
     for j in range(3):
@@ -229,7 +220,7 @@ def physical_kernel(k) -> np.ndarray:
     pair, up to unitary mixing.
     """
     k = as_point4(k, "k")
-    _unit_spatial(k)  # raises on zero spatial part
+    unit_momentum(k)  # raises on zero spatial part
     row = MINKOWSKI.raise_index(k).astype(complex)  # functional eps -> k^mu eps_mu
     _, _, vh = np.linalg.svd(row[np.newaxis, :])
     lorenz_space = vh[1:].conj()  # (3, 4) orthonormal rows spanning ker of the functional

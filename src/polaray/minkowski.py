@@ -79,9 +79,22 @@ class Metric:
 MINKOWSKI = Metric()
 
 
+class ZeroSpatialPart(InvalidInput):
+    """The operation needs a covector with a nonzero spatial part."""
+
+
 def spatial_momentum(k) -> np.ndarray:
     """Upper-index spatial part k^i = -k_i of a stored covector."""
     return -np.asarray(k, dtype=float)[1:4]
+
+
+def unit_momentum(k) -> np.ndarray:
+    """The spatial momentum of a covector scaled to unit length."""
+    momentum = spatial_momentum(k)
+    norm = float(np.linalg.norm(momentum))
+    if norm == 0.0:
+        raise ZeroSpatialPart("covector has zero spatial part")
+    return momentum / norm
 
 
 @dataclass(frozen=True)

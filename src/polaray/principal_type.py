@@ -47,7 +47,6 @@ class PrincipalTypeDecomposition:
 class KernelBasis:
     """Orthonormal numerical nullspace of p at one phase-space point."""
 
-    pt: PhaseSpacePoint
     vectors: list
     singular_values: list
 
@@ -141,9 +140,9 @@ def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> Ke
     sigma_max = s[0] if len(s) else 0.0
     if sigma_max <= MACHINE_FLOOR:
         vectors = [np.eye(p.dimension, dtype=complex)[i] for i in range(p.dimension)]
-        return KernelBasis(pt=pt, vectors=vectors, singular_values=list(s))
+        return KernelBasis(vectors=vectors, singular_values=list(s))
     vectors = [vh[i].conj() for i in range(len(s)) if s[i] <= tol * sigma_max]
-    return KernelBasis(pt=pt, vectors=vectors, singular_values=list(s))
+    return KernelBasis(vectors=vectors, singular_values=list(s))
 
 
 def kernel_residual(p: MatrixSymbol, pt: PhaseSpacePoint, omega: np.ndarray) -> float:

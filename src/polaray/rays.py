@@ -16,12 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .minkowski import SIGNATURE, PhaseSpacePoint, as_point4
+from .minkowski import SIGNATURE, PhaseSpacePoint, ZeroSpatialPart, as_point4
 from .symbols import GRAD, VALUE, MatrixSymbol
-
-
-class ZeroSpatialPart(InvalidInput):
-    """Cannot project a covector with vanishing spatial part to the cone."""
 
 
 class NonNullStart(NumericalFailure):
@@ -122,11 +118,30 @@ class HamiltonSystem:
         return out[..., 0], out[..., 1:]
 
 
+# the most steps one trace may take: rk4 steps, or adaptive attempts
+# (accepted or rejected) before the adaptive trace gives up
+_MAX_STEPS = 10_000_000
+
+
 def _where(label: str, i: int, tau: float, y: np.ndarray) -> str:
     """Where along a ray something happened: the step or sample index, tau,
     and x and k (the first eight entries of ``y``) after that step."""
     x, k = (", ".join(f"{v:.9g}" for v in part) for part in (y[:4], y[4:8]))
     return f"at {label} {i}, tau = {tau:.9g}, x = ({x}), k = ({k})"
+
+
+def _check_drift(q: float, drift_tol: float, i: int, tau: float, y: np.ndarray) -> None:
+    """Abort the trace when |q| after step i exceeds the drift bound."""
+    if abs(q) > drift_tol:
+        raise ConstraintDrift(
+            f"|q| = {abs(q):.3e} exceeded drift bound {drift_tol:.1e} " + _where("step", i, tau, y)
+        )
+
+
+def _ray(tau, ys, qs, method: str, step: float) -> Ray:
+    """A Ray from its parameters, its (n, 9) states and q at each."""
+    ys = np.asarray(ys)
+    return Ray(tau=tau, x=ys[:, :4], k=ys[:, 4:8], q=qs, method=method, step=step)
 
 
 def trace_ray(
@@ -144,11 +159,11 @@ def trace_ray(
     """Integrate the Hamilton flow of q from (x0, k0) over tau_span.
 
     ``step`` is the fixed step for rk4 (shrunk uniformly so the span is
-    an integer number of steps) and the initial step for the adaptive
-    embedded pair.  The start must satisfy |q(x0,k0)| <= start_tol
-    (callers project to the cone first); a drift monitor aborts if |q|
-    ever exceeds drift_tol, since q is conserved by the exact flow and
-    silent drift would poison downstream transport.
+    an integer number of steps, at most ``_MAX_STEPS``) and the initial
+    step for the adaptive embedded pair.  The start must satisfy
+    |q(x0,k0)| <= start_tol (callers project to the cone first); a drift
+    monitor aborts if |q| ever exceeds drift_tol, since q is conserved by
+    the exact flow and silent drift would poison downstream transport.
     """
     x0 = as_point4(x0, "x0")
     k0 = as_point4(k0, "k0")
@@ -159,6 +174,12 @@ def trace_ray(
         raise InvalidInput(f"step must be positive, got {step}")
     if method not in ("rk4", "adaptive"):
         raise InvalidInput(f"unknown method {method!r}")
+    span = tau1 - tau0
+    count = span / step - 1e-9
+    if method == "rk4" and not count <= _MAX_STEPS:
+        raise InvalidInput(
+            f"step {step} needs {count:.3g} rk4 steps, more than the budget of {_MAX_STEPS}"
+        )
 
     system = HamiltonSystem(q)
     y = np.concatenate([x0, k0, [1.0]])
@@ -169,19 +190,11 @@ def trace_ray(
             + _where("step", 0, tau0, y)
         )
 
-    span = tau1 - tau0
     if span == 0.0:
-        return Ray(
-            tau=np.array([tau0]),
-            x=x0[np.newaxis],
-            k=k0[np.newaxis],
-            q=np.array([q0]),
-            method=method,
-            step=step,
-        )
+        return _ray([tau0], [y], [q0], method, step)
 
     if method == "rk4":
-        n = max(1, math.ceil(span / step - 1e-9))
+        n = max(1, math.ceil(count))
         h = span / n
         tau = tau0 + np.arange(n + 1) * h
         if system.x_independent:
@@ -199,13 +212,9 @@ def trace_ray(
             y = _rk4_step(system, y, f, h)
             # the next step's first stage also gives q for the drift check
             qi, f = system(y)
-            if abs(qi) > drift_tol:
-                raise ConstraintDrift(
-                    f"|q| = {abs(qi):.3e} exceeded drift bound {drift_tol:.1e} "
-                    + _where("step", i + 1, tau[i + 1], y)
-                )
+            _check_drift(qi, drift_tol, i + 1, tau[i + 1], y)
             ys[i + 1], qs[i + 1] = y, qi
-        return Ray(tau=tau, x=ys[:, :4], k=ys[:, 4:8], q=qs, method="rk4", step=h)
+        return _ray(tau, ys, qs, "rk4", h)
 
     return _trace_adaptive(system, y, q0, f, tau0, tau1, step, drift_tol, rtol, atol)
 
@@ -231,8 +240,6 @@ _DP_A[np.tril_indices(7, -1)] = (  # row by row
 )  # fmt: skip
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_E = _DP_A[6] - _DP_B4
-# attempted steps (accepted or rejected) before the adaptive trace gives up
-_MAX_STEPS = 10_000_000
 
 
 def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
@@ -260,11 +267,7 @@ def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
         if err <= 1.0:
             tau += h
             y, stages[0] = yi, stages[6]
-            if abs(qi) > drift_tol:
-                raise ConstraintDrift(
-                    f"|q| = {abs(qi):.3e} exceeded drift bound {drift_tol:.1e} "
-                    + _where("step", len(taus), tau, y)
-                )
+            _check_drift(qi, drift_tol, len(taus), tau, y)
             taus.append(tau)
             ys.append(y)
             qs.append(qi)
@@ -275,15 +278,7 @@ def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
             f"adaptive integrator exceeded the step budget of {_MAX_STEPS} attempts "
             + _where("step", len(taus) - 1, tau, y)
         )
-    ys = np.array(ys)
-    return Ray(
-        tau=np.array(taus),
-        x=ys[:, :4],
-        k=ys[:, 4:8],
-        q=np.array(qs),
-        method="adaptive",
-        step=h0,
-    )
+    return _ray(taus, ys, qs, "adaptive", h0)
 
 
 def geodesic_residual(ray: Ray) -> float:

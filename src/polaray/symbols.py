@@ -38,6 +38,12 @@ def _as_expo(e) -> Expo:
     return t  # type: ignore[return-value]
 
 
+def _dimension(dimension) -> int:
+    if int(dimension) < 1:
+        raise InvalidInput("dimension must be a positive integer")
+    return int(dimension)
+
+
 def _normalize_terms(terms, dimension: int) -> dict[tuple[Expo, Expo], np.ndarray]:
     """Merge duplicate exponents, drop exactly-zero coefficients."""
     acc: dict[tuple[Expo, Expo], np.ndarray] = {}
@@ -146,9 +152,7 @@ class MatrixSymbol:
     __slots__ = ("dimension", "order", "principal", "lower", "name", "_compiled")
 
     def __init__(self, dimension, order, principal_terms=(), lower_terms=(), name=None):
-        if int(dimension) < 1:
-            raise InvalidInput("dimension must be a positive integer")
-        self.dimension = int(dimension)
+        self.dimension = _dimension(dimension)
         self.order = int(order)
         self.principal = _normalize_terms(principal_terms, self.dimension)
         self.lower = _normalize_terms(lower_terms, self.dimension)
@@ -219,13 +223,16 @@ class MatrixSymbol:
 
     def diff_x(self, mu: int) -> "MatrixSymbol":
         """Exact partial derivative with respect to x^mu (both parts)."""
-        return self._derived(mu, self.order)
+        return self._derived(mu, 0, self.order)
 
     def diff_k(self, mu: int) -> "MatrixSymbol":
         """Exact partial derivative with respect to k_mu; order drops by one."""
-        return self._derived(4 + mu, self.order - 1)
+        return self._derived(mu, 4, self.order - 1)
 
-    def _derived(self, slot: int, order: int) -> "MatrixSymbol":
+    def _derived(self, mu: int, offset: int, order: int) -> "MatrixSymbol":
+        if not isinstance(mu, (int, np.integer)) or not 0 <= mu <= 3:
+            raise InvalidInput(f"derivative index must be 0, 1, 2 or 3, got {mu!r}")
+        slot = offset + mu
         principal, lower = (
             [(e[:4], e[4:], c) for e, c in zip(*_derive(*_stack(part, self.dimension), slot))]
             for part in (self.principal, self.lower)
@@ -292,11 +299,6 @@ class MatrixSymbol:
 
 
 # -- module-level operations ------------------------------------------
-
-
-def eval_symbol(sym: MatrixSymbol, part: str, pt: PhaseSpacePoint) -> np.ndarray:
-    """Evaluate the selected part of a symbol at a phase-space point."""
-    return sym.eval(pt, part)
 
 
 def differentiate(sym: MatrixSymbol, variable: str) -> MatrixSymbol:
@@ -412,7 +414,7 @@ def scaled_wave(coefficients: dict[Expo, complex], dimension: int = 1) -> Matrix
     if not coefficients:
         raise InvalidInput("scaled-wave needs at least one polynomial term")
     terms = []
-    eye = np.eye(dimension)
+    eye = np.eye(_dimension(dimension))
     for x_exp, c in coefficients.items():
         for _, k_exp, mat in wave_quadratic_terms():
             terms.append((_as_expo(x_exp), k_exp, complex(c) * mat[0, 0] * eye))
@@ -432,7 +434,7 @@ def builtin_symbol(name: str, scale: str | None = None, dimension: int | None = 
     if name == "scaled-wave":
         if scale is None:
             raise InvalidInput("scaled-wave requires a scale polynomial, e.g. '1+x3^2'")
-        return scaled_wave(parse_x_polynomial(scale), dimension=dimension or 1)
+        return scaled_wave(parse_x_polynomial(scale), 1 if dimension is None else dimension)
     raise InvalidInput(
         f"unknown symbol {name!r}; built-ins are flat-maxwell, scalar-wave, scaled-wave"
     )

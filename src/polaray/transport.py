@@ -51,16 +51,13 @@ class HamiltonOrbit:
 
 @dataclass(frozen=True)
 class PolarizationSample:
-    """One (x, k; omega) sample with a detection strength."""
+    """One (x, k; omega) sample."""
 
     pt: PhaseSpacePoint
     omega: np.ndarray
-    strength: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=complex))
-        if float(self.strength) < 0:
-            raise InvalidInput("strength must be nonnegative")
 
 
 def _connection_matrices(d: PrincipalTypeDecomposition, x, k) -> np.ndarray:

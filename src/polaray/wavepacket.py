@@ -4,7 +4,7 @@ Fields are sampled in closed form (single carrier mode times a moving
 Gaussian envelope), never PDE-stepped, so estimator error is isolated
 from solver error.  The estimator is a windowed discrete Fourier
 transform with Gaussian windows: per window it finds spectral peaks,
-reads off the propagation direction from the peak bin (with an optional
+reads off the propagation direction from the peak bin (with a
 log-parabolic sub-bin refinement that recovers off-lattice carriers
 exactly for Gaussian spectra), and the fiber polarization from the
 complex 4-vector of component amplitudes at the peak.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .gauge import FourierMode, ZeroFrequency, standard_basis
-from .minkowski import as_point4, spatial_momentum
+from .minkowski import as_point4, spatial_momentum, unit_momentum
 from .transport import HamiltonOrbit
 
 # slice energy at or below which straightness_track finds no centroid
@@ -60,9 +60,11 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "extents", tuple(float(v) for v in self.extents))
-        object.__setattr__(self, "samples", tuple(int(v) for v in self.samples))
         if len(self.extents) != 3 or len(self.samples) != 3:
             raise InvalidInput("grid needs 3 spatial extents and 3 sample counts")
+        if not all(float(n).is_integer() for n in self.samples):
+            raise InvalidInput(f"grid sample counts must be integers, got {self.samples}")
+        object.__setattr__(self, "samples", tuple(int(n) for n in self.samples))
         if any(v <= 0 for v in self.extents):
             raise InvalidInput("grid extents must be positive")
         if any(n < 8 for n in self.samples):
@@ -267,15 +269,15 @@ def _peak_candidates(mag: np.ndarray, k_axes, threshold: float) -> np.ndarray:
     return indices[np.argsort(-mag[tuple(indices.T)], kind="stable")]
 
 
-def _refine_axis(logmag: np.ndarray, idx: tuple[int, int, int], axis: int) -> float:
+def _refine_axis(mag: np.ndarray, idx: tuple[int, int, int], axis: int) -> float:
     """Log-parabolic sub-bin peak offset along one axis, in bins."""
-    n = logmag.shape[axis]
+    n = mag.shape[axis]
     sel = list(idx)
     sel[axis] = (idx[axis] - 1) % n
-    left = logmag[tuple(sel)]
+    left = mag[tuple(sel)]
     sel[axis] = (idx[axis] + 1) % n
-    right = logmag[tuple(sel)]
-    center = logmag[idx]
+    right = mag[tuple(sel)]
+    left, center, right = np.log(np.maximum([left, mag[idx], right], 1e-300))
     denom = left - 2.0 * center + right
     if denom >= 0 or not np.isfinite(denom):
         return 0.0
@@ -284,22 +286,19 @@ def _refine_axis(logmag: np.ndarray, idx: tuple[int, int, int], axis: int) -> fl
 
 
 def _window_estimates(
-    field: GridField, center, window_width: float, threshold: float, refine: bool
+    field: GridField, center, window_width: float, threshold: float
 ) -> tuple[float, list[PolarizationEstimate]]:
     """One window's maximum magnitude and an estimate per candidate peak."""
     spectrum = windowed_spectrum(field, center, window_width)
     mag = spectrum.magnitude()
     k_axes = spectrum.k_axes
-    candidates = _peak_candidates(mag, k_axes, threshold)
-    logmag = np.log(np.maximum(mag, 1e-300)) if refine and len(candidates) else None
     steps = [k[1] - k[0] for k in k_axes]
     out = []
-    for pos in candidates:
+    for pos in _peak_candidates(mag, k_axes, threshold):
         idx = tuple(int(v) for v in pos)
         kvec = np.array([k_axes[a][idx[a]] for a in range(3)])
-        if refine:
-            deltas = [_refine_axis(logmag, idx, a) for a in range(3)]
-            kvec = kvec + np.array([d * s for d, s in zip(deltas, steps)])
+        deltas = [_refine_axis(mag, idx, a) for a in range(3)]
+        kvec = kvec + np.array([d * s for d, s in zip(deltas, steps)])
         freq = float(np.linalg.norm(kvec))
         if freq == 0.0:
             continue
@@ -318,20 +317,15 @@ def _window_estimates(
 
 
 def estimate_polarization_set(
-    field: GridField,
-    centers,
-    window_width: float,
-    threshold: float,
-    refine: bool = True,
+    field: GridField, centers, window_width: float, threshold: float
 ) -> list[PolarizationEstimate]:
     """Detect oscillation directions and fiber polarization per window.
 
     A spectral bin yields an estimate when it dominates its 3x3x3
     neighborhood and its Hermitian magnitude reaches ``threshold`` times
     the global maximum over all requested windows; windows with no such
-    peak contribute nothing.  With ``refine`` the peak location gets a
-    log-parabolic sub-bin correction per axis (exact for Gaussian
-    spectra), otherwise the raw bin direction is reported.
+    peak contribute nothing.  The peak location gets a log-parabolic
+    sub-bin correction per axis (exact for Gaussian spectra).
 
     Windows are analysed one at a time, keeping only their candidate
     peaks, so memory holds one spectrum whatever the window count.
@@ -341,7 +335,7 @@ def estimate_polarization_set(
     global_max = 0.0
     out: list[PolarizationEstimate] = []
     for center in centers:
-        window_max, estimates = _window_estimates(field, center, window_width, threshold, refine)
+        window_max, estimates = _window_estimates(field, center, window_width, threshold)
         global_max = max(global_max, window_max)
         out.extend(estimates)
     return [est for est in out if est.strength >= threshold * global_max]
@@ -532,11 +526,7 @@ def compare(
     for est in estimates:
         distance, nearest = _point_to_polyline(est.x, path)
         k_orbit = orbit.ray.k[nearest]
-        momentum = spatial_momentum(k_orbit)
-        momentum_norm = float(np.linalg.norm(momentum))
-        if momentum_norm == 0.0:
-            raise InvalidInput("orbit momentum has no spatial part")
-        cosang = float(np.clip(est.k_hat @ (momentum / momentum_norm), -1.0, 1.0))
+        cosang = float(np.clip(est.k_hat @ unit_momentum(k_orbit), -1.0, 1.0))
         angle_deg = math.degrees(math.acos(cosang))
 
         omega_ref = orbit.omega[nearest]

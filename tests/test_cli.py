@@ -140,6 +140,39 @@ class TestTrace:
         assert "real-valued" in err and not out
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (("check-type", "--symbol", "scaled-wave", "--scale", "1+x3^2", "--dimension", "0",
+              "--point", "0,0,0,0", "--k", "1,0,0,-1"), "dimension"),
+            (("check-type", "--symbol", "scaled-wave", "--scale", "1+x3^2", "--dimension=-3",
+              "--point", "0,0,0,0", "--k", "1,0,0,-1"), "dimension"),
+            (("gauge", "--k", "1,0,0,-1", "--eps", "1,1,0,-1", "--amp", "nan"), "amplitude"),
+            (("gauge", "--k", "1,0,0,-1", "--eps", "1,1,0,-1", "--amp", "inf"), "amplitude"),
+            (("trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0", "--k", "1,0,0,-1",
+              "--tau", "0:1", "--step", "1e-320"), "rk4 steps"),
+            (("trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0", "--k", "1,0,0,-1",
+              "--tau", "0:1", "--step", "1e-300"), "rk4 steps"),
+        ],
+    )
+    def test_exit_one_as_invalid_input(self, capsys, argv, what):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("InvalidInput: ") and what in err
+
+    @pytest.mark.parametrize("samples", ["32.9,32,32", "nan,32,32"])
+    def test_sample_counts_must_be_integers(self, capsys, tmp_path, samples):
+        path = tmp_path / "f.gf"
+        code, out, err = run_cli(
+            capsys,
+            "synth", "--k", K_PI, "--eps", "0,1,0,0", "--center", "0,0,0,0", "--sigma", "2.0",
+            "--extent", "16,16,16", "--samples", samples, "-o", str(path),
+        )
+        assert code == 1 and not out and not path.exists()
+        assert err.startswith("InvalidInput: bad --samples")
+
+
 class TestTransport:
     def test_reproject_recorded_in_orbit_header(self, capsys, tmp_path):
         paths = {flag: tmp_path / f"orbit{flag}.csv" for flag in (0, 1)}

@@ -6,7 +6,6 @@ from polaray.errors import InvalidInput
 from polaray.gauge import (
     FourierMode,
     GaugeFunction,
-    NullSpatialPart,
     PolarizationBasis,
     classify_mode,
     completeness_residual,
@@ -22,7 +21,7 @@ from polaray.gauge import (
     subspace_angle_max,
     transverse_oracle,
 )
-from polaray.minkowski import spatial_momentum
+from polaray.minkowski import ZeroSpatialPart, spatial_momentum
 
 from conftest import random_null_covector
 
@@ -64,7 +63,7 @@ class TestStandardBasis:
         np.testing.assert_allclose(pairing_matrix(basis), ETA, atol=1e-14)
 
     def test_zero_spatial_rejected(self):
-        with pytest.raises(NullSpatialPart):
+        with pytest.raises(ZeroSpatialPart):
             standard_basis([1.0, 0.0, 0.0, 0.0])
 
 
@@ -92,6 +91,13 @@ class TestLorenzResidual:
 
     def test_timelike_unit(self):
         assert lorenz_residual(FourierMode(K_Z, [1, 0, 0, 0])) == 1
+
+
+class TestFourierMode:
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(InvalidInput, match="amplitude"):
+            FourierMode(K_Z, [0, 1, 0, 0], amplitude)
 
 
 class TestGaugeTransform:

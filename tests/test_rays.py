@@ -97,6 +97,18 @@ class TestTraceRay:
         with pytest.raises(InvalidInput):
             trace_ray(q, [0] * 4, [1, 0, 0, -1], (0, 1), 0.01, method="verlet")
 
+    @pytest.mark.parametrize("step", [1e-320, 1e-300])
+    def test_rk4_step_count_beyond_the_budget(self, maxwell_decomposition, step):
+        with pytest.raises(InvalidInput, match="rk4 steps, more than the budget of 10000000"):
+            trace_ray(maxwell_decomposition.q, [0] * 4, [1, 0, 0, -1], (0, 1), step)
+
+    def test_rk4_step_budget_names_the_count(self, maxwell_decomposition, monkeypatch):
+        q = maxwell_decomposition.q
+        monkeypatch.setattr(rays, "_MAX_STEPS", 5)
+        assert len(trace_ray(q, [0] * 4, [1, 0, 0, -1], (0, 0.5), 0.1)) == 6
+        with pytest.raises(InvalidInput, match="needs 10 rk4 steps, more than the budget of 5"):
+            trace_ray(q, [0] * 4, [1, 0, 0, -1], (0, 1), 0.1)
+
 
 class TestXDependentSymbol:
     def test_adaptive_conserves_constraint(self):

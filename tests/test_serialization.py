@@ -211,36 +211,6 @@ class TestGridField:
         assert read_gridfield(str(path)).grid.same_geometry(field.grid)
         assert not roundtrip(str(path))
 
-    @pytest.mark.parametrize("where", [0, (1 << 20) + 5, -1])
-    def test_body_difference_does_not_roundtrip(self, tmp_path, monkeypatch, where):
-        # a decoder that gets one body byte wrong, in the first chunk, a later one or the last
-        path = str(tmp_path / "field.gf")
-        write_gridfield(path, small_field(np.random.default_rng(SEED), samples=40))
-        decode = serialization.read_gridfield
-
-        def flipping_decode(p):
-            out = decode(p)
-            out.data.reshape(-1).view(np.uint8)[where] ^= 1
-            return out
-
-        monkeypatch.setattr(serialization, "read_gridfield", flipping_decode)
-        assert not roundtrip(path)
-
-    def test_trailing_byte_does_not_roundtrip(self, tmp_path, monkeypatch, field):
-        # the file grows after it was decoded: the byte past the body is caught
-        path = tmp_path / "field.gf"
-        write_gridfield(str(path), field)
-        decode = serialization.read_gridfield
-
-        def decode_then_append(p):
-            out = decode(p)
-            with open(p, "ab") as handle:
-                handle.write(b"\0")
-            return out
-
-        monkeypatch.setattr(serialization, "read_gridfield", decode_then_append)
-        assert not roundtrip(str(path))
-
     @pytest.mark.parametrize("check", [roundtrip, read_gridfield])
     def test_peak_memory_holds_one_decoded_copy(self, tmp_path, check):
         path = tmp_path / "field.gf"

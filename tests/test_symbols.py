@@ -9,7 +9,6 @@ from polaray.symbols import (
     builtin_symbol,
     check_homogeneity,
     differentiate,
-    eval_symbol,
     format_symbol_file,
     hamilton_field,
     parse_symbol_file,
@@ -40,10 +39,10 @@ def scaled_example():
 
 class TestEval:
     def test_maxwell_on_cone_vanishes(self, maxwell):
-        assert np.array_equal(eval_symbol(maxwell, "principal", NULL_PT), np.zeros((4, 4)))
+        assert np.array_equal(maxwell.eval(NULL_PT, "principal"), np.zeros((4, 4)))
 
     def test_maxwell_timelike_is_identity(self, maxwell):
-        assert np.array_equal(eval_symbol(maxwell, "principal", TIME_PT), np.eye(4))
+        assert np.array_equal(maxwell.eval(TIME_PT, "principal"), np.eye(4))
 
     def test_scaled_wave_on_cone(self):
         pt = phase_point([0, 0, 0, 1], [1, 0, 0, -1])
@@ -58,7 +57,7 @@ class TestEval:
 
     def test_bad_part_name(self, maxwell):
         with pytest.raises(InvalidInput):
-            eval_symbol(maxwell, "middle", NULL_PT)
+            maxwell.eval(NULL_PT, "middle")
 
 
 class TestDifferentiate:
@@ -79,6 +78,15 @@ class TestDifferentiate:
     def test_unknown_variable(self):
         with pytest.raises(InvalidInput):
             differentiate(scalar_wave(), "k4")
+
+    @pytest.mark.parametrize(
+        "method, mu",
+        [("diff_x", -1), ("diff_x", 4), ("diff_x", 5), ("diff_k", -4), ("diff_k", 4), ("diff_x", 1.0)],
+    )
+    def test_index_outside_the_four_slots(self, method, mu):
+        # an unchecked index would select another variable's exponent slot
+        with pytest.raises(InvalidInput, match="0, 1, 2 or 3"):
+            getattr(scaled_example(), method)(mu)
 
 
 class TestHamiltonField:
@@ -252,6 +260,11 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(InvalidInput):
             builtin_symbol("cubic-wave")
+
+    @pytest.mark.parametrize("dimension", [0, -3])
+    def test_scaled_wave_dimension_must_be_positive(self, dimension):
+        with pytest.raises(InvalidInput, match="dimension"):
+            builtin_symbol("scaled-wave", scale="1+x3^2", dimension=dimension)
 
     def test_pretty_forms(self, maxwell):
         from polaray.principal_type import decompose_principal_type

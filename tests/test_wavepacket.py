@@ -68,6 +68,11 @@ class TestGridSpec:
         with pytest.raises(InvalidInput):
             GridSpec(extents=(L, L, L), samples=(4, 32, 32))
 
+    @pytest.mark.parametrize("count", [32.9, math.nan])
+    def test_rejects_non_integral_sample_counts(self, count):
+        with pytest.raises(InvalidInput, match="integers"):
+            GridSpec(extents=(L, L, L), samples=(count, 32, 32))
+
     def test_rejects_large_time_step(self):
         with pytest.raises(InvalidInput):
             GridSpec(extents=(L, L, L), samples=(32, 32, 32), time_step=1.0)
