@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     PolarayError,
 )
-from .minkowski import MINKOWSKI, Metric, PhaseSpacePoint, phase_point, spatial_momentum
+from .minkowski import PhaseSpacePoint, spatial_momentum
 from .symbols import (
     MatrixSymbol,
     builtin_symbol,

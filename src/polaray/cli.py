@@ -32,7 +32,7 @@ from .gauge import (
     physical_kernel,
     radiation_fix,
 )
-from .minkowski import phase_point
+from .minkowski import PhaseSpacePoint
 from .principal_type import (
     PrincipalTypeDecomposition,
     char_membership,
@@ -85,10 +85,6 @@ def _emit(text: str, output: str | None) -> None:
         ser._write_text(output, text)
     else:
         sys.stdout.write(text)
-
-
-def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def _parse_reals(text: str, count: int, what: str, number=float) -> np.ndarray:
@@ -156,7 +152,7 @@ def _mode_from_args(args) -> FourierMode:
 
 def _cmd_check_type(args) -> int:
     decomp = _decompose(args)
-    pt = phase_point(_parse_reals(args.point, 4, "--point"), _parse_reals(args.k, 4, "--k"))
+    pt = PhaseSpacePoint(_parse_reals(args.point, 4, "--point"), _parse_reals(args.k, 4, "--k"))
     tol = _positive(args.tol, "--tol")
     basis = kernel_basis(decomp.p, pt, tol=tol)
     result = {
@@ -170,7 +166,7 @@ def _cmd_check_type(args) -> int:
         "kernel_dimension": basis.dimension,
         "singular_values": [float(s) for s in basis.singular_values],
     }
-    _emit(_json_dump(result), args.output)
+    _emit(ser._json_text(result), args.output)
     return EXIT_OK
 
 
@@ -220,7 +216,7 @@ def _cmd_gauge(args) -> int:
         "field_strength_nonzero": bool(np.any(strength.F != 0)),
         **fields("physical_kernel", kernel),
     }
-    _emit(_json_dump(result), args.output)
+    _emit(ser._json_text(result), args.output)
     return EXIT_OK
 
 
@@ -247,7 +243,7 @@ def _cmd_synth(args) -> int:
         "samples": list(grid.samples),
         "time_slices": grid.time_slices,
     }
-    sys.stdout.write(_json_dump(info))
+    sys.stdout.write(ser._json_text(info))
     return EXIT_OK
 
 
@@ -285,13 +281,13 @@ def _cmd_compare(args) -> int:
         max_sideband_db=args.max_sideband_db,
     )
     report = compare(estimates, orbit, tol)
-    _emit(_json_dump(report.to_dict()), args.output)
+    _emit(ser._json_text(report.to_dict()), args.output)
     return EXIT_OK if report.passed else EXIT_COMPARE_FAIL
 
 
 def _cmd_roundtrip(args) -> int:
     ok = ser.roundtrip(args.path)
-    sys.stdout.write(_json_dump({"path": args.path, "roundtrip": bool(ok)}))
+    sys.stdout.write(ser._json_text({"path": args.path, "roundtrip": bool(ok)}))
     return EXIT_OK if ok else EXIT_INVALID
 
 

@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * space-time points ``x = (t, x1, x2, x3)`` carry upper indices,
 * wave covectors ``k = (k0, k1, k2, k3)`` are stored with *lower*
-  indices; raising an index is always explicit through :class:`Metric`,
+  indices; raising an index is always explicit through :func:`raise_index`,
 * natural units, ``c = 1``.
 
 The spatial momentum (the direction a disturbance actually moves) is the
@@ -43,40 +43,9 @@ def as_point4(x, name: str = "point") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Diagonal metric on R^{1,3}. Only the flat (+,-,-,-) case ships."""
-
-    diagonal: tuple[float, float, float, float] = SIGNATURE
-
-    @property
-    def diag(self) -> np.ndarray:
-        return np.asarray(self.diagonal)
-
-    def raise_index(self, covector) -> np.ndarray:
-        """eta^{mu nu} v_nu for a diagonal metric."""
-        return self.diag * np.asarray(covector)
-
-    def lower_index(self, vector) -> np.ndarray:
-        """eta_{mu nu} v^nu; identical numbers for a +/-1 diagonal."""
-        return self.diag * np.asarray(vector)
-
-    def pairing(self, a, b) -> complex:
-        """Bilinear contraction eta^{mu nu} a_mu b_nu of two covectors.
-
-        No complex conjugation: this matches the orthonormality relation
-        of the polarization basis, which is bilinear. Hermitian overlaps
-        are a different tool and live with the estimator.
-        """
-        return complex(np.sum(self.diag * np.asarray(a) * np.asarray(b)))
-
-    def quadratic(self, k) -> float:
-        """The light-cone quadratic k0^2 - |k|^2 of a real covector."""
-        k = np.asarray(k)
-        return float(np.sum(self.diag * k * k))
-
-
-MINKOWSKI = Metric()
+def raise_index(covector) -> np.ndarray:
+    """eta^{mu nu} v_nu: the upper-index components of a covector."""
+    return np.asarray(SIGNATURE) * np.asarray(covector)
 
 
 class ZeroSpatialPart(InvalidInput):
@@ -109,8 +78,3 @@ class PhaseSpacePoint:
         object.__setattr__(self, "k", as_point4(self.k, "k"))
         if not np.any(self.k != 0.0):
             raise InvalidPoint("phase-space fiber point k must be nonzero")
-
-
-def phase_point(x, k) -> PhaseSpacePoint:
-    """Convenience constructor accepting any 4-sequences."""
-    return PhaseSpacePoint(np.asarray(x, dtype=float), np.asarray(k, dtype=float))

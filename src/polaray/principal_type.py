@@ -16,17 +16,20 @@ import numpy as np
 
 from .errors import InvalidInput
 from .minkowski import PhaseSpacePoint
-from .symbols import GRAD, VALUE, MatrixSymbol, check_homogeneity, scalar_coefficients
+from .symbols import (
+    GRAD,
+    VALUE,
+    ComplexSymbol,
+    MatrixSymbol,
+    check_homogeneity,
+    scalar_coefficients,
+)
 
 MACHINE_FLOOR = 1e-300
 
 
 class NoDecomposition(InvalidInput):
     """The product p~ p is not a scalar multiple of the identity."""
-
-
-class ComplexSymbol(InvalidInput):
-    """A symbol required to be real-valued has an imaginary part."""
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .minkowski import SIGNATURE, PhaseSpacePoint, ZeroSpatialPart, as_point4
-from .symbols import GRAD, VALUE, MatrixSymbol
+from .symbols import GRAD, VALUE, ComplexSymbol, MatrixSymbol
 
 
 class NonNullStart(NumericalFailure):
@@ -103,7 +103,7 @@ class HamiltonSystem:
         # real and imaginary parts of each output sit in alternate columns
         real, imag = compiled.coeff[:, 0::2], compiled.coeff[:, 1::2]
         if np.any(np.abs(imag[:, VALUE]) > 1e-10 * (1.0 + np.abs(real[:, VALUE]))):
-            raise InvalidInput("ray tracing needs a real-valued symbol")
+            raise ComplexSymbol("ray tracing needs a real-valued symbol")
         grad = real[:, GRAD]
         self.factors = compiled.factors
         self.matrix = np.column_stack(

@@ -22,6 +22,7 @@ from .transport import HamiltonOrbit
 from .wavepacket import GridField, GridSpec, PolarizationEstimate
 
 GRIDFIELD_MAGIC = b"polaray-gridfield v1\n"
+JSON_START = b"{"  # the first byte of every JSON file written here
 
 
 def fmt(value: float) -> str:
@@ -51,6 +52,11 @@ def _complex_fields(name: str, z) -> dict:
     """A complex scalar or array as the JSON fields ``name_re`` and ``name_im``."""
     z = np.asarray(z, dtype=complex)
     return {f"{name}_re": z.real.tolist(), f"{name}_im": z.imag.tolist()}
+
+
+def _json_text(payload) -> str:
+    """JSON with sorted keys, one-space indents and a trailing newline."""
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -254,7 +260,7 @@ def estimates_json_text(estimates) -> str:
             for est in estimates
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return _json_text(payload)
 
 
 def write_estimates_json(path: str, estimates) -> None:
@@ -293,10 +299,10 @@ def read_estimates_json(path: str) -> list[PolarizationEstimate]:
 
 
 def read_estimates(path: str) -> list[PolarizationEstimate]:
-    """Dispatch on extension: .json or .csv."""
-    if path.endswith(".json"):
-        return read_estimates_json(path)
-    return read_estimates_csv(path)
+    """Read estimates JSON or CSV, told apart by content as :func:`roundtrip` does."""
+    with open(path, "rb") as handle:
+        json_file = handle.read(1) == JSON_START
+    return read_estimates_json(path) if json_file else read_estimates_csv(path)
 
 
 # -- grid-field binary -----------------------------------------------------
@@ -396,6 +402,6 @@ def roundtrip(path: str) -> bool:
         return orbit_csv_text(read_orbit_csv(path)).encode() == original
     if original.startswith(b"# polaray estimates"):
         return estimates_csv_text(read_estimates_csv(path)).encode() == original
-    if original.startswith(b"{"):
+    if original.startswith(JSON_START):
         return estimates_json_text(read_estimates_json(path)).encode() == original
     raise ParseError(f"unrecognized file format: {path}")

@@ -31,15 +31,19 @@ Expo = tuple[int, int, int, int]
 _ZERO_EXPO: Expo = (0, 0, 0, 0)
 
 
+class ComplexSymbol(InvalidInput):
+    """A symbol required to be real-valued has an imaginary part."""
+
+
 def _as_expo(e) -> Expo:
     t = tuple(int(v) for v in e)
-    if len(t) != 4 or any(v < 0 for v in t):
-        raise InvalidInput(f"exponent tuple must be 4 nonnegative ints, got {e}")
+    if len(t) != 4 or any(not 0 <= v < 2**63 for v in t):
+        raise InvalidInput(f"exponent tuple must be 4 nonnegative int64 values, got {e}")
     return t  # type: ignore[return-value]
 
 
 def _dimension(dimension) -> int:
-    if int(dimension) < 1:
+    if not float(dimension).is_integer() or dimension < 1:
         raise InvalidInput("dimension must be a positive integer")
     return int(dimension)
 
@@ -153,6 +157,8 @@ class MatrixSymbol:
 
     def __init__(self, dimension, order, principal_terms=(), lower_terms=(), name=None):
         self.dimension = _dimension(dimension)
+        if not float(order).is_integer():
+            raise InvalidInput(f"symbol order must be an integer, got {order}")
         self.order = int(order)
         self.principal = _normalize_terms(principal_terms, self.dimension)
         self.lower = _normalize_terms(lower_terms, self.dimension)
@@ -336,7 +342,7 @@ def hamilton_field(q: MatrixSymbol, pt: PhaseSpacePoint) -> tuple[np.ndarray, np
         raise DimensionMismatch("hamilton_field requires a scalar (N=1) symbol")
     grad = q.compiled(pt.x, pt.k)[GRAD, 0, 0]
     if np.any(np.abs(grad.imag) > 1e-10 * (1.0 + np.abs(grad.real))):
-        raise InvalidInput("hamilton_field needs a real-valued symbol")
+        raise ComplexSymbol("hamilton_field needs a real-valued symbol")
     return grad[4:].real, -grad[:4].real
 
 
@@ -479,10 +485,13 @@ def parse_x_polynomial(text: str) -> dict[Expo, complex]:
             if not factor:
                 raise InvalidInput(f"malformed factor in polynomial term {term!r}")
             if factor[0] == "x":
-                base, _, power = factor.partition("^")
+                base, caret, power = factor.partition("^")
                 if len(base) != 2 or base[1] not in "0123":
                     raise InvalidInput(f"unknown variable {base!r} in polynomial")
-                e = int(power) if power else 1
+                try:
+                    e = int(power) if caret else 1
+                except ValueError as exc:
+                    raise InvalidInput(f"bad exponent {power!r} in polynomial") from exc
                 if e < 0:
                     raise InvalidInput("negative exponents are not polynomials")
                 expo[int(base[1])] += e

@@ -23,6 +23,9 @@ from .principal_type import PrincipalTypeDecomposition, kernel_basis, kernel_res
 from .rays import Ray, _where
 from .symbols import GRAD, VALUE, _bracket, _matmul_compat, _subprincipal
 
+ZERO_FIBER = 1e-12
+SAME_POINT = 1e-9
+
 
 class KernelEscape(NumericalFailure):
     """A transported fiber vector left the kernel beyond tolerance."""
@@ -109,14 +112,21 @@ def transport(
 
     Raises
     ------
+    InvalidInput
+        If omega0 is not N finite components or ``residual_tol`` is not
+        positive.
     KernelEscape
         If the kernel residual |p omega| / |omega| exceeds
-        ``residual_tol`` at any sample, including the start.
+        ``residual_tol`` or is NaN at any sample, including the start.
     """
     omega0 = np.asarray(omega0, dtype=complex)
     dim = d.p.dimension
     if omega0.shape != (dim,):
         raise InvalidInput(f"omega0 must have shape ({dim},)")
+    if not np.all(np.isfinite(omega0)):
+        raise InvalidInput(f"omega0 has non-finite components: {omega0}")
+    if not residual_tol > 0:
+        raise InvalidInput(f"residual_tol must be positive, got {residual_tol}")
     n = len(ray)
 
     omega = np.empty((n, dim), dtype=complex)
@@ -148,7 +158,7 @@ def transport(
 
     residuals = _orbit_residuals(d, ray, omega)
     worst = int(np.argmax(residuals))
-    if residuals[worst] > residual_tol:
+    if not residuals[worst] <= residual_tol:
         raise KernelEscape(
             f"kernel residual {residuals[worst]:.3e} exceeds {residual_tol:.1e} "
             + _where("sample", worst, ray.tau[worst], np.concatenate([ray.x[worst], ray.k[worst]]))
@@ -178,27 +188,26 @@ def fiber_scale(orbit: HamiltonOrbit, z: complex) -> HamiltonOrbit:
     )
 
 
-def project_wavefront(
-    samples, zero_tol: float = 1e-12, x_tol: float = 1e-9, k_tol: float = 1e-9
-):
+def project_wavefront(samples):
     """Base points (x, k) of all samples with a nonzero fiber vector.
 
-    Samples whose fiber norm is at or below ``zero_tol`` are dropped (the
-    zero section carries no singularity); surviving base points are
-    deduplicated within the stated tolerances, keeping first occurrences
-    in input order.
+    Samples whose fiber norm is at or below ``ZERO_FIBER`` = 1e-12 are
+    dropped (the zero section carries no singularity).  A surviving base
+    point is a duplicate when its x and its k each lie within
+    ``SAME_POINT`` = 1e-9 of a kept one in every component; first
+    occurrences are kept, in input order.
     """
     samples = list(samples)
     kept: list[PhaseSpacePoint] = []
     kept_x = np.empty((len(samples), 4))
     kept_k = np.empty((len(samples), 4))
     for sample in samples:
-        if float(np.linalg.norm(sample.omega)) <= zero_tol:
+        if float(np.linalg.norm(sample.omega)) <= ZERO_FIBER:
             continue
         pt = sample.pt
         n = len(kept)
-        close = (np.max(np.abs(kept_x[:n] - pt.x), axis=1) <= x_tol) & (
-            np.max(np.abs(kept_k[:n] - pt.k), axis=1) <= k_tol
+        close = (np.max(np.abs(kept_x[:n] - pt.x), axis=1) <= SAME_POINT) & (
+            np.max(np.abs(kept_k[:n] - pt.k), axis=1) <= SAME_POINT
         )
         if not close.any():
             kept_x[n], kept_k[n] = pt.x, pt.k

@@ -17,7 +17,7 @@ substitution is documented rather than resolved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,6 +69,9 @@ class GridSpec:
             raise InvalidInput("grid extents must be positive")
         if any(n < 8 for n in self.samples):
             raise InvalidInput("grid needs at least 8 samples per axis")
+        if not float(self.time_slices).is_integer():
+            raise InvalidInput(f"time slice count must be an integer, got {self.time_slices}")
+        object.__setattr__(self, "time_slices", int(self.time_slices))
         if self.time_slices < 1:
             raise InvalidInput("grid needs at least one time slice")
         if self.time_step <= 0:
@@ -97,14 +100,6 @@ class GridSpec:
         n = self.samples[i]
         d = self.extents[i] / n
         return np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d))
-
-    def same_geometry(self, other: "GridSpec") -> bool:
-        return (
-            self.extents == other.extents
-            and self.samples == other.samples
-            and self.time_slices == other.time_slices
-            and self.time_step == other.time_step
-        )
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,7 @@ class GridField:
         self.metadata = dict(metadata or {})
 
     def __add__(self, other: "GridField") -> "GridField":
-        if not self.grid.same_geometry(other.grid):
+        if self.grid != other.grid:
             raise InvalidInput("cannot add fields on different grids")
         return GridField(self.grid, self.data + other.data, self.metadata)
 
@@ -285,6 +280,11 @@ def _refine_axis(mag: np.ndarray, idx: tuple[int, int, int], axis: int) -> float
     return float(np.clip(delta, -0.5, 0.5))
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise InvalidInput("threshold must lie strictly between 0 and 1")
+
+
 def _window_estimates(
     field: GridField, center, window_width: float, threshold: float
 ) -> tuple[float, list[PolarizationEstimate]]:
@@ -330,8 +330,7 @@ def estimate_polarization_set(
     Windows are analysed one at a time, keeping only their candidate
     peaks, so memory holds one spectrum whatever the window count.
     """
-    if not (0.0 < threshold < 1.0):
-        raise InvalidInput("threshold must lie strictly between 0 and 1")
+    _check_threshold(threshold)
     global_max = 0.0
     out: list[PolarizationEstimate] = []
     for center in centers:
@@ -366,8 +365,7 @@ def scalar_component_flags(
     the estimator: windows flagged here must coincide with windows that
     produce nonzero-fiber estimates.
     """
-    if not (0.0 < threshold < 1.0):
-        raise InvalidInput("threshold must lie strictly between 0 and 1")
+    _check_threshold(threshold)
     peaks = [_component_peaks(field, c, window_width, threshold) for c in centers]
     gmax = [max((maxima[mu] for maxima, _ in peaks), default=0.0) for mu in range(4)]
     return [
@@ -447,15 +445,7 @@ class CompareEntry:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "x": [float(v) for v in self.x],
-            "distance": self.distance,
-            "angle_deg": self.angle_deg,
-            "overlap": self.overlap,
-            "timelike_db": self.timelike_db,
-            "longitudinal_db": self.longitudinal_db,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "x": [float(v) for v in self.x]}
 
 
 @dataclass(frozen=True)
@@ -471,12 +461,7 @@ class CompareReport:
         return {
             "passed": self.passed,
             "count": len(self.entries),
-            "tolerances": {
-                "max_distance": self.tolerances.max_distance,
-                "max_angle_deg": self.tolerances.max_angle_deg,
-                "min_overlap": self.tolerances.min_overlap,
-                "max_sideband_db": self.tolerances.max_sideband_db,
-            },
+            "tolerances": asdict(self.tolerances),
             "entries": [e.to_dict() for e in self.entries],
         }
 

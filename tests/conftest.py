@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from polaray.minkowski import PhaseSpacePoint, phase_point
+from polaray.minkowski import PhaseSpacePoint
 from polaray.principal_type import decompose_principal_type
 from polaray.rays import null_project
 from polaray.symbols import MatrixSymbol, flat_maxwell
@@ -48,7 +48,7 @@ def random_phase_points(rng, n, x_scale=1.5, k_scale=1.5):
         x = rng.uniform(-x_scale, x_scale, 4)
         k = rng.uniform(-k_scale, k_scale, 4)
         if np.linalg.norm(k) > 0.2:
-            pts.append(phase_point(x, k))
+            pts.append(PhaseSpacePoint(x, k))
     return pts
 
 
@@ -87,7 +87,7 @@ def exact_null_points(rng, n):
     for _ in range(n):
         base = EXACT_NULL_COVECTORS[rng.integers(len(EXACT_NULL_COVECTORS))]
         scale = 2.0 ** rng.integers(-2, 3)
-        out.append(phase_point(rng.uniform(-1, 1, 4), base * scale))
+        out.append(PhaseSpacePoint(rng.uniform(-1, 1, 4), base * scale))
     return out
 
 

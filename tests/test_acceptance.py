@@ -26,7 +26,7 @@ from polaray.gauge import (
     subspace_angle_max,
     transverse_oracle,
 )
-from polaray.minkowski import MINKOWSKI, phase_point, spatial_momentum
+from polaray.minkowski import PhaseSpacePoint, raise_index, spatial_momentum
 from polaray.principal_type import decompose_principal_type, kernel_basis
 from polaray.rays import line_deviation, null_curve_residual, trace_ray
 from polaray.serialization import (
@@ -147,7 +147,7 @@ def test_criterion_3_transport_suite(maxwell_d):
             omega0 = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
             orbit = transport(maxwell_d, ray, omega0)
             assert np.array_equal(orbit.omega, np.broadcast_to(omega0, orbit.omega.shape))
-            constraint = orbit.omega @ MINKOWSKI.raise_index(k0)
+            constraint = orbit.omega @ raise_index(k0)
             assert float(np.max(np.abs(constraint - constraint[0]))) <= 1e-12
             u = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
             v = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
@@ -206,7 +206,7 @@ def test_criterion_4_gauge_suite():
 
 def test_criterion_5_kernel_honesty(maxwell_d):
     with criterion(5, "literal kernel dim 4 vs physical transverse dim 2", 1.0):
-        pt = phase_point([0, 0, 0, 0], [1, 0, 0, -1])
+        pt = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, -1])
         literal = kernel_basis(maxwell_d.p, pt)
         assert literal.dimension == 4
         physical = physical_kernel(pt.k)

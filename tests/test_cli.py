@@ -173,6 +173,63 @@ class TestBadNumbers:
         assert err.startswith("InvalidInput: bad --samples")
 
 
+def _error_names(cls=polaray.PolarayError) -> set:
+    """The names of the package's error classes."""
+    return {cls.__name__}.union(*(_error_names(sub) for sub in cls.__subclasses__()))
+
+
+TRACE_FLAT = ("--symbol", "flat-maxwell", "--x0", "0,0,0,0", "--k", "1,0,0,-1", "--tau", "0:1")
+CHECK_AT = ("--point", "0,0,0,0", "--k", "1,0,0,-1")
+
+
+class TestErrorContract:
+    """Bad input through the CLI is one line naming a package error, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, symbol_file, what",
+        [
+            (("transport", *TRACE_FLAT, "--step", "0.5", "--omega0", "nan,0,0,0"), None,
+             "InvalidInput: omega0 has non-finite components"),
+            (("transport", *TRACE_FLAT, "--step", "0.5", "--omega0", "0,1,0,0",
+              "--omega0-imag", "0,inf,0,0"), None,
+             "InvalidInput: omega0 has non-finite components"),
+            (("gauge", "--k", "2e200,1e200,0,0", "--eps", "0,0,1,0"), None,
+             "InvalidInput: mode covector is off the cone: k.k = nan"),
+            (("check-type", "--symbol", "scaled-wave", "--scale", "1+x3^2.5", *CHECK_AT), None,
+             "InvalidInput: bad exponent '2.5'"),
+            (("check-type", "--symbol", "scaled-wave", "--scale", "1+x3^99999999999999999999",
+              *CHECK_AT), None, "InvalidInput: exponent tuple must be 4 nonnegative int64"),
+            (("check-type", "--symbol-file", "p.txt", *CHECK_AT),
+             "dimension 1\norder 2\nterm principal 0,0,0,99999999999999999999 2,0,0,0 1\n",
+             "ParseError: symbol file line 3: exponent tuple must be 4 nonnegative int64"),
+            (("check-type", "--symbol-file", "p.txt", *CHECK_AT),
+             "dimension 1\norder 2.5\nterm principal 0,0,0,0 2,0,0,0 1\n",
+             "ParseError: symbol file line 2"),
+            (("check-type", "--symbol-file", "p.txt", *CHECK_AT),
+             "dimension 2.5\norder 2\nterm principal 0,0,0,0 2,0,0,0 1\n",
+             "ParseError: symbol file line 1"),
+            (("synth", "--k", K_PI, "--eps", "0,1,0,0", "--center", "0,0,0,0", "--sigma", "2.0",
+              "--extent", "16,16,16", "--samples", "32,32,32", "--tslices", "2.5", "-o", "f.gf"),
+             None, "InvalidInput: argument --tslices"),
+        ],
+        ids=[
+            "nan-omega0", "inf-omega0-imag", "overflowing-null-test", "fractional-power",
+            "int64-power", "int64-file-exponent", "fractional-order", "fractional-dimension",
+            "fractional-tslices",
+        ],
+    )
+    def test_bad_invocation_names_a_package_error(
+        self, capsys, tmp_path, monkeypatch, argv, symbol_file, what
+    ):
+        monkeypatch.chdir(tmp_path)
+        if symbol_file:
+            (tmp_path / "p.txt").write_text(symbol_file)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith(what) and err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.split(":", 1)[0] in _error_names()
+
+
 class TestTransport:
     def test_reproject_recorded_in_orbit_header(self, capsys, tmp_path):
         paths = {flag: tmp_path / f"orbit{flag}.csv" for flag in (0, 1)}

@@ -99,6 +99,11 @@ class TestFourierMode:
         with pytest.raises(InvalidInput, match="amplitude"):
             FourierMode(K_Z, [0, 1, 0, 0], amplitude)
 
+    def test_overflowing_null_test_is_off_the_cone(self):
+        # k.k overflows to inf - inf = NaN, which must not pass for "on the cone"
+        with pytest.raises(InvalidInput, match="off the cone: k.k = nan"):
+            FourierMode([2e200, 1e200, 0, 0], [0, 0, 1, 0])
+
 
 class TestGaugeTransform:
     def test_zero_chi_identity(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polaray.minkowski import phase_point
+from polaray.minkowski import PhaseSpacePoint
 from polaray.principal_type import (
     ComplexSymbol,
     NoDecomposition,
@@ -15,8 +15,8 @@ from polaray.symbols import MatrixSymbol, pretty, scalar_wave
 
 from conftest import EXACT_NULL_COVECTORS, exact_null_points, random_null_covector
 
-NULL_PT = phase_point([0, 0, 0, 0], [1, 0, 0, -1])
-TIME_PT = phase_point([0, 0, 0, 0], [1, 0, 0, 0])
+NULL_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, -1])
+TIME_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, 0])
 
 
 def diag_symbol(entries_by_kexp):
@@ -83,11 +83,11 @@ class TestRealPrincipalType:
 
     def test_zero_fiber_rejected(self):
         with pytest.raises(ValueError):
-            phase_point([0, 0, 0, 0], [0, 0, 0, 0])
+            PhaseSpacePoint([0, 0, 0, 0], [0, 0, 0, 0])
 
     def test_degenerate_cubic(self):
         cubic = MatrixSymbol(1, 3, [((0, 0, 0, 0), (3, 0, 0, 0), [[1.0]])])
-        assert is_real_principal_type(cubic, phase_point([0] * 4, [0, 1, 0, 0])) is False
+        assert is_real_principal_type(cubic, PhaseSpacePoint([0] * 4, [0, 1, 0, 0])) is False
 
     def test_complex_symbol_raises(self):
         sym = MatrixSymbol(1, 1, [((0, 0, 0, 0), (1, 0, 0, 0), [[1j]])])
@@ -103,7 +103,7 @@ class TestCharMembership:
         assert char_membership(maxwell_decomposition, TIME_PT) is False
 
     def test_pythagorean_cone_point(self, maxwell_decomposition):
-        assert char_membership(maxwell_decomposition, phase_point([0] * 4, [5, 3, 4, 0])) is True
+        assert char_membership(maxwell_decomposition, PhaseSpacePoint([0] * 4, [5, 3, 4, 0])) is True
 
 
 class TestKernelBasis:
@@ -138,11 +138,11 @@ class TestCharKernelConsistency:
     def test_iff_over_point_families(self, maxwell, maxwell_decomposition, rng):
         pts = exact_null_points(rng, 400)
         pts += [
-            phase_point(rng.uniform(-1, 1, 4), random_null_covector(rng))
+            PhaseSpacePoint(rng.uniform(-1, 1, 4), random_null_covector(rng))
             for _ in range(300)
         ]
         pts += [
-            phase_point(rng.uniform(-1, 1, 4), k)
+            PhaseSpacePoint(rng.uniform(-1, 1, 4), k)
             for k in (rng.uniform(-2, 2, (300, 4)))
             if np.linalg.norm(k) > 0.2
         ]
@@ -155,9 +155,9 @@ class TestCharKernelConsistency:
     @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
     def test_conicity(self, maxwell, maxwell_decomposition, rng, s):
         pts = exact_null_points(rng, 40)
-        pts += [phase_point(rng.uniform(-1, 1, 4), rng.uniform(-2, 2, 4)) for _ in range(20)]
+        pts += [PhaseSpacePoint(rng.uniform(-1, 1, 4), rng.uniform(-2, 2, 4)) for _ in range(20)]
         for pt in pts:
-            scaled = phase_point(pt.x, s * pt.k)
+            scaled = PhaseSpacePoint(pt.x, s * pt.k)
             assert char_membership(maxwell_decomposition, pt) == char_membership(
                 maxwell_decomposition, scaled
             )
@@ -167,7 +167,7 @@ class TestCharKernelConsistency:
 
     def test_fiber_linearity(self, maxwell, rng):
         for k in EXACT_NULL_COVECTORS[:5]:
-            pt = phase_point([0.3, 0, 0, 0], k)
+            pt = PhaseSpacePoint([0.3, 0, 0, 0], k)
             basis = kernel_basis(maxwell, pt)
             for v in basis.vectors:
                 for phase in (1j, np.exp(0.7j), -1.0):

@@ -21,7 +21,15 @@ from polaray.rays import (
     null_project,
     trace_ray,
 )
-from polaray.symbols import VALUE, MatrixSymbol, hamilton_field, parse_x_polynomial, scaled_wave
+from polaray import principal_type
+from polaray.symbols import (
+    VALUE,
+    ComplexSymbol,
+    MatrixSymbol,
+    hamilton_field,
+    parse_x_polynomial,
+    scaled_wave,
+)
 
 from conftest import graded_index_symbol, graded_null_start, observed_orders, random_null_covector
 
@@ -233,6 +241,16 @@ class TestHamiltonSystem:
         for method in ("rk4", "adaptive"):
             with pytest.raises(InvalidInput, match="real-valued"):
                 trace_ray(q, [0, 0, 0, 0], [0, 0, 0, 1], (0, 1), 0.1, method=method)
+
+    def test_complex_symbol_is_one_error_class(self):
+        z = (0, 0, 0, 0)
+        q = MatrixSymbol(1, 1, [(z, (1, 0, 0, 0), 1.0), (z, (0, 1, 0, 0), 0.5j)])
+        pt = PhaseSpacePoint(np.zeros(4), np.array([0.0, 0, 0, 1]))
+        with pytest.raises(ComplexSymbol, match="^hamilton_field needs a real-valued symbol$"):
+            hamilton_field(q, pt)
+        with pytest.raises(ComplexSymbol, match="^ray tracing needs a real-valued symbol$"):
+            HamiltonSystem(q)
+        assert principal_type.ComplexSymbol is ComplexSymbol
 
 
 DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)

@@ -171,7 +171,7 @@ class TestGridField:
         write_gridfield(path, field)
         back = read_gridfield(path)
         assert np.array_equal(back.data, field.data)
-        assert back.grid.same_geometry(field.grid)
+        assert back.grid == field.grid
         assert back.metadata == field.metadata
         assert roundtrip(path)
 
@@ -208,7 +208,7 @@ class TestGridField:
         raw = path.read_bytes()
         assert b'"components": 4' in raw
         path.write_bytes(raw.replace(b'"components": 4', b'"components": 5', 1))
-        assert read_gridfield(str(path)).grid.same_geometry(field.grid)
+        assert read_gridfield(str(path)).grid == field.grid
         assert not roundtrip(str(path))
 
     @pytest.mark.parametrize("check", [roundtrip, read_gridfield])

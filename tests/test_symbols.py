@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polaray.errors import DimensionMismatch, InvalidInput, ParseError
-from polaray.minkowski import phase_point
+from polaray.minkowski import PhaseSpacePoint
 from polaray.symbols import (
     MatrixSymbol,
     builtin_symbol,
@@ -29,8 +31,8 @@ from conftest import (
     rel_err,
 )
 
-NULL_PT = phase_point([0, 0, 0, 0], [1, 0, 0, -1])
-TIME_PT = phase_point([0, 0, 0, 0], [1, 0, 0, 0])
+NULL_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, -1])
+TIME_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, 0])
 
 
 def scaled_example():
@@ -45,14 +47,14 @@ class TestEval:
         assert np.array_equal(maxwell.eval(TIME_PT, "principal"), np.eye(4))
 
     def test_scaled_wave_on_cone(self):
-        pt = phase_point([0, 0, 0, 1], [1, 0, 0, -1])
+        pt = PhaseSpacePoint([0, 0, 0, 1], [1, 0, 0, -1])
         assert scaled_example().eval(pt)[0, 0] == 0
 
     def test_lower_part_evaluation(self):
         sym = MatrixSymbol(
             1, 2, [((0,) * 4, (2, 0, 0, 0), [[1.0]])], [((0,) * 4, (1, 0, 0, 0), [[1.0]])]
         )
-        pt = phase_point([0, 0, 0, 0], [3, 0, 0, 0])
+        pt = PhaseSpacePoint([0, 0, 0, 0], [3, 0, 0, 0])
         assert sym.eval(pt, "lower")[0, 0] == 3.0
 
     def test_bad_part_name(self, maxwell):
@@ -73,7 +75,7 @@ class TestDifferentiate:
     def test_scaled_wave_x3_derivative(self):
         d = differentiate(scaled_example(), "x3")
         # 2*x3*(k.k): evaluate at x3=2, k=(1,0,0,0) -> 4
-        assert d.eval(phase_point([0, 0, 0, 2], [1, 0, 0, 0]))[0, 0] == 4.0
+        assert d.eval(PhaseSpacePoint([0, 0, 0, 2], [1, 0, 0, 0]))[0, 0] == 4.0
 
     def test_unknown_variable(self):
         with pytest.raises(InvalidInput):
@@ -96,11 +98,11 @@ class TestHamiltonField:
         assert np.array_equal(dk, [0, 0, 0, 0])
 
     def test_linearity_in_k(self):
-        dx, _ = hamilton_field(scalar_wave(), phase_point([0] * 4, [2, 0, 0, -2]))
+        dx, _ = hamilton_field(scalar_wave(), PhaseSpacePoint([0] * 4, [2, 0, 0, -2]))
         assert np.array_equal(dx, [4, 0, 0, 4])
 
     def test_scaled_wave_force_vanishes_on_cone(self):
-        _, dk = hamilton_field(scaled_example(), phase_point([0, 0, 0, 1], [1, 0, 0, -1]))
+        _, dk = hamilton_field(scaled_example(), PhaseSpacePoint([0, 0, 0, 1], [1, 0, 0, -1]))
         assert dk[3] == 0.0
 
     def test_rejects_matrix_symbol(self, maxwell):
@@ -138,14 +140,14 @@ class TestSubprincipal:
         assert np.array_equal(subprincipal_symbol(maxwell, NULL_PT), np.zeros((4, 4)))
 
     def test_scaled_wave_value(self):
-        pt = phase_point([0, 0, 0, 1], [1, 0, 0, -1])
+        pt = PhaseSpacePoint([0, 0, 0, 1], [1, 0, 0, -1])
         assert subprincipal_symbol(scaled_example(), pt)[0, 0] == 2j
 
     def test_reduces_to_lower_part(self):
         sym = MatrixSymbol(
             1, 2, [((0,) * 4, (2, 0, 0, 0), [[1.0]])], [((0,) * 4, (1, 0, 0, 0), [[1.0]])]
         )
-        pt = phase_point([0, 0, 0, 0], [3, 0, 0, 0])
+        pt = PhaseSpacePoint([0, 0, 0, 0], [3, 0, 0, 0])
         assert subprincipal_symbol(sym, pt)[0, 0] == 3.0
 
 
@@ -166,7 +168,7 @@ class TestHomogeneity:
     def test_homogeneous_scaling(self, rng, s):
         sym = random_matrix_symbol(rng, dimension=2, order=2, lower_terms=0)
         for pt in random_phase_points(rng, 20):
-            scaled_pt = phase_point(pt.x, s * pt.k)
+            scaled_pt = PhaseSpacePoint(pt.x, s * pt.k)
             np.testing.assert_allclose(
                 sym.eval(scaled_pt), s**2 * sym.eval(pt), rtol=5e-15, atol=1e-14
             )
@@ -200,7 +202,7 @@ class TestFiniteDifferenceOracle:
     ),
 )
 def test_poisson_antisymmetry_on_scalars(x, k):
-    pt = phase_point(x, k)
+    pt = PhaseSpacePoint(x, k)
     a = scalar_wave()
     b = scaled_wave(parse_x_polynomial("1+x3^2+0.5*x0"))
     ab = poisson_bracket(a, b, pt)
@@ -215,7 +217,7 @@ def test_poisson_antisymmetry_on_scalars(x, k):
     ),
 )
 def test_poisson_leibniz_on_scalars(x, k):
-    pt = phase_point(x, k)
+    pt = PhaseSpacePoint(x, k)
     a = scaled_wave(parse_x_polynomial("1+x1"))
     b = scalar_wave()
     c = MatrixSymbol(1, 1, [((0, 0, 0, 0), (1, 0, 0, 0), [[1.0]]), ((1, 0, 0, 0), (0, 0, 0, 1), [[0.5]])])
@@ -245,6 +247,15 @@ class TestPolynomialParser:
         for bad in ("", "x5", "2x1", "x1^-2", "1++2"):
             with pytest.raises(InvalidInput):
                 parse_x_polynomial(bad)
+
+    @pytest.mark.parametrize("text", ["1+x3^2.5", "x1^e", "x0^1.0", "1+x3^", "2*x1^*3"])
+    def test_non_integer_power_is_invalid_input(self, text):
+        with pytest.raises(InvalidInput, match="bad exponent"):
+            parse_x_polynomial(text)
+
+    def test_exponent_beyond_int64_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="int64"):
+            builtin_symbol("scaled-wave", scale="1+x3^99999999999999999999")
 
 
 class TestBuiltins:
@@ -305,6 +316,12 @@ class TestSymbolFiles:
         with pytest.raises(ParseError):
             parse_symbol_file(text)
 
+    @pytest.mark.parametrize("exponent", ["99999999999999999999", str(2**63)])
+    def test_exponent_beyond_int64_is_parse_error(self, exponent):
+        text = f"dimension 1\norder 0\nterm principal 0,0,0,{exponent} 0,0,0,0 1\n"
+        with pytest.raises(ParseError, match="line 3"):
+            parse_symbol_file(text)
+
     def test_dimension_mismatch_in_arithmetic(self, maxwell):
         with pytest.raises(DimensionMismatch):
             maxwell.add(scalar_wave())
@@ -334,6 +351,14 @@ def test_truncated_or_overwritten_symbol_files_raise_only_parse_error(raw):
         pass
 
 
+@pytest.mark.parametrize(
+    "dimension, order", [(2.5, 2), (2, 2.7), (math.nan, 2), (2, math.inf)]
+)
+def test_non_integral_dimension_or_order_is_invalid_input(dimension, order):
+    with pytest.raises(InvalidInput, match="integer"):
+        MatrixSymbol(dimension, order)
+
+
 class TestCompiledSymbol:
     def test_batch_rows_have_the_bits_of_single_points(self, rng):
         sym = random_matrix_symbol(rng, dimension=3, n_terms=6, lower_terms=3)
@@ -345,7 +370,7 @@ class TestCompiledSymbol:
 
     def test_outputs_match_derivative_symbols(self, rng):
         sym = random_matrix_symbol(rng)
-        pt = phase_point(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
+        pt = PhaseSpacePoint(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
         jet = sym.compiled(pt.x, pt.k)
         expected = [sym.eval(pt), *(sym.diff_x(mu).eval(pt) for mu in range(4))]
         expected += [sym.diff_k(mu).eval(pt) for mu in range(4)]

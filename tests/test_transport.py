@@ -1,7 +1,11 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
 
-from polaray.minkowski import MINKOWSKI, phase_point
+from polaray.errors import InvalidInput
+from polaray.minkowski import PhaseSpacePoint, raise_index
 from polaray.principal_type import decompose_principal_type, kernel_basis
 from polaray.rays import Ray, trace_ray
 from polaray.symbols import MatrixSymbol, parse_x_polynomial, scaled_wave
@@ -16,7 +20,9 @@ from polaray.transport import (
 
 from conftest import graded_index_symbol, graded_null_start, observed_orders, random_null_covector
 
-NULL_PT = phase_point([0, 0, 0, 0], [1, 0, 0, -1])
+NULL_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, -1])
+# the module, which the package's ``transport`` function shadows as an attribute
+TRANSPORT_MODULE = importlib.import_module("polaray.transport")
 
 
 def frozen_ray(x, k, q_value, n=101, tau_end=1.0):
@@ -37,7 +43,7 @@ class TestConnectionMatrix:
 
     def test_scaled_wave_subprincipal_term(self):
         d = decompose_principal_type(scaled_wave(parse_x_polynomial("1+x3^2"), dimension=4))
-        m = connection_matrix(d, phase_point([0, 0, 0, 1], [1, 0, 0, -1]))
+        m = connection_matrix(d, PhaseSpacePoint([0, 0, 0, 1], [1, 0, 0, -1]))
         np.testing.assert_allclose(m, -2.0 * np.eye(4), atol=1e-15)
 
     def test_nonconstant_p_tilde_bracket_term(self, maxwell):
@@ -94,7 +100,7 @@ class TestTransport:
         ray = trace_ray(maxwell_decomposition.q, [0, 0, 0, 0], k0, (0, 5), 0.01)
         omega0 = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
         orbit = transport(maxwell_decomposition, ray, omega0)
-        k_up = MINKOWSKI.raise_index(k0)
+        k_up = raise_index(k0)
         values = orbit.omega @ k_up
         assert np.max(np.abs(values - values[0])) <= 1e-12
 
@@ -158,7 +164,7 @@ class TestFiberScale:
         ray = trace_ray(maxwell_decomposition.q, [0] * 4, [1, 0, 0, -1], (0, 1), 0.1)
         orbit = transport(maxwell_decomposition, ray, np.array([0, 1, 0, 0], complex))
         scaled = fiber_scale(orbit, 1j)
-        k_up = MINKOWSKI.raise_index(ray.k[0])
+        k_up = raise_index(ray.k[0])
         assert np.max(np.abs(scaled.omega @ k_up)) <= 1e-15
 
 
@@ -179,7 +185,7 @@ class TestProjectWavefront:
 
     def test_distinct_points_kept(self):
         a = PolarizationSample(pt=NULL_PT, omega=np.array([0, 1, 0, 0]))
-        other = phase_point([0, 0, 0, 1], [1, 0, 0, -1])
+        other = PhaseSpacePoint([0, 0, 0, 1], [1, 0, 0, -1])
         b = PolarizationSample(pt=other, omega=np.array([0, 1, 0, 0]))
         assert len(project_wavefront([a, b])) == 2
 
@@ -206,7 +212,7 @@ class TestProjectWavefront:
                 shift[rng.integers(4)] = 0.6e-9 * step
                 on_x = rng.integers(2) == 0
                 omega = np.zeros(2) if rng.uniform() < 0.25 else rng.normal(size=2)
-                pt = phase_point(x + shift if on_x else x, k if on_x else k + shift)
+                pt = PhaseSpacePoint(x + shift if on_x else x, k if on_x else k + shift)
                 samples.append(PolarizationSample(pt=pt, omega=omega))
         order = rng.permutation(len(samples))
         samples = [samples[i] for i in order]
@@ -256,7 +262,7 @@ def per_stage_transport(d, ray, omega0, reproject):
     out = [w]
     for i in range(len(ray) - 1):
         h = ray.tau[i + 1] - ray.tau[i]
-        mid = phase_point(0.5 * (ray.x[i] + ray.x[i + 1]), 0.5 * (ray.k[i] + ray.k[i + 1]))
+        mid = PhaseSpacePoint(0.5 * (ray.x[i] + ray.x[i + 1]), 0.5 * (ray.k[i] + ray.k[i + 1]))
         a0, am, a1 = (-connection_matrix(d, pt) for pt in (ray.point(i), mid, ray.point(i + 1)))
         s1 = a0 @ w
         s2 = am @ (w + 0.5 * h * s1)
@@ -311,3 +317,41 @@ class TestKernelEscapeSaysWhere:
         with pytest.raises(KernelEscape) as info:
             transport(d, ray, [0.6, 0.8j], residual_tol=0.5 * orbit.residuals[j])
         assert place in str(info.value)
+
+
+def hinted_graded_ray():
+    """The diag(1, 2) graded symbol decomposed with the diag(2, 1) hint, and a ray on its cone."""
+    zero = (0, 0, 0, 0)
+    hint = MatrixSymbol(2, 0, [(zero, zero, np.diag([2.0, 1.0]))])
+    d = decompose_principal_type(graded_index_symbol(2, scale=np.diag([1.0, 2.0])), hint=hint)
+    x0, k0 = graded_null_start()
+    return d, trace_ray(d.q, x0, k0, (0.0, 0.5), 0.05)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "omega0", [[math.nan, 0.8j], [0.6, math.inf], [0.6, complex(0.0, math.nan)]]
+    )
+    def test_non_finite_omega0_is_invalid_input(self, omega0):
+        d, ray = hinted_graded_ray()
+        with pytest.raises(InvalidInput, match="omega0 has non-finite"):
+            transport(d, ray, omega0)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6])
+    def test_residual_tol_must_be_positive(self, tol):
+        d, ray = hinted_graded_ray()
+        with pytest.raises(InvalidInput, match="residual_tol"):
+            transport(d, ray, [0.6, 0.8j], residual_tol=tol)
+
+    def test_nan_residual_escapes_the_kernel(self, monkeypatch):
+        d, ray = hinted_graded_ray()
+        assert not d.scalar_multiple
+        real = TRANSPORT_MODULE.kernel_residual
+
+        def nan_at_sample_3(p, pt, omega):
+            return math.nan if np.array_equal(pt.x, ray.x[3]) else real(p, pt, omega)
+
+        monkeypatch.setattr(TRANSPORT_MODULE, "kernel_residual", nan_at_sample_3)
+        where = f"residual nan .* at sample 3, tau = {ray.tau[3]:.9g},"
+        with pytest.raises(KernelEscape, match=where):
+            transport(d, ray, [0.6, 0.8j])

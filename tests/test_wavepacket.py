@@ -73,6 +73,15 @@ class TestGridSpec:
         with pytest.raises(InvalidInput, match="integers"):
             GridSpec(extents=(L, L, L), samples=(count, 32, 32))
 
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf])
+    def test_rejects_non_integral_time_slice_counts(self, count):
+        with pytest.raises(InvalidInput, match="time slice count"):
+            GridSpec(extents=(L, L, L), samples=(32, 32, 32), time_slices=count, time_step=0.5)
+
+    def test_integral_time_slice_count_becomes_an_int(self):
+        grid = GridSpec(extents=(L, L, L), samples=(32, 32, 32), time_slices=3.0, time_step=0.5)
+        assert type(grid.time_slices) is int and grid.times.tolist() == [0.0, 0.5, 1.0]
+
     def test_rejects_large_time_step(self):
         with pytest.raises(InvalidInput):
             GridSpec(extents=(L, L, L), samples=(32, 32, 32), time_step=1.0)
