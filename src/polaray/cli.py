@@ -272,14 +272,14 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    estimates = ser.read_estimates(args.estimates)
-    orbit = ser.read_orbit_csv(args.orbit)
     tol = CompareTolerances(
         max_distance=args.max_distance,
         max_angle_deg=args.max_angle,
         min_overlap=args.min_overlap,
         max_sideband_db=args.max_sideband_db,
     )
+    estimates = ser.read_estimates(args.estimates)
+    orbit = ser.read_orbit_csv(args.orbit)
     report = compare(estimates, orbit, tol)
     _emit(ser._json_text(report.to_dict()), args.output)
     return EXIT_OK if report.passed else EXIT_COMPARE_FAIL
@@ -435,7 +435,7 @@ def run(argv: list[str]) -> int:
     except NumericalFailure as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (PolarayError, OSError, ValueError) as exc:
+    except (PolarayError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

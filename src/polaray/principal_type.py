@@ -136,9 +136,14 @@ def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> Ke
     A direction belongs to the kernel iff its singular value satisfies
     ``sigma_i <= tol * sigma_max``; when even the largest singular value
     sits at the machine floor the matrix is identically zero and the
-    kernel is the whole fiber.
+    kernel is the whole fiber.  A p(x, k) that overflows raises
+    :class:`InvalidInput` naming the point.
     """
-    mat = p.eval(pt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = p.eval(pt)
+    if not np.all(np.isfinite(mat)):
+        x, k = (", ".join(f"{v:.9g}" for v in part) for part in (pt.x, pt.k))
+        raise InvalidInput(f"p(x, k) is not finite at x = ({x}), k = ({k})")
     _, s, vh = np.linalg.svd(mat)
     sigma_max = s[0] if len(s) else 0.0
     if sigma_max <= MACHINE_FLOOR:

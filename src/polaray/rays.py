@@ -109,7 +109,6 @@ class HamiltonSystem:
         self.matrix = np.column_stack(
             [real[:, VALUE], grad[:, 4:], -grad[:, :4], np.zeros(len(real))]
         )
-        self.x_independent = not any(any(xe) for part in (q.principal, q.lower) for xe, _ in part)
 
     def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """q and dy/dtau at states of shape (..., 9)."""
@@ -131,8 +130,8 @@ def _where(label: str, i: int, tau: float, y: np.ndarray) -> str:
 
 
 def _check_drift(q: float, drift_tol: float, i: int, tau: float, y: np.ndarray) -> None:
-    """Abort the trace when |q| after step i exceeds the drift bound."""
-    if abs(q) > drift_tol:
+    """Abort the trace when |q| after step i exceeds the drift bound or is NaN."""
+    if not abs(q) <= drift_tol:
         raise ConstraintDrift(
             f"|q| = {abs(q):.3e} exceeded drift bound {drift_tol:.1e} " + _where("step", i, tau, y)
         )
@@ -144,6 +143,8 @@ def _ray(tau, ys, qs, method: str, step: float) -> Ray:
     return Ray(tau=tau, x=ys[:, :4], k=ys[:, 4:8], q=qs, method=method, step=step)
 
 
+# overflow and NaN are reported by the |q| checks after every step
+@np.errstate(over="ignore", invalid="ignore")
 def trace_ray(
     q: MatrixSymbol,
     x0,
@@ -162,8 +163,9 @@ def trace_ray(
     an integer number of steps, at most ``_MAX_STEPS``) and the initial
     step for the adaptive embedded pair.  The start must satisfy
     |q(x0,k0)| <= start_tol (callers project to the cone first); a drift
-    monitor aborts if |q| ever exceeds drift_tol, since q is conserved by
-    the exact flow and silent drift would poison downstream transport.
+    monitor aborts if |q| ever exceeds drift_tol or is NaN, since q is
+    conserved by the exact flow and silent drift would poison downstream
+    transport.
     """
     x0 = as_point4(x0, "x0")
     k0 = as_point4(k0, "k0")
@@ -184,7 +186,7 @@ def trace_ray(
     system = HamiltonSystem(q)
     y = np.concatenate([x0, k0, [1.0]])
     q0, f = system(y)
-    if abs(q0) > start_tol:
+    if not abs(q0) <= start_tol:
         raise NonNullStart(
             f"|q| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e} "
             + _where("step", 0, tau0, y)
@@ -197,7 +199,7 @@ def trace_ray(
         n = max(1, math.ceil(count))
         h = span / n
         tau = tau0 + np.arange(n + 1) * h
-        if system.x_independent:
+        if q.compiled.x_free:
             # dk/dtau is the zero polynomial: k is exactly constant and the
             # RK4 stages all equal the same velocity, so the update is the
             # exact linear flow.
@@ -271,7 +273,8 @@ def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
             taus.append(tau)
             ys.append(y)
             qs.append(qi)
-        factor = 0.9 * err ** (-0.2) if err > 0 else 5.0
+        # a NaN error estimate shrinks the step like any rejected one
+        factor = 0.9 * err ** (-0.2) if err != 0 else 5.0
         h *= min(5.0, max(0.2, factor))
     else:
         raise StepFailure(

@@ -14,7 +14,8 @@ through :class:`CompiledSymbol`, built once per symbol.
 
 Operations provided: evaluation, partial derivatives, Hamilton fields of
 scalar symbols, matrix-ordered Poisson brackets, subprincipal symbols,
-and a structural k-homogeneity check.  Factories for the built-in
+the transport matrix built from them, and a structural k-homogeneity
+check.  Factories for the built-in
 symbols ("flat-maxwell", "scalar-wave", "scaled-wave") and a plain-text
 symbol file format round the module out.
 """
@@ -29,6 +30,9 @@ from .minkowski import SIGNATURE, PhaseSpacePoint
 Expo = tuple[int, int, int, int]
 
 _ZERO_EXPO: Expo = (0, 0, 0, 0)
+
+# the highest total degree (x and k together) one term may have
+MAX_DEGREE = 64
 
 
 class ComplexSymbol(InvalidInput):
@@ -53,6 +57,9 @@ def _normalize_terms(terms, dimension: int) -> dict[tuple[Expo, Expo], np.ndarra
     acc: dict[tuple[Expo, Expo], np.ndarray] = {}
     for x_exp, k_exp, coeff in terms:
         key = (_as_expo(x_exp), _as_expo(k_exp))
+        degree = sum(key[0] + key[1])
+        if degree > MAX_DEGREE:
+            raise InvalidInput(f"term degree {degree} exceeds the maximum of {MAX_DEGREE}")
         mat = np.array(coeff, dtype=complex)
         if mat.shape == () and dimension == 1:
             mat = mat.reshape(1, 1)
@@ -103,6 +110,10 @@ class CompiledSymbol:
     broadcast over leading batch axes: ``(B, 4)`` x and k give
     ``(B, S, N, N)``, and every batch row holds the same bits as a
     single-point call at that row.
+
+    Three structural facts are recorded for exact fast paths: ``x_free``
+    (no term depends on x), ``constant`` (no term depends on x or k) and
+    ``subprincipal_is_zero`` (no lower part and a zero mixed derivative).
     """
 
     def __init__(self, sym: "MatrixSymbol"):
@@ -117,7 +128,9 @@ class CompiledSymbol:
         coeff = np.zeros((len(expo), len(outputs), dim, dim), dtype=complex)
         np.add.at(coeff, (inverse.ravel(), which), np.concatenate([c for _, c in outputs]))
         self.shape = (len(outputs), dim, dim)
-        self.mixed_is_zero = not np.any(coeff[:, MIXED])
+        self.x_free = not np.any(expo[:, :4])
+        self.constant = not np.any(expo)
+        self.subprincipal_is_zero = not np.any(coeff[:, [LOWER, MIXED]])
         # real and imaginary parts interleaved, so the real product views as complex
         self.coeff = coeff.reshape(len(expo), len(outputs) * dim * dim).view(float)
         # each row of E as a list of factor slots, padded with slot 8 (= 1.0)
@@ -173,11 +186,7 @@ class MatrixSymbol:
 
     # -- basic queries ------------------------------------------------
 
-    def is_zero(self, part: str | None = None) -> bool:
-        if part == "principal":
-            return not self.principal
-        if part == "lower":
-            return not self.lower
+    def is_zero(self) -> bool:
         return not self.principal and not self.lower
 
     def terms(self, part: str = "principal"):
@@ -253,19 +262,6 @@ class MatrixSymbol:
             [(xe, ke, z * m) for (xe, ke), m in self.lower.items()],
         )
 
-    def add(self, other: "MatrixSymbol") -> "MatrixSymbol":
-        """Sum of two symbols of equal dimension and order."""
-        if self.dimension != other.dimension:
-            raise DimensionMismatch("cannot add symbols of different dimension")
-        if self.order != other.order:
-            raise InvalidInput("cannot add symbols of different order")
-        return MatrixSymbol(
-            self.dimension,
-            self.order,
-            self.terms("principal") + other.terms("principal"),
-            self.terms("lower") + other.terms("lower"),
-        )
-
     def matmul(self, other: "MatrixSymbol") -> "MatrixSymbol":
         """Matrix product of two symbols, exact on coefficients.
 
@@ -273,28 +269,20 @@ class MatrixSymbol:
         lower part collects the two cross terms one order down.  Terms
         two or more orders below the product order are truncated, which
         is the depth the rest of the package consumes.
-
-        Either factor may be scalar (N = 1); it then multiplies the
-        other side entrywise.
         """
-        if self.dimension != other.dimension and 1 not in (self.dimension, other.dimension):
-            raise DimensionMismatch(
-                f"cannot multiply {self.dimension}x{self.dimension} by "
-                f"{other.dimension}x{other.dimension} symbols"
-            )
-        dim = max(self.dimension, other.dimension)
+        _same_dimension(self, other, "matmul")
 
         def convolve(left: dict, right: dict):
             for (xa, ka), ma in left.items():
                 for (xb, kb), mb in right.items():
                     x_exp = tuple(i + j for i, j in zip(xa, xb))
                     k_exp = tuple(i + j for i, j in zip(ka, kb))
-                    yield (x_exp, k_exp, _matmul_compat(ma, mb))
+                    yield (x_exp, k_exp, _product(ma, mb))
 
         principal = list(convolve(self.principal, other.principal))
         lower = list(convolve(self.principal, other.lower))
         lower += list(convolve(self.lower, other.principal))
-        return MatrixSymbol(dim, self.order + other.order, principal, lower)
+        return MatrixSymbol(self.dimension, self.order + other.order, principal, lower)
 
     def __repr__(self):
         label = self.name or "symbol"
@@ -305,6 +293,21 @@ class MatrixSymbol:
 
 
 # -- module-level operations ------------------------------------------
+
+
+def _same_dimension(a: MatrixSymbol, b: MatrixSymbol, what: str) -> None:
+    """Products and brackets of symbols need equal fiber dimensions."""
+    if a.dimension != b.dimension:
+        raise DimensionMismatch(
+            f"{what} needs equal dimensions, got {a.dimension}x{a.dimension} "
+            f"and {b.dimension}x{b.dimension} symbols"
+        )
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of coefficient stacks; 1 x 1 stacks multiply entrywise,
+    because ``@`` rounds those differently from the scalar product."""
+    return a * b if a.shape[-2:] == (1, 1) else a @ b
 
 
 def differentiate(sym: MatrixSymbol, variable: str) -> MatrixSymbol:
@@ -354,8 +357,7 @@ def poisson_bracket(a: MatrixSymbol, b: MatrixSymbol, pt: PhaseSpacePoint) -> np
     order is observable for non-commuting coefficients and is pinned by
     the test suite.
     """
-    if a.dimension != b.dimension and 1 not in (a.dimension, b.dimension):
-        raise DimensionMismatch("poisson_bracket needs compatible dimensions")
+    _same_dimension(a, b, "poisson_bracket")
     return _bracket(a.compiled(pt.x, pt.k)[GRAD], b.compiled(pt.x, pt.k)[GRAD])
 
 
@@ -363,19 +365,9 @@ def _bracket(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     """Ordered bracket of evaluated gradients, each of shape (..., 8, N, N)."""
     out = 0.0
     for mu in range(4):
-        out = out + _matmul_compat(da[..., 4 + mu, :, :], db[..., mu, :, :])
-        out = out - _matmul_compat(da[..., mu, :, :], db[..., 4 + mu, :, :])
+        out = out + _product(da[..., 4 + mu, :, :], db[..., mu, :, :])
+        out = out - _product(da[..., mu, :, :], db[..., 4 + mu, :, :])
     return out
-
-
-def _matmul_compat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[-2:] == (1, 1):
-        return a[..., :1, :1] * b
-    if b.shape[-2:] == (1, 1):
-        return a * b[..., :1, :1]
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def _subprincipal(jet: np.ndarray) -> np.ndarray:
@@ -387,6 +379,20 @@ def _subprincipal(jet: np.ndarray) -> np.ndarray:
 def subprincipal_symbol(sym: MatrixSymbol, pt: PhaseSpacePoint) -> np.ndarray:
     """Evaluate p_{m-1} - (1/2i) sum_mu d^2 p / dx^mu dk_mu at a point."""
     return _subprincipal(sym.compiled(pt.x, pt.k))
+
+
+def connection_matrices(p_tilde: MatrixSymbol, p: MatrixSymbol, x, k) -> np.ndarray:
+    """Dencker's transport matrix M = 1/2 {p~, p} + i p~ p^s at points of shape (..., 4).
+
+    The bracket is taken in the same left-to-right order as
+    :func:`poisson_bracket`; one compiled call per symbol evaluates every
+    ingredient at all points.
+    """
+    _same_dimension(p_tilde, p, "connection_matrices")
+    a, b = p_tilde.compiled(x, k), p.compiled(x, k)
+    return 0.5 * _bracket(a[..., GRAD, :, :], b[..., GRAD, :, :]) + 1j * _product(
+        a[..., VALUE, :, :], _subprincipal(b)
+    )
 
 
 # -- built-in symbols ---------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import InvalidInput, NumericalFailure
 from .minkowski import PhaseSpacePoint
 from .principal_type import PrincipalTypeDecomposition, kernel_basis, kernel_residual
 from .rays import Ray, _where
-from .symbols import GRAD, VALUE, _bracket, _matmul_compat, _subprincipal
+from .symbols import connection_matrices
 
 ZERO_FIBER = 1e-12
 SAME_POINT = 1e-9
@@ -63,33 +63,13 @@ class PolarizationSample:
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=complex))
 
 
-def _connection_matrices(d: PrincipalTypeDecomposition, x, k) -> np.ndarray:
-    """M = 1/2 {p~, p} + i p~ p^s at points of shape (..., 4)."""
-    a, b = d.p_tilde.compiled(x, k), d.p.compiled(x, k)
-    return 0.5 * _bracket(a[..., GRAD, :, :], b[..., GRAD, :, :]) + 1j * _matmul_compat(
-        a[..., VALUE, :, :], _subprincipal(b)
-    )
-
-
-def _connection_vanishes(d: PrincipalTypeDecomposition) -> bool:
-    """Whether every ingredient of M is the zero polynomial.
-
-    {p~, p} also vanishes when p has no x-dependence and p~ no
-    k-dependence (and vice versa); a constant p~ and a zero subprincipal
-    symbol are enough for the constant-coefficient fast path that matters.
-    """
-    pt = d.p_tilde
-    constant = not any(any(xe + ke) for part in (pt.principal, pt.lower) for xe, ke in part)
-    return constant and d.p.is_zero("lower") and d.p.compiled.mixed_is_zero
-
-
 def connection_matrix(d: PrincipalTypeDecomposition, pt: PhaseSpacePoint) -> np.ndarray:
     """The transport matrix M = 1/2 {p~, p} + i p~ p^s at one point.
 
     The along-ray derivative part of the full transport law is realized
     as d/dtau by :func:`transport`; this returns only the matrix factor.
     """
-    return _connection_matrices(d, pt.x, pt.k)
+    return connection_matrices(d.p_tilde, d.p, pt.x, pt.k)
 
 
 def transport(
@@ -131,13 +111,15 @@ def transport(
 
     omega = np.empty((n, dim), dtype=complex)
     omega[0] = omega0
-    if _connection_vanishes(d):
+    # M is the zero polynomial when p~ is constant and p^s is zero ({p~, p}
+    # also vanishes in other cases; this is the constant-coefficient one)
+    if d.p_tilde.compiled.constant and d.p.compiled.subprincipal_is_zero:
         omega[1:] = omega0
     else:
         x = np.concatenate([ray.x, 0.5 * (ray.x[:-1] + ray.x[1:])])
         k = np.concatenate([ray.k, 0.5 * (ray.k[:-1] + ray.k[1:])])
         # -M at the samples, then at the interval midpoints
-        a = -_connection_matrices(d, x, k)
+        a = -connection_matrices(d.p_tilde, d.p, x, k)
         h = np.diff(ray.tau)[:, None, None]
         eye = np.eye(dim)
         # each interval's RK4 step of d omega/dtau = a omega, as a matrix acting on w

@@ -65,8 +65,8 @@ class GridSpec:
         if not all(float(n).is_integer() for n in self.samples):
             raise InvalidInput(f"grid sample counts must be integers, got {self.samples}")
         object.__setattr__(self, "samples", tuple(int(n) for n in self.samples))
-        if any(v <= 0 for v in self.extents):
-            raise InvalidInput("grid extents must be positive")
+        if not all(0 < v < math.inf for v in self.extents):
+            raise InvalidInput(f"grid extents must be finite and positive, got {self.extents}")
         if any(n < 8 for n in self.samples):
             raise InvalidInput("grid needs at least 8 samples per axis")
         if not float(self.time_slices).is_integer():
@@ -74,8 +74,8 @@ class GridSpec:
         object.__setattr__(self, "time_slices", int(self.time_slices))
         if self.time_slices < 1:
             raise InvalidInput("grid needs at least one time slice")
-        if self.time_step <= 0:
-            raise InvalidInput("time step must be positive")
+        if not 0 < self.time_step < math.inf:
+            raise InvalidInput(f"time step must be finite and positive, got {self.time_step}")
         if self.time_step > min(self.spacing) * (1 + 1e-12):
             raise InvalidInput("time step must not exceed the spatial step")
 
@@ -432,6 +432,8 @@ class CompareTolerances:
                 raise InvalidInput(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.min_overlap <= 1.0:
             raise InvalidInput(f"min_overlap must lie in (0, 1], got {self.min_overlap}")
+        if math.isnan(self.max_sideband_db):
+            raise InvalidInput("max_sideband_db must not be NaN")
 
 
 @dataclass(frozen=True)

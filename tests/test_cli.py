@@ -44,6 +44,24 @@ class TestCheckType:
         assert payload["on_char"] is False
         assert payload["kernel_dimension"] == 0
 
+    def test_factored_q(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check-type", "--symbol", "scaled-wave", "--scale", "1+x3^2", *CHECK_AT
+        )
+        assert code == 0
+        assert json.loads(out)["q"] == "(x3^2 + 1)*k^2"
+
+    def test_general_q(self, capsys, tmp_path):
+        # k0^2 - k1^2 - 0.1 x3^2 k1^2 is no multiple of the wave quadratic
+        path = tmp_path / "sym.txt"
+        path.write_text(
+            "dimension 1\norder 2\nterm principal 0,0,0,0 2,0,0,0 1\n"
+            "term principal 0,0,0,0 0,2,0,0 -1\nterm principal 0,0,0,2 0,2,0,0 -0.1\n"
+        )
+        code, out, _ = run_cli(capsys, "check-type", "--symbol-file", str(path), *CHECK_AT)
+        assert code == 0
+        assert json.loads(out)["q"] == "-0.1*x3^2*k1^2 + k0^2 + -1*k1^2"
+
     def test_symbol_file(self, capsys, tmp_path, maxwell):
         from polaray.symbols import format_symbol_file
 
@@ -182,8 +200,18 @@ TRACE_FLAT = ("--symbol", "flat-maxwell", "--x0", "0,0,0,0", "--k", "1,0,0,-1", 
 CHECK_AT = ("--point", "0,0,0,0", "--k", "1,0,0,-1")
 
 
+X8_TRACE = ("trace", "--symbol", "scaled-wave", "--scale", "1+x3^8", "--tau")
+X8_DRIFT = (
+    *X8_TRACE, "0:40", "--x0", "0,0,0,0.5", "--k", "1,0,0.3,-1", "--project-null", "--step", "1"
+)
+X8_OVERFLOW = (*X8_TRACE, "0:1", "--x0", "0,0,0,1e40", "--k", "1,0,0,-1", "--step", "0.1")
+SYNTH = ("synth", "--k", K_PI, "--eps", "0,1,0,0", "--center", "0,0,0,0", "--sigma", "2.0",
+         "--samples", "32,32,32", "-o", "f.gf")
+
+
 class TestErrorContract:
-    """Bad input through the CLI is one line naming a package error, exit 1."""
+    """A failure through the CLI is one line naming a package error: exit 2
+    for a numerical failure, exit 1 for anything else."""
 
     @pytest.mark.parametrize(
         "argv, symbol_file, what",
@@ -208,14 +236,35 @@ class TestErrorContract:
             (("check-type", "--symbol-file", "p.txt", *CHECK_AT),
              "dimension 2.5\norder 2\nterm principal 0,0,0,0 2,0,0,0 1\n",
              "ParseError: symbol file line 1"),
-            (("synth", "--k", K_PI, "--eps", "0,1,0,0", "--center", "0,0,0,0", "--sigma", "2.0",
-              "--extent", "16,16,16", "--samples", "32,32,32", "--tslices", "2.5", "-o", "f.gf"),
-             None, "InvalidInput: argument --tslices"),
+            ((*SYNTH, "--extent", "16,16,16", "--tslices", "2.5"), None,
+             "InvalidInput: argument --tslices"),
+            (X8_DRIFT, None, "ConstraintDrift: |q| = nan exceeded drift bound 1.0e-06 at step 1,"),
+            ((*X8_DRIFT, "--method", "adaptive"), None, "ConstraintDrift: |q| = "),
+            (X8_OVERFLOW, None, "NonNullStart: |q| = nan exceeds start tolerance 1.0e-10 at step 0,"),
+            ((*SYNTH, "--extent", "16,16,16", "--tslices", "2", "--tstep", "nan"), None,
+             "InvalidInput: time step must be finite and positive, got nan"),
+            ((*SYNTH, "--extent", "nan,16,16"), None,
+             "InvalidInput: grid extents must be finite and positive, got (nan, 16.0, 16.0)"),
+            (("compare", "--estimates", "e.json", "--orbit", "o.csv", "--max-sideband-db", "nan"),
+             None, "InvalidInput: max_sideband_db must not be NaN"),
+            (("check-type", "--symbol", "scaled-wave", "--scale", "1+x3^1000000", *CHECK_AT), None,
+             "InvalidInput: term degree 1000002 exceeds the maximum of 64"),
+            (("check-type", "--symbol-file", "p.txt", *CHECK_AT),
+             "dimension 1\norder 2\nterm principal 0,0,0,63 2,0,0,0 1\n",
+             "ParseError: symbol file: term degree 65 exceeds the maximum of 64"),
+            (("check-type", "--symbol", "flat-maxwell", "--point", "0,0,0,0",
+              "--k", "1e200,0,0,-1e200"), None,
+             "InvalidInput: p(x, k) is not finite at x = (0, 0, 0, 0), k = (1e+200, 0, 0, -1e+200)"),
+            (("check-type", "--symbol", "flat-maxwell", "--hint-file", "p.txt", *CHECK_AT),
+             "dimension 1\norder 0\nterm principal 0,0,0,0 0,0,0,0 2\n",
+             "DimensionMismatch: matmul needs equal dimensions, got 1x1 and 4x4 symbols"),
         ],
         ids=[
             "nan-omega0", "inf-omega0-imag", "overflowing-null-test", "fractional-power",
             "int64-power", "int64-file-exponent", "fractional-order", "fractional-dimension",
-            "fractional-tslices",
+            "fractional-tslices", "nan-drift", "nan-drift-adaptive", "nan-start", "nan-tstep",
+            "nan-extent", "nan-sideband", "degree-cap-scale", "degree-cap-file", "overflowing-p",
+            "scalar-hint",
         ],
     )
     def test_bad_invocation_names_a_package_error(
@@ -225,9 +274,10 @@ class TestErrorContract:
         if symbol_file:
             (tmp_path / "p.txt").write_text(symbol_file)
         code, out, err = run_cli(capsys, *argv)
-        assert code == 1 and not out
         assert err.startswith(what) and err.count("\n") == 1 and err.endswith("\n"), err
-        assert err.split(":", 1)[0] in _error_names()
+        name = err.split(":", 1)[0]
+        assert name in _error_names()
+        assert code == (2 if name in _error_names(polaray.NumericalFailure) else 1) and not out
 
 
 class TestTransport:
@@ -363,6 +413,19 @@ class TestConfigFile:
         )
         assert proc.returncode == 1
         assert "x0" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_config_flags_act_as_the_flag(self, capsys, tmp_path):
+        argv = ("trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0", "--k", "2,0,0,-1")
+        runs = {}
+        for name, setting in (("true", True), ("false", False)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"tau": "0:1", "step": 0.01, "project_null": setting}))
+            runs[name] = run_cli(capsys, argv[0], "--config", str(cfg), *argv[1:])
+        flagged = run_cli(capsys, *argv, "--tau", "0:1", "--step", "0.01", "--project-null")
+        plain = run_cli(capsys, *argv, "--tau", "0:1", "--step", "0.01")
+        assert runs["true"] == flagged and flagged[0] == 0
+        # without projection the off-cone start is refused
+        assert runs["false"] == plain and plain[0] == 2 and plain[2].startswith("NonNullStart")
 
     def test_config_does_not_leak_into_the_next_run(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

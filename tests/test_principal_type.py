@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polaray.errors import DimensionMismatch, InvalidInput
 from polaray.minkowski import PhaseSpacePoint
 from polaray.principal_type import (
     ComplexSymbol,
@@ -36,6 +37,13 @@ class TestDecompose:
         assert pretty(d.q) == "k^2"
         assert d.p_tilde.same_terms(MatrixSymbol.identity(4))
         assert d.scalar_multiple
+
+    def test_a_constant_hint_is_c_times_the_identity(self, maxwell):
+        z = (0, 0, 0, 0)
+        with pytest.raises(DimensionMismatch, match="got 1x1 and 4x4"):
+            decompose_principal_type(maxwell, hint=MatrixSymbol(1, 0, [(z, z, [[2.0]])]))
+        d = decompose_principal_type(maxwell, hint=MatrixSymbol(4, 0, [(z, z, 2 * np.eye(4))]))
+        assert pretty(d.q) == "2*k^2"
 
     def test_diagonal_with_hint(self):
         # p = diag(k^2, 2 k^2), hint diag(2, 1) -> q = 2 k^2
@@ -125,6 +133,12 @@ class TestKernelBasis:
         basis = kernel_basis(p, NULL_PT)
         assert basis.dimension == 1
         assert abs(abs(basis.vectors[0][0]) - 1.0) < 1e-14
+
+    def test_overflowing_p_is_invalid_input(self, maxwell):
+        pt = PhaseSpacePoint([0, 0, 0, 0], [1e200, 0, 0, -1e200])
+        place = r"not finite at x = \(0, 0, 0, 0\), k = \(1e\+200, 0, 0, -1e\+200\)"
+        with pytest.raises(InvalidInput, match=place):
+            kernel_basis(maxwell, pt)
 
     def test_vectors_orthonormal(self, maxwell, rng):
         for pt in exact_null_points(rng, 5):

@@ -328,6 +328,30 @@ class TestAdaptive:
             assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
+class TestNanQ:
+    """A q that overflows to NaN fails the |q| checks, as a large one does."""
+
+    q = scaled_wave(parse_x_polynomial("1+x3^8"))
+
+    def test_drift_to_nan(self):
+        k0 = null_project([1, 0, 0.3, -1])
+        with pytest.raises(ConstraintDrift, match=r"\|q\| = nan exceeded .* at step 1, tau = 1,"):
+            trace_ray(self.q, [0, 0, 0, 0.5], k0, (0, 40), 1.0)
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
+    def test_nan_at_the_start(self, method):
+        # x3^8 overflows, and 0 * inf is NaN in the stacked product
+        with pytest.raises(NonNullStart, match=r"\|q\| = nan exceeds .* at step 0, tau = 0,"):
+            trace_ray(self.q, [0, 0, 0, 1e40], [1, 0, 0, -1], (0, 1), 0.1, method=method)
+
+    def test_adaptive_shrinks_the_step_on_a_nan_error(self, monkeypatch):
+        # a NaN error estimate used to grow the step, so every attempt failed
+        monkeypatch.setattr(rays, "_MAX_STEPS", 2000)
+        k0 = null_project([1, 0, 0.3, -1])
+        with pytest.raises(ConstraintDrift, match="at step 365,"):
+            trace_ray(self.q, [0, 0, 0, 0.5], k0, (0, 40), 1.0, method="adaptive")
+
+
 class TestFailuresSayWhere:
     def setup_method(self):
         self.q = graded_index_symbol()

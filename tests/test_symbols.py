@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from polaray.errors import DimensionMismatch, InvalidInput, ParseError
 from polaray.minkowski import PhaseSpacePoint
 from polaray.symbols import (
+    MAX_DEGREE,
     MatrixSymbol,
     builtin_symbol,
     check_homogeneity,
+    connection_matrices,
     differentiate,
     format_symbol_file,
     hamilton_field,
@@ -20,6 +22,7 @@ from polaray.symbols import (
     scalar_wave,
     scaled_wave,
     subprincipal_symbol,
+    wave_quadratic_terms,
 )
 
 from conftest import (
@@ -324,9 +327,29 @@ class TestSymbolFiles:
 
     def test_dimension_mismatch_in_arithmetic(self, maxwell):
         with pytest.raises(DimensionMismatch):
-            maxwell.add(scalar_wave())
-        with pytest.raises(DimensionMismatch):
             maxwell.matmul(random_matrix_symbol(np.random.default_rng(0), 3, 1))
+        # a 1 x 1 symbol does not broadcast
+        scalar = scalar_wave()
+        for a, b in ((scalar, maxwell), (maxwell, scalar)):
+            with pytest.raises(DimensionMismatch, match="matmul needs equal dimensions"):
+                a.matmul(b)
+            with pytest.raises(DimensionMismatch, match="poisson_bracket needs equal"):
+                poisson_bracket(a, b, NULL_PT)
+            with pytest.raises(DimensionMismatch, match="connection_matrices needs equal"):
+                connection_matrices(a, b, NULL_PT.x, NULL_PT.k)
+
+    def test_a_term_may_reach_the_degree_cap(self):
+        sym = MatrixSymbol(1, 2, [((0, 0, 0, MAX_DEGREE - 2), (2, 0, 0, 0), 1.0)])
+        assert sym.compiled.factors.shape == (len(sym.compiled.coeff), MAX_DEGREE)
+
+    def test_a_term_above_the_degree_cap_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match=f"term degree {MAX_DEGREE + 1} exceeds"):
+            MatrixSymbol(1, 2, lower_terms=[((0, 0, 0, MAX_DEGREE - 1), (2, 0, 0, 0), 1.0)])
+        with pytest.raises(InvalidInput, match="term degree 1000002 exceeds"):
+            builtin_symbol("scaled-wave", scale="1+x3^1000000")
+        text = f"dimension 1\norder 2\nterm principal 0,0,0,{MAX_DEGREE} 2,0,0,0 1\n"
+        with pytest.raises(ParseError, match=f"term degree {MAX_DEGREE + 2} exceeds"):
+            parse_symbol_file(text)
 
 
 SYMBOL_FILE = format_symbol_file(random_matrix_symbol(np.random.default_rng(7), 2, 2)).encode()
@@ -360,6 +383,21 @@ def test_non_integral_dimension_or_order_is_invalid_input(dimension, order):
 
 
 class TestCompiledSymbol:
+    def test_structural_flags(self, maxwell):
+        def flags(sym):
+            c = sym.compiled
+            return c.x_free, c.constant, c.subprincipal_is_zero
+
+        z = (0, 0, 0, 0)
+        assert flags(MatrixSymbol.identity(2)) == (True, True, True)
+        assert flags(maxwell) == (True, False, True)
+        assert flags(scaled_example()) == (False, False, False)
+        with_lower = MatrixSymbol(1, 2, wave_quadratic_terms(), [(z, z, 1.0)])
+        assert flags(with_lower) == (True, False, False)
+        # the mixed derivatives of x0 k0 - x1 k1 cancel, so p^s is zero
+        e0, e1 = (1, 0, 0, 0), (0, 1, 0, 0)
+        assert flags(MatrixSymbol(1, 1, [(e0, e0, 1.0), (e1, e1, -1.0)])) == (False, False, True)
+
     def test_batch_rows_have_the_bits_of_single_points(self, rng):
         sym = random_matrix_symbol(rng, dimension=3, n_terms=6, lower_terms=3)
         x, k = rng.uniform(-2, 2, (9, 4)), rng.uniform(-2, 2, (9, 4))

@@ -82,6 +82,16 @@ class TestGridSpec:
         grid = GridSpec(extents=(L, L, L), samples=(32, 32, 32), time_slices=3.0, time_step=0.5)
         assert type(grid.time_slices) is int and grid.times.tolist() == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize("extents", [(math.nan, L, L), (L, math.inf, L), (L, L, -L)])
+    def test_rejects_non_finite_or_non_positive_extents(self, extents):
+        with pytest.raises(InvalidInput, match="extents must be finite and positive"):
+            GridSpec(extents=extents, samples=(32, 32, 32))
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.1])
+    def test_rejects_non_finite_or_non_positive_time_step(self, step):
+        with pytest.raises(InvalidInput, match="time step must be finite and positive"):
+            GridSpec(extents=(L, L, L), samples=(32, 32, 32), time_slices=2, time_step=step)
+
     def test_rejects_large_time_step(self):
         with pytest.raises(InvalidInput):
             GridSpec(extents=(L, L, L), samples=(32, 32, 32), time_step=1.0)
@@ -509,6 +519,7 @@ class TestCompare:
             {"max_angle_deg": 0.0},
             {"min_overlap": 5.0},
             {"min_overlap": 0.0},
+            {"max_sideband_db": math.nan},
         ],
     )
     def test_tolerances_are_checked(self, bad):
