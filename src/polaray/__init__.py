@@ -30,7 +30,6 @@ from .symbols import (
     MatrixSymbol,
     builtin_symbol,
     check_homogeneity,
-    differentiate,
     flat_maxwell,
     hamilton_field,
     parse_x_polynomial,
@@ -56,11 +55,7 @@ from .rays import (
     NonNullStart,
     Ray,
     StepFailure,
-    TooFewSamples,
     ZeroSpatialPart,
-    geodesic_residual,
-    line_deviation,
-    null_curve_residual,
     null_project,
     trace_ray,
 )
@@ -69,7 +64,6 @@ from .transport import (
     KernelEscape,
     PolarizationSample,
     connection_matrix,
-    fiber_scale,
     project_wavefront,
     transport,
 )
@@ -81,18 +75,14 @@ from .gauge import (
     PolarizationBasis,
     ZeroFrequency,
     classify_mode,
-    completeness_residual,
     field_strength_mode,
     gauge_transform,
     lorenz_residual,
     minkowski_pairing,
-    pairing_matrix,
     physical_kernel,
     physical_polarizations,
     radiation_fix,
     standard_basis,
-    subspace_angle_max,
-    transverse_oracle,
 )
 from .wavepacket import (
     CompareReport,
@@ -107,7 +97,6 @@ from .wavepacket import (
     WindowOutOfBounds,
     compare,
     estimate_polarization_set,
-    scalar_component_flags,
     straightness_track,
     synthesize,
     windowed_spectrum,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .minkowski import SIGNATURE, as_point4, raise_index, unit_momentum
+from .minkowski import as_point4, raise_index, unit_momentum
 
 NULL_TOL = 1e-10
 
@@ -36,9 +36,9 @@ class PolarizationBasis:
 
     Index 0 is time-like, 3 longitudinal, 1 and 2 transverse.  The
     orthonormality eps(lam) . eps(lam') = eta_{lam lam'} under the
-    bilinear pairing and the completeness sum are properties verified by
-    :func:`completeness_residual`, not enforced here, so degraded bases
-    can be built in tests.
+    bilinear pairing and the completeness sum are properties checked by
+    the oracles in ``tests/oracles.py``, not enforced here, so degraded
+    bases can be built in tests.
     """
 
     k: np.ndarray
@@ -145,24 +145,6 @@ def standard_basis(k) -> PolarizationBasis:
     return PolarizationBasis(k=k, eps=eps)
 
 
-def pairing_matrix(basis: PolarizationBasis) -> np.ndarray:
-    """The 4x4 matrix eps(lam) . eps(lam') under the bilinear pairing."""
-    out = np.empty((4, 4), dtype=complex)
-    for lam in range(4):
-        for lam2 in range(4):
-            out[lam, lam2] = minkowski_pairing(basis.eps[lam], basis.eps[lam2])
-    return out
-
-
-def completeness_residual(basis: PolarizationBasis) -> float:
-    """Max-norm deviation of the lambda-sum from the metric itself."""
-    eta = np.diag(SIGNATURE).astype(complex)
-    total = np.zeros((4, 4), dtype=complex)
-    for lam in range(4):
-        total += SIGNATURE[lam] * np.outer(basis.eps[lam], basis.eps[lam])
-    return float(np.max(np.abs(total - eta)))
-
-
 def lorenz_residual(mode: FourierMode) -> complex:
     """The Lorenz constraint value k^mu eps_mu of a mode."""
     return minkowski_pairing(mode.k, mode.eps)
@@ -239,36 +221,6 @@ def physical_kernel(k) -> np.ndarray:
     reps[:, 0] = 0.0  # exactly zero by construction
     qmat, _ = np.linalg.qr(reps.T)
     return np.ascontiguousarray(qmat[:, :2].T)
-
-
-def transverse_oracle(k) -> np.ndarray:
-    """Brute-force transverse plane: nullspace of stacked constraint rows.
-
-    Stacks the Lorenz functional k^mu and the time-component functional
-    e_0 into a 2x4 matrix and returns the orthonormal nullspace via a
-    rank computation.  Exists as an independent cross-check for
-    :func:`physical_kernel`; the two must agree as subspaces.
-    """
-    k = as_point4(k, "k")
-    mat = np.array(
-        [raise_index(k).astype(complex), np.array([1.0, 0, 0, 0], dtype=complex)]
-    )
-    _, s, vh = np.linalg.svd(mat)
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    return vh[rank:].conj()
-
-
-def subspace_angle_max(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest principal angle (radians) between two row-spanned subspaces.
-
-    Uses the sine formulation, which stays accurate for nearly equal
-    subspaces where the cosine route loses half the digits.
-    """
-    qa, _ = np.linalg.qr(np.asarray(a, dtype=complex).T)
-    qb, _ = np.linalg.qr(np.asarray(b, dtype=complex).T)
-    perp = qb - qa @ (qa.conj().T @ qb)
-    sines = np.linalg.svd(perp, compute_uv=False)
-    return float(np.arcsin(min(1.0, max(0.0, sines[0] if len(sines) else 0.0))))
 
 
 @dataclass(frozen=True)

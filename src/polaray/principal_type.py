@@ -111,7 +111,9 @@ def is_real_principal_type(q: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e
         raise ComplexSymbol(f"q has imaginary part {value.imag} at the point")
     if abs(value.real) > tol:
         return True
-    return bool(np.max(np.abs(jet[GRAD][4:])) > tol)
+    # dq/dk is homogeneous in k, so its size at k/|k| does not depend on |k|
+    unit, _ = _unit_covector(pt.k)
+    return bool(np.max(np.abs(q.compiled(pt.x, unit)[GRAD][4:, 0, 0])) > tol)
 
 
 def char_membership(
@@ -124,10 +126,18 @@ def char_membership(
     always belongs.
     """
     value = float(abs(d.q.eval(pt)[0, 0]))
-    knorm = float(np.linalg.norm(pt.k))
-    unit = PhaseSpacePoint(pt.x, pt.k / knorm)
-    scale = float(abs(d.q.eval(unit)[0, 0])) * knorm**d.q.order + MACHINE_FLOOR
+    unit, knorm = _unit_covector(pt.k)
+    scale = float(abs(d.q.eval_raw(pt.x, unit)[0, 0])) * knorm**d.q.order + MACHINE_FLOOR
     return bool(value <= tol * scale)
+
+
+def _unit_covector(k: np.ndarray) -> tuple[np.ndarray, float]:
+    """k/|k| and |k|, with k first divided by max |k_mu| so that the sum of
+    squares inside the norm neither underflows nor overflows."""
+    top = float(np.max(np.abs(k)))
+    scaled = k / top
+    norm = float(np.linalg.norm(scaled))
+    return scaled / norm, top * norm
 
 
 def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> KernelBasis:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .minkowski import SIGNATURE, PhaseSpacePoint, ZeroSpatialPart, as_point4
+from .minkowski import PhaseSpacePoint, ZeroSpatialPart, as_point4
 from .symbols import GRAD, VALUE, ComplexSymbol, MatrixSymbol
 
 
@@ -25,15 +25,12 @@ class NonNullStart(NumericalFailure):
 
 
 class StepFailure(NumericalFailure):
-    """The adaptive step controller underflowed."""
+    """The integrator could not take a step: the adaptive step underflowed,
+    the step budget ran out, or the ray position overflowed."""
 
 
 class ConstraintDrift(NumericalFailure):
     """|q| exceeded the drift bound along the ray; integration aborted."""
-
-
-class TooFewSamples(InvalidInput):
-    """The operation needs more ray samples than were provided."""
 
 
 @dataclass(frozen=True)
@@ -204,6 +201,13 @@ def trace_ray(
             # RK4 stages all equal the same velocity, so the update is the
             # exact linear flow.
             x = x0 + (tau - tau0)[:, np.newaxis] * f[:4]
+            bad = ~np.isfinite(x).all(axis=1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise StepFailure(
+                    "ray position overflowed "
+                    + _where("step", i, tau[i], np.concatenate([x[i], k0]))
+                )
             k = np.broadcast_to(k0, (n + 1, 4)).copy()
             qs = np.full(n + 1, q0)
             return Ray(tau=tau, x=x, k=k, q=qs, method="rk4", step=h)
@@ -283,33 +287,3 @@ def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
         )
     return _ray(taus, ys, qs, "adaptive", h0)
 
-
-def geodesic_residual(ray: Ray) -> float:
-    """Max second-difference estimate |x'' | on a uniformly sampled ray."""
-    n = len(ray)
-    if n < 3:
-        raise TooFewSamples("geodesic_residual needs at least 3 samples")
-    dtau = np.diff(ray.tau)
-    h = dtau[0]
-    if np.max(np.abs(dtau - h)) > 1e-9 * abs(h):
-        raise InvalidInput("geodesic_residual needs uniform tau spacing")
-    second = ray.x[2:] - 2.0 * ray.x[1:-1] + ray.x[:-2]
-    return float(np.max(np.abs(second)) / h**2)
-
-
-def line_deviation(points: np.ndarray) -> float:
-    """Max perpendicular deviation of points from their best-fit line."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        return 0.0
-    centered = pts - pts.mean(axis=0)
-    _, _, vh = np.linalg.svd(centered, full_matrices=False)
-    direction = vh[0]
-    perp = centered - np.outer(centered @ direction, direction)
-    return float(np.max(np.linalg.norm(perp, axis=1)))
-
-
-def null_curve_residual(q: MatrixSymbol, ray: Ray) -> float:
-    """Max of |1/4 eta_{mu nu} xdot^mu xdot^nu| along the ray samples."""
-    v = HamiltonSystem(q)(np.column_stack([ray.x, ray.k, np.ones(len(ray))]))[1][:, :4]
-    return float(np.max(np.abs(0.25 * np.sum(np.asarray(SIGNATURE) * v * v, axis=1))))

@@ -186,9 +186,6 @@ class MatrixSymbol:
 
     # -- basic queries ------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.principal and not self.lower
-
     def terms(self, part: str = "principal"):
         """Canonically sorted (x_exp, k_exp, coeff) triples of one part."""
         src = self._part(part)
@@ -204,17 +201,6 @@ class MatrixSymbol:
     def _output(self, part: str) -> int:
         self._part(part)
         return VALUE if part == "principal" else LOWER
-
-    def same_terms(self, other: "MatrixSymbol") -> bool:
-        """Exact coefficient-level equality of both parts."""
-        if self.dimension != other.dimension or self.order != other.order:
-            return False
-        for mine, theirs in ((self.principal, other.principal), (self.lower, other.lower)):
-            if mine.keys() != theirs.keys():
-                return False
-            if any(not np.array_equal(mine[key], theirs[key]) for key in mine):
-                return False
-        return True
 
     # -- calculus -----------------------------------------------------
 
@@ -253,14 +239,6 @@ class MatrixSymbol:
             for part in (self.principal, self.lower)
         )
         return MatrixSymbol(self.dimension, order, principal, lower)
-
-    def scaled(self, z) -> "MatrixSymbol":
-        return MatrixSymbol(
-            self.dimension,
-            self.order,
-            [(xe, ke, z * m) for (xe, ke), m in self.principal.items()],
-            [(xe, ke, z * m) for (xe, ke), m in self.lower.items()],
-        )
 
     def matmul(self, other: "MatrixSymbol") -> "MatrixSymbol":
         """Matrix product of two symbols, exact on coefficients.
@@ -308,14 +286,6 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of coefficient stacks; 1 x 1 stacks multiply entrywise,
     because ``@`` rounds those differently from the scalar product."""
     return a * b if a.shape[-2:] == (1, 1) else a @ b
-
-
-def differentiate(sym: MatrixSymbol, variable: str) -> MatrixSymbol:
-    """Partial derivative selected by name: 'x0'..'x3' or 'k0'..'k3'."""
-    if len(variable) == 2 and variable[0] in "xk" and variable[1] in "0123":
-        mu = int(variable[1])
-        return sym.diff_x(mu) if variable[0] == "x" else sym.diff_k(mu)
-    raise InvalidInput(f"unknown variable {variable!r}; expected x0..x3 or k0..k3")
 
 
 def check_homogeneity(sym: MatrixSymbol) -> tuple[bool, int | None]:

@@ -161,15 +161,6 @@ def _orbit_residuals(d: PrincipalTypeDecomposition, ray: Ray, omega: np.ndarray)
     )
 
 
-def fiber_scale(orbit: HamiltonOrbit, z: complex) -> HamiltonOrbit:
-    """Scale every fiber sample by a complex number; orbits are closed under this."""
-    omega = orbit.omega * complex(z)
-    residuals = orbit.residuals if z != 0 else np.zeros_like(orbit.residuals)
-    return HamiltonOrbit(
-        ray=orbit.ray, omega=omega, residuals=residuals, reprojected=orbit.reprojected
-    )
-
-
 def project_wavefront(samples):
     """Base points (x, k) of all samples with a nonzero fiber vector.
 

@@ -340,40 +340,6 @@ def estimate_polarization_set(
     return [est for est in out if est.strength >= threshold * global_max]
 
 
-def _component_peaks(
-    field: GridField, center, window_width: float, threshold: float
-) -> tuple[list[float], list[float]]:
-    """Per component of one window: its maximum and its strongest candidate peak."""
-    spectrum = windowed_spectrum(field, center, window_width)
-    maxima, strongest = [], []
-    for mu in range(4):
-        mag = np.abs(spectrum.amplitudes[mu])
-        candidates = _peak_candidates(mag, spectrum.k_axes, threshold)
-        maxima.append(float(mag.max()))
-        strongest.append(float(mag[tuple(candidates[0])]) if len(candidates) else -math.inf)
-    return maxima, strongest
-
-
-def scalar_component_flags(
-    field: GridField, centers, window_width: float, threshold: float
-) -> list[bool]:
-    """Per-window oscillation flags from scalar detectors on each component.
-
-    Runs the same peak rule on every component's own spectrum magnitude
-    (normalized to that component's global maximum over all windows) and
-    unions the verdicts.  This is the base-point consistency check for
-    the estimator: windows flagged here must coincide with windows that
-    produce nonzero-fiber estimates.
-    """
-    _check_threshold(threshold)
-    peaks = [_component_peaks(field, c, window_width, threshold) for c in centers]
-    gmax = [max((maxima[mu] for maxima, _ in peaks), default=0.0) for mu in range(4)]
-    return [
-        any(strongest[mu] >= threshold * gmax[mu] for mu in range(4))
-        for _, strongest in peaks
-    ]
-
-
 @dataclass(frozen=True)
 class LineTrack:
     """Energy-centroid trajectory with its least-squares line fit."""

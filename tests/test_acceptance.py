@@ -16,19 +16,15 @@ from polaray.cli import run as cli_run
 from polaray.gauge import (
     FourierMode,
     GaugeFunction,
-    completeness_residual,
     field_strength_mode,
     gauge_transform,
-    pairing_matrix,
     physical_kernel,
     radiation_fix,
     standard_basis,
-    subspace_angle_max,
-    transverse_oracle,
 )
 from polaray.minkowski import PhaseSpacePoint, raise_index, spatial_momentum
 from polaray.principal_type import decompose_principal_type, kernel_basis
-from polaray.rays import line_deviation, null_curve_residual, trace_ray
+from polaray.rays import trace_ray
 from polaray.serialization import (
     read_estimates_json,
     read_gridfield,
@@ -52,7 +48,6 @@ from polaray.wavepacket import (
     WavePacketSpec,
     compare,
     estimate_polarization_set,
-    scalar_component_flags,
     straightness_track,
     synthesize,
 )
@@ -66,6 +61,15 @@ from conftest import (
     random_null_covector,
     random_phase_points,
     rel_err,
+)
+from oracles import (
+    completeness_residual,
+    line_deviation,
+    null_curve_residual,
+    pairing_matrix,
+    scalar_component_flags,
+    subspace_angle_max,
+    transverse_oracle,
 )
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -157,7 +161,7 @@ def test_criterion_3_transport_suite(maxwell_d):
             assert float(np.max(np.abs(lhs - rhs))) <= 1e-12
 
         # p~ rescaling: (2*1, 2k^2) over half the span and step reproduces (1, k^2)
-        d2 = decompose_principal_type(flat_maxwell(), hint=MatrixSymbol.identity(4).scaled(2.0))
+        d2 = decompose_principal_type(flat_maxwell(), hint=MatrixSymbol(4, 0, [((0,) * 4, (0,) * 4, 2.0 * np.eye(4))]))
         x0, k0 = [0.2, 0.1, 0.0, -0.3], random_null_covector(np.random.default_rng(SEED))
         omega0 = np.array([0, 0.6, 0.8j, 0])
         ray1 = trace_ray(maxwell_d.q, x0, k0, (0, 1), 0.01)

@@ -73,6 +73,13 @@ class TestCheckType:
         assert code == 0
         assert json.loads(out)["on_char"] is True
 
+    def test_tiny_k_on_cone(self, capsys):
+        at = ("--point", "0,0,0,0", "--k", "1e-200,0,0,-1e-200")
+        code, out, err = run_cli(capsys, "check-type", "--symbol", "flat-maxwell", *at)
+        payload = json.loads(out)
+        assert code == 0 and not err
+        assert payload["on_char"] is True and payload["real_principal_type"] is True
+
     def test_undecodable_symbol_file(self, capsys, tmp_path):
         path = tmp_path / "sym.txt"
         path.write_bytes(b"dimension 1\norder 2\n\xff\xfe\n")
@@ -258,13 +265,17 @@ class TestErrorContract:
             (("check-type", "--symbol", "flat-maxwell", "--hint-file", "p.txt", *CHECK_AT),
              "dimension 1\norder 0\nterm principal 0,0,0,0 0,0,0,0 2\n",
              "DimensionMismatch: matmul needs equal dimensions, got 1x1 and 4x4 symbols"),
+            (("trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0", "--k", "1e154,0,0,-1e154",
+              "--tau", "0:1e300", "--step", "1e299"), None,
+             "StepFailure: ray position overflowed at step 1, tau = 1e+299, x = (inf, 0, 0, inf), "
+             "k = (1e+154, 0, 0, -1e+154)"),
         ],
         ids=[
             "nan-omega0", "inf-omega0-imag", "overflowing-null-test", "fractional-power",
             "int64-power", "int64-file-exponent", "fractional-order", "fractional-dimension",
             "fractional-tslices", "nan-drift", "nan-drift-adaptive", "nan-start", "nan-tstep",
             "nan-extent", "nan-sideband", "degree-cap-scale", "degree-cap-file", "overflowing-p",
-            "scalar-hint",
+            "scalar-hint", "x-free-position-overflow",
         ],
     )
     def test_bad_invocation_names_a_package_error(

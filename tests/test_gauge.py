@@ -8,22 +8,19 @@ from polaray.gauge import (
     GaugeFunction,
     PolarizationBasis,
     classify_mode,
-    completeness_residual,
     field_strength_mode,
     gauge_transform,
     lorenz_residual,
     minkowski_pairing,
-    pairing_matrix,
     physical_kernel,
     physical_polarizations,
     radiation_fix,
     standard_basis,
-    subspace_angle_max,
-    transverse_oracle,
 )
 from polaray.minkowski import ZeroSpatialPart, spatial_momentum
 
 from conftest import random_null_covector
+from oracles import completeness_residual, pairing_matrix, subspace_angle_max, transverse_oracle
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 K_Z = np.array([1.0, 0.0, 0.0, -1.0])  # momentum along +z

@@ -15,6 +15,7 @@ from polaray.principal_type import (
 from polaray.symbols import MatrixSymbol, pretty, scalar_wave
 
 from conftest import EXACT_NULL_COVECTORS, exact_null_points, random_null_covector
+from oracles import same_terms
 
 NULL_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, -1])
 TIME_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, 0])
@@ -35,7 +36,7 @@ class TestDecompose:
     def test_scalar_multiple_auto(self, maxwell):
         d = decompose_principal_type(maxwell)
         assert pretty(d.q) == "k^2"
-        assert d.p_tilde.same_terms(MatrixSymbol.identity(4))
+        assert same_terms(d.p_tilde, MatrixSymbol.identity(4))
         assert d.scalar_multiple
 
     def test_a_constant_hint_is_c_times_the_identity(self, maxwell):
@@ -109,6 +110,12 @@ class TestCharMembership:
 
     def test_timelike_off_char(self, maxwell_decomposition):
         assert char_membership(maxwell_decomposition, TIME_PT) is False
+
+    def test_tiny_covector_on_cone(self, maxwell_decomposition):
+        # |k| and dq/dk underflow here, so both verdicts must come from k/|k|
+        pt = PhaseSpacePoint([0] * 4, [1e-200, 0, 0, -1e-200])
+        assert char_membership(maxwell_decomposition, pt) is True
+        assert is_real_principal_type(maxwell_decomposition.q, pt) is True
 
     def test_pythagorean_cone_point(self, maxwell_decomposition):
         assert char_membership(maxwell_decomposition, PhaseSpacePoint([0] * 4, [5, 3, 4, 0])) is True

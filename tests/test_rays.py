@@ -13,11 +13,7 @@ from polaray.rays import (
     NonNullStart,
     Ray,
     StepFailure,
-    TooFewSamples,
     ZeroSpatialPart,
-    geodesic_residual,
-    line_deviation,
-    null_curve_residual,
     null_project,
     trace_ray,
 )
@@ -32,6 +28,7 @@ from polaray.symbols import (
 )
 
 from conftest import graded_index_symbol, graded_null_start, observed_orders, random_null_covector
+from oracles import geodesic_residual, line_deviation, null_curve_residual
 
 
 class TestNullProject:
@@ -154,16 +151,6 @@ class TestGeodesicResidual:
         k = np.broadcast_to([1.0, 0, 0, -1], (11, 4))
         ray = Ray(tau=tau, x=x, k=k, q=np.zeros(11))
         assert abs(geodesic_residual(ray) - 2.0) < 1e-9
-
-    def test_too_few_samples(self):
-        ray = Ray(
-            tau=np.array([0.0, 0.1]),
-            x=np.zeros((2, 4)),
-            k=np.broadcast_to([1.0, 0, 0, -1], (2, 4)),
-            q=np.zeros(2),
-        )
-        with pytest.raises(TooFewSamples):
-            geodesic_residual(ray)
 
 
 class TestConvergenceOrder:

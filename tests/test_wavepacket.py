@@ -22,11 +22,12 @@ from polaray.wavepacket import (
     _point_to_polyline,
     compare,
     estimate_polarization_set,
-    scalar_component_flags,
     straightness_track,
     synthesize,
     windowed_spectrum,
 )
+
+from oracles import scalar_component_flags
 
 L = 16.0
 
