@@ -41,7 +41,6 @@ from .symbols import (
 )
 from .principal_type import (
     ComplexSymbol,
-    KernelBasis,
     NoDecomposition,
     PrincipalTypeDecomposition,
     char_membership,

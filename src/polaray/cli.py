@@ -154,7 +154,7 @@ def _cmd_check_type(args) -> int:
     decomp = _decompose(args)
     pt = PhaseSpacePoint(_parse_reals(args.point, 4, "--point"), _parse_reals(args.k, 4, "--k"))
     tol = _positive(args.tol, "--tol")
-    basis = kernel_basis(decomp.p, pt, tol=tol)
+    vectors, singular_values = kernel_basis(decomp.p, pt, tol=tol)
     result = {
         "symbol": decomp.p.name or "file",
         "point": [float(v) for v in pt.x],
@@ -163,8 +163,8 @@ def _cmd_check_type(args) -> int:
         "q_value": float(decomp.q.eval(pt)[0, 0].real),
         "real_principal_type": is_real_principal_type(decomp.q, pt, tol=tol),
         "on_char": char_membership(decomp, pt, tol=tol),
-        "kernel_dimension": basis.dimension,
-        "singular_values": [float(s) for s in basis.singular_values],
+        "kernel_dimension": len(vectors),
+        "singular_values": [float(s) for s in singular_values],
     }
     _emit(ser._json_text(result), args.output)
     return EXIT_OK

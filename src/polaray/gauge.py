@@ -71,10 +71,11 @@ class FourierMode:
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if not cmath.isfinite(self.amplitude):
             raise InvalidInput(f"amplitude must be finite, got {self.amplitude}")
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge k makes k.k NaN
-            kk = minkowski_pairing(self.k, self.k).real
-        if not abs(kk) <= NULL_TOL:
-            raise InvalidInput(f"mode covector is off the cone: k.k = {kk:.3e}")
+        # k / max|k_mu| neither overflows nor underflows in k.k
+        k = self.k / (np.max(np.abs(self.k)) or 1.0)
+        kk, size = minkowski_pairing(k, k).real, float(k @ k)
+        if not abs(kk) <= NULL_TOL * size:
+            raise InvalidInput(f"mode covector is off the cone: k.k / |k|^2 = {kk / size:.3e}")
 
 
 @dataclass(frozen=True)

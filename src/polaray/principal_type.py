@@ -17,15 +17,12 @@ import numpy as np
 from .errors import InvalidInput
 from .minkowski import PhaseSpacePoint
 from .symbols import (
-    GRAD,
-    VALUE,
     ComplexSymbol,
+    HamiltonSystem,
     MatrixSymbol,
     check_homogeneity,
     scalar_coefficients,
 )
-
-MACHINE_FLOOR = 1e-300
 
 
 class NoDecomposition(InvalidInput):
@@ -44,18 +41,6 @@ class PrincipalTypeDecomposition:
     p_tilde: MatrixSymbol
     q: MatrixSymbol
     scalar_multiple: bool = field(default=False)
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """Orthonormal numerical nullspace of p at one phase-space point."""
-
-    vectors: list
-    singular_values: list
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
 
 
 def decompose_principal_type(
@@ -97,23 +82,20 @@ def decompose_principal_type(
 
 
 def is_real_principal_type(q: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> bool:
-    """Real-principal-type test for a scalar symbol at one point.
+    """Real-principal-type test for a real scalar symbol at one point.
 
-    Off the zero set of q the condition is vacuous.  On it, the Hamilton
-    field must neither vanish nor be purely radial, which for the
-    dx/dtau components reduces to dq/dk != 0 at the point.
+    Off the zero set of q (|q| above tol times ``q.term_bound``) the
+    condition is vacuous.  On it, the Hamilton field must neither vanish
+    nor be purely radial, which for the dx/dtau components reduces to
+    dq/dk != 0 at the point.
     """
-    if q.dimension != 1:
-        raise InvalidInput("is_real_principal_type requires a scalar symbol")
-    jet = q.compiled(pt.x, pt.k)[:, 0, 0]
-    value = jet[VALUE]
-    if abs(value.imag) > tol:
-        raise ComplexSymbol(f"q has imaginary part {value.imag} at the point")
-    if abs(value.real) > tol:
+    system = HamiltonSystem(q)
+    value, _ = system(np.concatenate([pt.x, pt.k, [1.0]]))
+    if abs(value) > tol * q.term_bound(pt.x, pt.k)[0, 0]:
         return True
     # dq/dk is homogeneous in k, so its size at k/|k| does not depend on |k|
-    unit, _ = _unit_covector(pt.k)
-    return bool(np.max(np.abs(q.compiled(pt.x, unit)[GRAD][4:, 0, 0])) > tol)
+    _, flow = system(np.concatenate([pt.x, _unit_covector(pt.k), [1.0]]))
+    return bool(np.max(np.abs(flow[:4])) > tol)
 
 
 def char_membership(
@@ -121,33 +103,30 @@ def char_membership(
 ) -> bool:
     """Whether the point lies on the characteristic set q = 0.
 
-    The comparison scale is |q(x, k/|k|)| * |k|^m plus a machine floor,
-    so membership is scale-free in k and an exactly representable zero
-    always belongs.
+    q counts as zero when |q| <= tol * ``q.term_bound(x, k)``, the size of
+    its terms, so membership is scale-free in k and a covector on the cone
+    up to rounding belongs.
     """
-    value = float(abs(d.q.eval(pt)[0, 0]))
-    unit, knorm = _unit_covector(pt.k)
-    scale = float(abs(d.q.eval_raw(pt.x, unit)[0, 0])) * knorm**d.q.order + MACHINE_FLOOR
-    return bool(value <= tol * scale)
+    value = abs(d.q.eval(pt)[0, 0])
+    return bool(value <= tol * d.q.term_bound(pt.x, pt.k)[0, 0])
 
 
-def _unit_covector(k: np.ndarray) -> tuple[np.ndarray, float]:
-    """k/|k| and |k|, with k first divided by max |k_mu| so that the sum of
-    squares inside the norm neither underflows nor overflows."""
-    top = float(np.max(np.abs(k)))
-    scaled = k / top
-    norm = float(np.linalg.norm(scaled))
-    return scaled / norm, top * norm
+def _unit_covector(k: np.ndarray) -> np.ndarray:
+    """k/|k|, with k first divided by max |k_mu| so that the sum of squares
+    inside the norm neither underflows nor overflows."""
+    scaled = k / np.max(np.abs(k))
+    return scaled / np.linalg.norm(scaled)
 
 
-def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> KernelBasis:
+def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> tuple:
     """Orthonormal numerical nullspace of p(x, k) by singular values.
 
-    A direction belongs to the kernel iff its singular value satisfies
-    ``sigma_i <= tol * sigma_max``; when even the largest singular value
-    sits at the machine floor the matrix is identically zero and the
-    kernel is the whole fiber.  A p(x, k) that overflows raises
-    :class:`InvalidInput` naming the point.
+    Returns ``(vectors, singular_values)``: an ``(m, N)`` array whose rows
+    span the kernel, and the N singular values in descending order.  A
+    right-singular vector v belongs to the kernel iff p v is zero up to
+    rounding, ``sigma <= tol * |p.term_bound(x, k) @ |v||``, so where p
+    vanishes up to rounding the kernel is the whole fiber.  A p(x, k) that
+    overflows raises :class:`InvalidInput` naming the point.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mat = p.eval(pt)
@@ -155,12 +134,8 @@ def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> Ke
         x, k = (", ".join(f"{v:.9g}" for v in part) for part in (pt.x, pt.k))
         raise InvalidInput(f"p(x, k) is not finite at x = ({x}), k = ({k})")
     _, s, vh = np.linalg.svd(mat)
-    sigma_max = s[0] if len(s) else 0.0
-    if sigma_max <= MACHINE_FLOOR:
-        vectors = [np.eye(p.dimension, dtype=complex)[i] for i in range(p.dimension)]
-        return KernelBasis(vectors=vectors, singular_values=list(s))
-    vectors = [vh[i].conj() for i in range(len(s)) if s[i] <= tol * sigma_max]
-    return KernelBasis(vectors=vectors, singular_values=list(s))
+    scale = np.linalg.norm(p.term_bound(pt.x, pt.k) @ np.abs(vh.T), axis=0)
+    return vh[s <= tol * scale].conj(), s
 
 
 def kernel_residual(p: MatrixSymbol, pt: PhaseSpacePoint, omega: np.ndarray) -> float:

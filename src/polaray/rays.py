@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .minkowski import PhaseSpacePoint, ZeroSpatialPart, as_point4
-from .symbols import GRAD, VALUE, ComplexSymbol, MatrixSymbol
+from .symbols import HamiltonSystem, MatrixSymbol
 
 
 class NonNullStart(NumericalFailure):
@@ -83,37 +83,6 @@ def null_project(k, branch: str = "+") -> np.ndarray:
     return out
 
 
-class HamiltonSystem:
-    """The compiled Hamilton flow of a real scalar q on states y = (x, k, 1).
-
-    The trailing 1.0 is the compiled symbol's padding slot, so a state
-    indexes its monomial factors directly; its flow component is 0, so
-    every integrator stage keeps it at exactly 1.0.  One call is one real
-    product of the monomials with a ``(T, 10)`` matrix holding q and
-    dy/dtau = (dq/dk, -dq/dx, 0).
-    """
-
-    def __init__(self, q: MatrixSymbol):
-        if q.dimension != 1:
-            raise InvalidInput("ray tracing requires a scalar (N=1) symbol")
-        compiled = q.compiled
-        # real and imaginary parts of each output sit in alternate columns
-        real, imag = compiled.coeff[:, 0::2], compiled.coeff[:, 1::2]
-        if np.any(np.abs(imag[:, VALUE]) > 1e-10 * (1.0 + np.abs(real[:, VALUE]))):
-            raise ComplexSymbol("ray tracing needs a real-valued symbol")
-        grad = real[:, GRAD]
-        self.factors = compiled.factors
-        self.matrix = np.column_stack(
-            [real[:, VALUE], grad[:, 4:], -grad[:, :4], np.zeros(len(real))]
-        )
-
-    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """q and dy/dtau at states of shape (..., 9)."""
-        # (..., 1, T) @ (T, 10) makes the same product for every batch row
-        out = (y[..., self.factors].prod(-1)[..., None, :] @ self.matrix)[..., 0, :]
-        return out[..., 0], out[..., 1:]
-
-
 # the most steps one trace may take: rk4 steps, or adaptive attempts
 # (accepted or rejected) before the adaptive trace gives up
 _MAX_STEPS = 10_000_000
@@ -158,9 +127,10 @@ def trace_ray(
 
     ``step`` is the fixed step for rk4 (shrunk uniformly so the span is
     an integer number of steps, at most ``_MAX_STEPS``) and the initial
-    step for the adaptive embedded pair.  The start must satisfy
-    |q(x0,k0)| <= start_tol (callers project to the cone first); a drift
-    monitor aborts if |q| ever exceeds drift_tol or is NaN, since q is
+    step for the adaptive embedded pair.  The start must lie on the cone
+    up to rounding, |q(x0,k0)| <= start_tol * ``q.term_bound(x0, k0)``
+    (callers project to the cone first); a drift monitor aborts if |q|
+    ever exceeds the absolute bound drift_tol or is NaN, since q is
     conserved by the exact flow and silent drift would poison downstream
     transport.
     """
@@ -183,10 +153,11 @@ def trace_ray(
     system = HamiltonSystem(q)
     y = np.concatenate([x0, k0, [1.0]])
     q0, f = system(y)
-    if not abs(q0) <= start_tol:
+    size = q.term_bound(x0, k0)[0, 0]
+    if not abs(q0) <= start_tol * size:
         raise NonNullStart(
-            f"|q| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e} "
-            + _where("step", 0, tau0, y)
+            f"|q| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e} times the term size "
+            f"{size:.3e} " + _where("step", 0, tau0, y)
         )
 
     if span == 0.0:

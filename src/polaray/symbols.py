@@ -133,6 +133,7 @@ class CompiledSymbol:
         self.subprincipal_is_zero = not np.any(coeff[:, [LOWER, MIXED]])
         # real and imaginary parts interleaved, so the real product views as complex
         self.coeff = coeff.reshape(len(expo), len(outputs) * dim * dim).view(float)
+        self.term_size = np.abs(coeff[:, VALUE]).reshape(len(expo), dim * dim)  # |C|
         # each row of E as a list of factor slots, padded with slot 8 (= 1.0)
         degree = expo.sum(axis=1)
         self.factors = np.full((len(expo), int(degree.max(initial=0))), 8)
@@ -140,11 +141,50 @@ class CompiledSymbol:
             self.factors[t, : degree[t]] = np.repeat(np.arange(8), row)
 
     def __call__(self, x, k) -> np.ndarray:
-        z = np.concatenate([x, k, np.ones(np.shape(x)[:-1] + (1,))], axis=-1)
-        mono = z[..., self.factors].prod(axis=-1)
-        # (..., 1, T) @ (T, 2M) makes the same product for every batch row
-        out = (mono[..., None, :] @ self.coeff)[..., 0, :].view(complex)
+        out = _products(_state(x, k), self.factors, self.coeff).view(complex)
         return out.reshape(out.shape[:-1] + self.shape)
+
+
+def _state(x, k) -> np.ndarray:
+    """z = (x, k, 1) from points of shape (..., 4); the 1.0 is the padding slot."""
+    return np.concatenate([x, k, np.ones(np.shape(x)[:-1] + (1,))], axis=-1)
+
+
+def _products(z: np.ndarray, factors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The monomials of z (..., 9), one product per row of ``factors``, times a (T, C) matrix."""
+    # (..., 1, T) @ (T, C) makes the same product for every batch row
+    return (z[..., factors].prod(axis=-1)[..., None, :] @ matrix)[..., 0, :]
+
+
+class HamiltonSystem:
+    """The compiled Hamilton flow of a real scalar q on states y = (x, k, 1).
+
+    The trailing 1.0 is the compiled symbol's padding slot, so a state
+    indexes its monomial factors directly; its flow component is 0, so
+    every integrator stage keeps it at exactly 1.0.  One call is one real
+    product of the monomials with a ``(T, 10)`` matrix holding q and
+    dy/dtau = (dq/dk, -dq/dx, 0).  A non-scalar q raises :class:`DimensionMismatch`,
+    a q with complex principal coefficients :class:`ComplexSymbol`.
+    """
+
+    def __init__(self, q: "MatrixSymbol"):
+        if q.dimension != 1:
+            raise DimensionMismatch("the Hamilton flow needs a scalar (N=1) symbol")
+        compiled = q.compiled
+        # real and imaginary parts of each output sit in alternate columns
+        real, imag = compiled.coeff[:, 0::2], compiled.coeff[:, 1::2]
+        if np.any(np.abs(imag[:, VALUE]) > 1e-10 * (1.0 + np.abs(real[:, VALUE]))):
+            raise ComplexSymbol("the Hamilton flow needs a real-valued symbol")
+        grad = real[:, GRAD]
+        self.factors = compiled.factors
+        self.matrix = np.column_stack(
+            [real[:, VALUE], grad[:, 4:], -grad[:, :4], np.zeros(len(real))]
+        )
+
+    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """q and dy/dtau at states of shape (..., 9)."""
+        out = _products(y, self.factors, self.matrix)
+        return out[..., 0], out[..., 1:]
 
 
 class MatrixSymbol:
@@ -221,6 +261,18 @@ class MatrixSymbol:
     def eval_raw(self, x, k, part: str = "principal") -> np.ndarray:
         """Evaluation on raw arrays of shape (..., 4); gives (..., N, N)."""
         return self.compiled(x, k)[..., self._output(part), :, :]
+
+    @np.errstate(over="ignore")
+    def term_bound(self, x, k) -> np.ndarray:
+        """sum_t |C_t| |x^a k^b| over the principal terms at (..., 4) points: (..., N, N).
+
+        It bounds |p| entrywise and p's rounding error is a few ulps of it, so
+        a value is zero up to rounding iff |value| <= tol * term_bound.  An
+        overflowing sum saturates at the largest double.
+        """
+        c = self.compiled
+        out = _products(np.abs(_state(x, k)), c.factors, c.term_size)
+        return np.minimum(out.reshape(out.shape[:-1] + c.shape[1:]), np.finfo(float).max)
 
     def diff_x(self, mu: int) -> "MatrixSymbol":
         """Exact partial derivative with respect to x^mu (both parts)."""
@@ -304,19 +356,14 @@ def check_homogeneity(sym: MatrixSymbol) -> tuple[bool, int | None]:
 
 
 def hamilton_field(q: MatrixSymbol, pt: PhaseSpacePoint) -> tuple[np.ndarray, np.ndarray]:
-    """Hamilton field of a scalar symbol at a point.
+    """Hamilton field of a real scalar symbol at a point.
 
     Returns ``(dx/dtau, dk/dtau)`` with ``dx^mu/dtau = dq/dk_mu`` and
-    ``dk_nu/dtau = -dq/dx^nu``, both evaluated exactly.  The symbol must
-    be real-valued at the point for the flow to mean anything; a
-    residual imaginary part beyond rounding raises.
+    ``dk_nu/dtau = -dq/dx^nu``, both evaluated exactly by
+    :class:`HamiltonSystem`, which refuses a q that is not real and scalar.
     """
-    if q.dimension != 1:
-        raise DimensionMismatch("hamilton_field requires a scalar (N=1) symbol")
-    grad = q.compiled(pt.x, pt.k)[GRAD, 0, 0]
-    if np.any(np.abs(grad.imag) > 1e-10 * (1.0 + np.abs(grad.real))):
-        raise ComplexSymbol("hamilton_field needs a real-valued symbol")
-    return grad[4:].real, -grad[:4].real
+    flow = HamiltonSystem(q)(_state(pt.x, pt.k))[1]
+    return flow[:4], flow[4:8]
 
 
 def poisson_bracket(a: MatrixSymbol, b: MatrixSymbol, pt: PhaseSpacePoint) -> np.ndarray:

@@ -132,10 +132,9 @@ def transport(
         for i in range(n - 1):
             w = propagator[i] @ w
             if reproject:
-                basis = kernel_basis(d.p, ray.point(i + 1))
-                if basis.vectors:
-                    stack = np.array(basis.vectors)
-                    w = stack.T @ (stack.conj() @ w)
+                vectors, _ = kernel_basis(d.p, ray.point(i + 1))
+                if len(vectors):
+                    w = vectors.T @ (vectors.conj() @ w)
             omega[i + 1] = w
 
     residuals = _orbit_residuals(d, ray, omega)

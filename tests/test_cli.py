@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -229,7 +231,7 @@ class TestErrorContract:
               "--omega0-imag", "0,inf,0,0"), None,
              "InvalidInput: omega0 has non-finite components"),
             (("gauge", "--k", "2e200,1e200,0,0", "--eps", "0,0,1,0"), None,
-             "InvalidInput: mode covector is off the cone: k.k = nan"),
+             "InvalidInput: mode covector is off the cone: k.k / |k|^2 = 6.000e-01"),
             (("check-type", "--symbol", "scaled-wave", "--scale", "1+x3^2.5", *CHECK_AT), None,
              "InvalidInput: bad exponent '2.5'"),
             (("check-type", "--symbol", "scaled-wave", "--scale", "1+x3^99999999999999999999",
@@ -247,7 +249,9 @@ class TestErrorContract:
              "InvalidInput: argument --tslices"),
             (X8_DRIFT, None, "ConstraintDrift: |q| = nan exceeded drift bound 1.0e-06 at step 1,"),
             ((*X8_DRIFT, "--method", "adaptive"), None, "ConstraintDrift: |q| = "),
-            (X8_OVERFLOW, None, "NonNullStart: |q| = nan exceeds start tolerance 1.0e-10 at step 0,"),
+            (X8_OVERFLOW, None,
+             "NonNullStart: |q| = nan exceeds start tolerance 1.0e-10 times the term size nan "
+             "at step 0,"),
             ((*SYNTH, "--extent", "16,16,16", "--tslices", "2", "--tstep", "nan"), None,
              "InvalidInput: time step must be finite and positive, got nan"),
             ((*SYNTH, "--extent", "nan,16,16"), None,
@@ -546,3 +550,60 @@ class TestRoundtripCommand:
         code, _, err = run_cli(capsys, "roundtrip", str(tmp_path / "nope.csv"))
         assert code == 1
         assert "no such file" in err
+
+
+class TestOnTheConeUpToRounding:
+    """A covector on the cone only up to rounding counts as on it."""
+
+    def test_check_type(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check-type", "--symbol", "flat-maxwell", "--point", "0,0,0,0",
+            "--k", "1.4142135623730951,1,1,0",
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["q_value"] == 4.440892098500626e-16
+        assert payload["on_char"] is True and payload["kernel_dimension"] == 4
+
+    def test_trace_of_a_projected_covector(self, capsys):
+        code, out, err = run_cli(
+            capsys, "trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0",
+            "--k", "1,1000,1000,0", "--project-null", "--tau", "0:1", "--step", "0.5",
+        )
+        assert code == 0 and not err
+        assert out.count("\n") == 5
+
+    def test_gauge(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gauge", "--k", "141421.35623730951,100000,100000,0", "--eps", "0,0,0,1"
+        )
+        assert code == 0 and not err
+        assert json.loads(out)["lorenz_residual_re"] == 0.0
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``polaray ...`` command lines of the README's sh blocks, as argv lists."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as handle:
+        blocks = re.findall(r"^```sh\n(.*?)^```", handle.read(), re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("polaray ")]
+
+
+class TestReadme:
+    def test_every_readme_command_runs_and_its_files_round_trip(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert [argv[0] for argv in commands] == [
+            "check-type", "trace", "transport", "gauge", "synth", "estimate", "compare",
+            "roundtrip",
+        ]
+        emitted = []
+        for argv in commands:
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0 and not err, (argv, err)
+            if "-o" in argv:
+                emitted.append(argv[argv.index("-o") + 1])
+        assert emitted == ["ray.csv", "orbit.csv", "packet.gf", "estimates.json"]
+        assert all(roundtrip(str(tmp_path / name)) for name in emitted)

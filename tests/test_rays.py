@@ -233,9 +233,9 @@ class TestHamiltonSystem:
         z = (0, 0, 0, 0)
         q = MatrixSymbol(1, 1, [(z, (1, 0, 0, 0), 1.0), (z, (0, 1, 0, 0), 0.5j)])
         pt = PhaseSpacePoint(np.zeros(4), np.array([0.0, 0, 0, 1]))
-        with pytest.raises(ComplexSymbol, match="^hamilton_field needs a real-valued symbol$"):
+        with pytest.raises(ComplexSymbol, match="^the Hamilton flow needs a real-valued symbol$"):
             hamilton_field(q, pt)
-        with pytest.raises(ComplexSymbol, match="^ray tracing needs a real-valued symbol$"):
+        with pytest.raises(ComplexSymbol, match="^the Hamilton flow needs a real-valued symbol$"):
             HamiltonSystem(q)
         assert principal_type.ComplexSymbol is ComplexSymbol
 

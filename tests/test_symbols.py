@@ -1,9 +1,12 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polaray
 from polaray.errors import DimensionMismatch, InvalidInput, ParseError
 from polaray.minkowski import PhaseSpacePoint
 from polaray.symbols import (
@@ -414,3 +417,42 @@ class TestCompiledSymbol:
         mixed = sum(principal.diff_x(mu).diff_k(mu).eval(pt) for mu in range(4))
         expected.append(mixed)
         assert np.allclose(jet, np.array(expected), rtol=1e-13, atol=1e-13)
+
+
+class TestTermBound:
+    def test_is_the_sum_of_absolute_terms(self, rng):
+        sym = random_matrix_symbol(rng, dimension=3, n_terms=6, lower_terms=3)
+        x, k = rng.uniform(-2, 2, (7, 4)), rng.uniform(-2, 2, (7, 4))
+        expected = sum(
+            np.abs(c) * np.abs(np.prod(x**xe, axis=1) * np.prod(k**ke, axis=1))[:, None, None]
+            for xe, ke, c in sym.terms("principal")
+        )
+        bound = sym.term_bound(x, k)
+        assert bound.shape == (7, 3, 3)
+        np.testing.assert_allclose(bound, expected, rtol=1e-13)
+        assert np.all(np.abs(sym.eval_raw(x, k)) <= bound * (1 + 1e-13))
+
+    def test_on_the_cone_q_is_zero_and_the_bound_is_not(self, maxwell):
+        bound = maxwell.term_bound(np.zeros(4), np.array([5.0, 3, 4, 0]))
+        assert np.array_equal(bound, 50.0 * np.eye(4))
+
+    def test_an_overflowing_sum_saturates(self, maxwell):
+        bound = maxwell.term_bound(np.zeros(4), np.array([1e154, 0, 0, -1e154]))
+        assert bound[0, 0] == np.finfo(float).max and np.all(np.isfinite(bound))
+
+
+class TestLayering:
+    """Only ``symbols`` reads the compiled layout."""
+
+    def test_no_other_module_names_the_compiled_layout(self):
+        layout = re.compile(r"\b(VALUE|GRAD|LOWER|MIXED)\b|\.coeff\b|\.factors\b")
+        src = pathlib.Path(polaray.__file__).parent
+        readers = [
+            path.name
+            for path in sorted(src.glob("*.py"))
+            if path.name != "symbols.py" and layout.search(path.read_text(encoding="utf-8"))
+        ]
+        assert readers == []
+
+    def test_rays_uses_the_symbols_hamilton_system(self):
+        assert polaray.rays.HamiltonSystem is polaray.symbols.HamiltonSystem

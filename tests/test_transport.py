@@ -264,10 +264,9 @@ def per_stage_transport(d, ray, omega0, reproject):
         s4 = a1 @ (w + h * s3)
         w = w + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
         if reproject:
-            vectors = kernel_basis(d.p, ray.point(i + 1)).vectors
-            if vectors:
-                stack = np.array(vectors)
-                w = stack.T @ (stack.conj() @ w)
+            vectors, _ = kernel_basis(d.p, ray.point(i + 1))
+            if len(vectors):
+                w = vectors.T @ (vectors.conj() @ w)
         out.append(w)
     return np.array(out)
 
@@ -291,7 +290,7 @@ class TestPropagators:
         # every sample and the reprojection branch runs after each step
         d = decompose_principal_type(scaled_wave(parse_x_polynomial("1+x3^2"), dimension=2))
         ray = frozen_ray([0, 0, 0, 1], [1, 0, 0, -1], 0.0)
-        assert len(kernel_basis(d.p, ray.point(1)).vectors) == 2
+        assert len(kernel_basis(d.p, ray.point(1))[0]) == 2
         omega0 = np.array([1.0, -0.5j])
         orbit = transport(d, ray, omega0, reproject=reproject)
         reference = per_stage_transport(d, ray, omega0, reproject)
