@@ -18,7 +18,6 @@ from .errors import InvalidInput
 from .minkowski import PhaseSpacePoint
 from .symbols import (
     ComplexSymbol,
-    HamiltonSystem,
     MatrixSymbol,
     check_homogeneity,
     scalar_coefficients,
@@ -89,7 +88,7 @@ def is_real_principal_type(q: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e
     nor be purely radial, which for the dx/dtau components reduces to
     dq/dk != 0 at the point.
     """
-    system = HamiltonSystem(q)
+    system = q.hamilton
     value, _ = system(np.concatenate([pt.x, pt.k, [1.0]]))
     if abs(value) > tol * q.term_bound(pt.x, pt.k)[0, 0]:
         return True

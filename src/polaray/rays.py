@@ -150,7 +150,7 @@ def trace_ray(
             f"step {step} needs {count:.3g} rk4 steps, more than the budget of {_MAX_STEPS}"
         )
 
-    system = HamiltonSystem(q)
+    system = q.hamilton
     y = np.concatenate([x0, k0, [1.0]])
     q0, f = system(y)
     size = q.term_bound(x0, k0)[0, 0]

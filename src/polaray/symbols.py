@@ -206,7 +206,7 @@ class MatrixSymbol:
         Display name used by the CLI.
     """
 
-    __slots__ = ("dimension", "order", "principal", "lower", "name", "_compiled")
+    __slots__ = ("dimension", "order", "principal", "lower", "name", "_compiled", "_hamilton")
 
     def __init__(self, dimension, order, principal_terms=(), lower_terms=(), name=None):
         self.dimension = _dimension(dimension)
@@ -217,6 +217,7 @@ class MatrixSymbol:
         self.lower = _normalize_terms(lower_terms, self.dimension)
         self.name = name
         self._compiled = None
+        self._hamilton = None
 
     # -- constructors -------------------------------------------------
 
@@ -253,6 +254,17 @@ class MatrixSymbol:
         if self._compiled is None:
             self._compiled = CompiledSymbol(self)
         return self._compiled
+
+    @property
+    def hamilton(self) -> HamiltonSystem:
+        """The compiled Hamilton flow of this (real scalar) symbol, built on first use.
+
+        A refused build is not kept, so every call on a non-scalar or
+        complex symbol raises again.
+        """
+        if self._hamilton is None:
+            self._hamilton = HamiltonSystem(self)
+        return self._hamilton
 
     def eval(self, pt: PhaseSpacePoint, part: str = "principal") -> np.ndarray:
         """Exact polynomial evaluation of one part at (x, k)."""
@@ -359,10 +371,10 @@ def hamilton_field(q: MatrixSymbol, pt: PhaseSpacePoint) -> tuple[np.ndarray, np
     """Hamilton field of a real scalar symbol at a point.
 
     Returns ``(dx/dtau, dk/dtau)`` with ``dx^mu/dtau = dq/dk_mu`` and
-    ``dk_nu/dtau = -dq/dx^nu``, both evaluated exactly by
+    ``dk_nu/dtau = -dq/dx^nu``, both evaluated exactly by q's
     :class:`HamiltonSystem`, which refuses a q that is not real and scalar.
     """
-    flow = HamiltonSystem(q)(_state(pt.x, pt.k))[1]
+    flow = q.hamilton(_state(pt.x, pt.k))[1]
     return flow[:4], flow[4:8]
 
 

@@ -167,21 +167,23 @@ def project_wavefront(samples):
     dropped (the zero section carries no singularity).  A surviving base
     point is a duplicate when its x and its k each lie within
     ``SAME_POINT`` = 1e-9 of a kept one in every component; first
-    occurrences are kept, in input order.
+    occurrences are kept, in input order.  Only points within
+    2 * ``SAME_POINT`` of each other in the coordinate of widest spread
+    are compared, found by one sort of that coordinate.
     """
-    samples = list(samples)
-    kept: list[PhaseSpacePoint] = []
-    kept_x = np.empty((len(samples), 4))
-    kept_k = np.empty((len(samples), 4))
-    for sample in samples:
-        if float(np.linalg.norm(sample.omega)) <= ZERO_FIBER:
-            continue
-        pt = sample.pt
-        n = len(kept)
-        close = (np.max(np.abs(kept_x[:n] - pt.x), axis=1) <= SAME_POINT) & (
-            np.max(np.abs(kept_k[:n] - pt.k), axis=1) <= SAME_POINT
-        )
-        if not close.any():
-            kept_x[n], kept_k[n] = pt.x, pt.k
-            kept.append(pt)
-    return kept
+    points = [s.pt for s in samples if not float(np.linalg.norm(s.omega)) <= ZERO_FIBER]
+    if not points:
+        return []
+    z = np.array([np.concatenate([pt.x, pt.k]) for pt in points])
+    col = z[:, int(np.argmax(np.ptp(z, axis=0)))]
+    order = np.argsort(col, kind="stable")
+    # each window holds every point whose difference rounds to at most SAME_POINT
+    lo = np.searchsorted(col[order], col - 2 * SAME_POINT, "left")
+    hi = np.searchsorted(col[order], col + 2 * SAME_POINT, "right")
+    # a point alone in its window matches no other; the rest go in input order
+    kept = hi - lo == 1
+    for i in np.flatnonzero(~kept):
+        near = order[lo[i] : hi[i]]
+        near = near[kept[near]]
+        kept[i] = not np.any(np.max(np.abs(z[near] - z[i]), axis=1) <= SAME_POINT)
+    return [pt for pt, keep in zip(points, kept) if keep]

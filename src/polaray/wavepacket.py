@@ -175,12 +175,18 @@ def synthesize(spec: WavePacketSpec, grid: GridSpec) -> GridField:
 
     data = np.empty((grid.time_slices, 4, *grid.samples), dtype=complex)
     inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
+    scalar = np.empty(grid.samples, dtype=complex)
     for j, t in enumerate(grid.times):
         c = spec.center[1:4] + velocity * (t - spec.center[0])
         dist2 = sum((coords[i] - c[i]) ** 2 for i in range(3))
-        scalar = prefactor * np.exp(1j * (phase_s - omega * t) - dist2 * inv_two_sigma2)
+        # exp(i(kvec.x - w t) - dist2 / (2 sigma^2)) * prefactor, in place; numpy's
+        # complex product is not bitwise commutative, so the order is kept
+        np.multiply(1j, phase_s - omega * t, out=scalar)
+        scalar -= np.multiply(dist2, inv_two_sigma2, out=dist2)
+        np.exp(scalar, out=scalar)
+        scalar *= prefactor
         for mu in range(4):
-            data[j, mu] = mode.eps[mu] * scalar
+            np.multiply(mode.eps[mu], scalar, out=data[j, mu])
     meta = {
         "envelope_transport_error": 1.0 / (sigma * omega),
         "carrier_k": [float(v) for v in mode.k],
@@ -191,22 +197,53 @@ def synthesize(spec: WavePacketSpec, grid: GridSpec) -> GridField:
 
 @dataclass(frozen=True)
 class WindowedSpectrum:
-    """Windowed DFT of one time slice: 4 component spectra plus bin axes."""
+    """Windowed DFT of one time slice: 4 component spectra plus bin axes.
 
-    amplitudes: np.ndarray  # (4, n1, n2, n3), fftshifted
+    Both are in FFT order, zero frequency first (:meth:`GridSpec.k_axis`
+    gives the same bins in ascending order).
+    """
+
+    amplitudes: np.ndarray  # (4, n1, n2, n3), FFT order
     k_axes: tuple[np.ndarray, np.ndarray, np.ndarray]
     center: np.ndarray
 
-    def magnitude(self) -> np.ndarray:
-        """Hermitian norm over the 4 components per bin."""
-        return np.sqrt(np.sum(np.abs(self.amplitudes) ** 2, axis=0))
+    def magnitude(self, out=None, scratch=None) -> np.ndarray:
+        """Hermitian norm over the 4 components per bin.
+
+        ``out`` receives it and ``scratch`` holds one component's energy;
+        both have the shape of one component and are allocated when not
+        given.
+        """
+        out = _component_energy(self.amplitudes, out, scratch)
+        return np.sqrt(out, out=out)
 
 
-def windowed_spectrum(field: GridField, center, window_width: float) -> WindowedSpectrum:
+def _component_energy(components, out=None, scratch=None) -> np.ndarray:
+    """sum_mu |components[mu]|^2 per point, written into ``out``.
+
+    The components are added in order, so the bits are those of
+    ``np.sum(np.abs(components) ** 2, axis=0)``; ``scratch`` holds one
+    component's term.  Both buffers have the shape of one component and
+    are allocated when not given.
+    """
+    if out is None:
+        out = np.empty(components.shape[1:])
+    if scratch is None:
+        scratch = np.empty_like(out)
+    np.square(np.abs(components[0], out=out), out=out)
+    for component in components[1:]:
+        out += np.square(np.abs(component, out=scratch), out=scratch)
+    return out
+
+
+def windowed_spectrum(field: GridField, center, window_width: float, out=None) -> WindowedSpectrum:
     """Gaussian-windowed spatial DFT of the time slice nearest the center.
 
     The window must fit inside the grid: the spatial center plus/minus
     1.5 window widths must stay within the domain box on every axis.
+    The transform runs in place in ``out``, a writeable complex
+    ``(4, n1, n2, n3)`` array apart from the field, which then holds the
+    returned amplitudes; without it a new array is allocated.
     """
     center = as_point4(center, "center")
     if not window_width > 0:
@@ -218,16 +255,31 @@ def windowed_spectrum(field: GridField, center, window_width: float) -> Windowed
             raise WindowOutOfBounds(
                 f"window at {center[1:4]} with width {window_width} leaves the domain on axis {i}"
             )
+    shape = (4, *grid.samples)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == shape
+        and out.dtype == complex
+        and out.flags.writeable
+        and not np.may_share_memory(out, field.data)
+    ):
+        raise InvalidInput(
+            f"spectrum buffer must be a writeable complex array of shape {shape} "
+            "apart from the field"
+        )
     j = int(np.argmin(np.abs(grid.times - center[0])))
 
     coords = grid.coordinates()
-    dist2 = sum((coords[i] - center[1 + i]) ** 2 for i in range(3))
-    window = np.exp(-dist2 / (2.0 * window_width**2))
-    spectra = np.fft.fftn(field.data[j] * window, axes=(1, 2, 3))
-    spectra = np.fft.fftshift(spectra, axes=(1, 2, 3))
+    window = sum((coords[i] - center[1 + i]) ** 2 for i in range(3))
+    np.negative(window, out=window)
+    np.exp(np.divide(window, 2.0 * window_width**2, out=window), out=window)
+    np.multiply(field.data[j], window, out=out)
+    np.fft.fftn(out, axes=(1, 2, 3), out=out)
     return WindowedSpectrum(
-        amplitudes=spectra,
-        k_axes=tuple(grid.k_axis(i) for i in range(3)),
+        amplitudes=out,
+        k_axes=tuple(np.fft.ifftshift(grid.k_axis(i)) for i in range(3)),
         center=center,
     )
 
@@ -248,20 +300,50 @@ class PolarizationEstimate:
         object.__setattr__(self, "omega_hat", np.asarray(self.omega_hat, dtype=complex))
 
 
-def _peak_candidates(mag: np.ndarray, k_axes, threshold: float) -> np.ndarray:
-    """Candidate peak bins of one window, strongest first (ties in argwhere order).
+def _peak_candidates(mag: np.ndarray, k_axes, threshold: float, scratch=None) -> np.ndarray:
+    """Candidate peak bins of one window, strongest first, ties by ascending (k1, k2, k3).
 
-    A candidate is at least its 3x3x3 wrap-around box maximum (a separable
-    running max, two rolls per axis), at least ``threshold`` times the
-    window's own maximum, positive, and not the DC bin.
+    A candidate is at least its 3x3x3 wrap-around box maximum, at least
+    ``threshold`` times the window's own maximum, positive, and not the DC
+    bin.  The box maximum is separable: per axis, each bin takes the
+    largest of itself and its two cyclic neighbours, written into
+    ``scratch``, a pair of arrays shaped like ``mag`` (allocated when not
+    given).  The rule wraps around and the tie order reads the k values,
+    so bins in FFT order give the same candidates, in the same order, as
+    the same bins in ascending order.
     """
+    if scratch is None:
+        scratch = np.empty((2, *mag.shape))
     box = mag
     for axis in range(3):
-        box = np.maximum(box, np.maximum(np.roll(box, 1, axis), np.roll(box, -1, axis)))
-    mask = (mag >= box) & (mag >= threshold * float(mag.max())) & (mag > 0.0)
+        box = _cyclic_max3(box, scratch[axis % 2], axis)
+    mask = mag >= box
+    mask &= mag >= threshold * float(mag.max())
+    mask &= mag > 0.0
     mask[tuple(int(np.argmin(np.abs(k))) for k in k_axes)] = False
     indices = np.argwhere(mask)
-    return indices[np.argsort(-mag[tuple(indices.T)], kind="stable")]
+    # np.lexsort sorts by its last key first
+    keys = [k_axes[a][indices[:, a]] for a in (2, 1, 0)]
+    return indices[np.lexsort([*keys, -mag[tuple(indices.T)]])]
+
+
+def _cyclic_max3(src: np.ndarray, dst: np.ndarray, axis: int) -> np.ndarray:
+    """Write into ``dst`` (contiguous, apart from ``src``) the largest of each
+    entry of ``src`` and its two cyclic neighbours along one axis."""
+    n = src.shape[axis]
+    step = int(np.prod(src.shape[axis + 1 :], dtype=int))
+    # neighbours along the axis are ``step`` apart in the flat array: take
+    # them there in two contiguous passes, then redo the first and the last
+    # bin of each line, whose neighbours wrap around within the line
+    s, d = src.reshape(-1), dst.reshape(-1)
+    np.maximum(s[step:], s[:-step], out=d[step:])
+    np.maximum(d[step:-step], s[2 * step :], out=d[step:-step])
+    s, d = src.reshape(-1, n, step), dst.reshape(-1, n, step)
+    np.maximum(s[:, -1], s[:, 0], out=d[:, 0])
+    np.maximum(d[:, 0], s[:, 1], out=d[:, 0])
+    np.maximum(s[:, -2], s[:, -1], out=d[:, -1])
+    np.maximum(d[:, -1], s[:, 0], out=d[:, -1])
+    return dst
 
 
 def _refine_axis(mag: np.ndarray, idx: tuple[int, int, int], axis: int) -> float:
@@ -285,16 +367,28 @@ def _check_threshold(threshold: float) -> None:
         raise InvalidInput("threshold must lie strictly between 0 and 1")
 
 
+class _Workspace:
+    """The buffers of one estimate call, reused by every window: the complex
+    spectrum, its magnitude and two real scratch arrays."""
+
+    def __init__(self, samples: tuple[int, int, int]):
+        self.spectrum = np.empty((4, *samples), dtype=complex)
+        real = np.empty((3, *samples))
+        self.mag, self.scratch = real[0], real[1:]
+
+
 def _window_estimates(
-    field: GridField, center, window_width: float, threshold: float
+    field: GridField, center, window_width: float, threshold: float, work: _Workspace
 ) -> tuple[float, list[PolarizationEstimate]]:
     """One window's maximum magnitude and an estimate per candidate peak."""
-    spectrum = windowed_spectrum(field, center, window_width)
-    mag = spectrum.magnitude()
+    spectrum = windowed_spectrum(field, center, window_width, out=work.spectrum)
+    mag = spectrum.magnitude(out=work.mag, scratch=work.scratch[0])
     k_axes = spectrum.k_axes
-    steps = [k[1] - k[0] for k in k_axes]
+    # the bin step of the ascending axis: its first difference is not the
+    # FFT-order one (k[1] - 0) in the last bits
+    steps = [k[1] - k[0] for k in map(field.grid.k_axis, range(3))]
     out = []
-    for pos in _peak_candidates(mag, k_axes, threshold):
+    for pos in _peak_candidates(mag, k_axes, threshold, work.scratch):
         idx = tuple(int(v) for v in pos)
         kvec = np.array([k_axes[a][idx[a]] for a in range(3)])
         deltas = [_refine_axis(mag, idx, a) for a in range(3)]
@@ -327,14 +421,15 @@ def estimate_polarization_set(
     peak contribute nothing.  The peak location gets a log-parabolic
     sub-bin correction per axis (exact for Gaussian spectra).
 
-    Windows are analysed one at a time, keeping only their candidate
-    peaks, so memory holds one spectrum whatever the window count.
+    Windows are analysed one at a time in one workspace, kept for this
+    call only, so memory holds one spectrum whatever the window count.
     """
     _check_threshold(threshold)
+    work = _Workspace(field.grid.samples)
     global_max = 0.0
     out: list[PolarizationEstimate] = []
     for center in centers:
-        window_max, estimates = _window_estimates(field, center, window_width, threshold)
+        window_max, estimates = _window_estimates(field, center, window_width, threshold, work)
         global_max = max(global_max, window_max)
         out.extend(estimates)
     return [est for est in out if est.strength >= threshold * global_max]
@@ -358,13 +453,14 @@ def straightness_track(field: GridField) -> LineTrack:
         raise InvalidInput("straightness tracking needs at least 3 time slices")
     coords = grid.coordinates()
     centroids = np.empty((grid.time_slices, 3))
+    weight, scratch = np.empty((2, *grid.samples))
     for j in range(grid.time_slices):
-        weight = np.sum(np.abs(field.data[j]) ** 2, axis=0)
+        _component_energy(field.data[j], weight, scratch)
         total = float(weight.sum())
         if total <= ENERGY_FLOOR:
             raise DegenerateField(f"time slice {j} carries no energy")
         for i in range(3):
-            centroids[j, i] = float(np.sum(weight * coords[i])) / total
+            centroids[j, i] = float(np.multiply(weight, coords[i], out=scratch).sum()) / total
     times = grid.times
     t_center = times - times.mean()
     c_center = centroids - centroids.mean(axis=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polaray import rays
-from polaray.errors import InvalidInput
+from polaray.errors import DimensionMismatch, InvalidInput
 from polaray.minkowski import PhaseSpacePoint
 from polaray.principal_type import decompose_principal_type
 from polaray.rays import (
@@ -228,6 +228,37 @@ class TestHamiltonSystem:
         for method in ("rk4", "adaptive"):
             with pytest.raises(InvalidInput, match="real-valued"):
                 trace_ray(q, [0, 0, 0, 0], [0, 0, 0, 1], (0, 1), 0.1, method=method)
+
+    def test_built_once_per_symbol_and_refusals_never_kept(self, monkeypatch):
+        builds = []
+        build = HamiltonSystem.__init__
+
+        def counting_build(system, q):
+            builds.append(q)
+            build(system, q)
+
+        monkeypatch.setattr(HamiltonSystem, "__init__", counting_build)
+        q = decompose_principal_type(graded_index_symbol(2)).q
+        x0, k0 = graded_null_start()
+        for _ in range(2):
+            hamilton_field(q, PhaseSpacePoint(x0, k0))
+            principal_type.is_real_principal_type(q, PhaseSpacePoint(x0, k0))
+            for method in ("rk4", "adaptive"):
+                trace_ray(q, x0, k0, (0.0, 0.1), 0.05, method=method)
+        assert builds == [q]
+
+        z = (0, 0, 0, 0)
+        complex_q = MatrixSymbol(1, 1, [(z, (1, 0, 0, 0), 1.0), (z, (0, 1, 0, 0), 0.5j)])
+        matrix_q = graded_index_symbol(2)
+        pt = PhaseSpacePoint(np.zeros(4), np.array([0.0, 0, 0, 1]))
+        for _ in range(2):
+            with pytest.raises(ComplexSymbol):
+                hamilton_field(complex_q, pt)
+            with pytest.raises(ComplexSymbol):
+                trace_ray(complex_q, [0, 0, 0, 0], [0, 0, 0, 1], (0, 1), 0.1)
+            with pytest.raises(DimensionMismatch):
+                hamilton_field(matrix_q, pt)
+        assert builds == [q] + [complex_q, complex_q, matrix_q] * 2
 
     def test_complex_symbol_is_one_error_class(self):
         z = (0, 0, 0, 0)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polaray.errors import InvalidInput
 from polaray.minkowski import PhaseSpacePoint, raise_index
@@ -10,6 +11,8 @@ from polaray.principal_type import decompose_principal_type, kernel_basis
 from polaray.rays import Ray, trace_ray
 from polaray.symbols import MatrixSymbol, parse_x_polynomial, scaled_wave
 from polaray.transport import (
+    SAME_POINT,
+    ZERO_FIBER,
     KernelEscape,
     PolarizationSample,
     connection_matrix,
@@ -215,6 +218,95 @@ class TestProjectWavefront:
         assert len(kept) == len(reference)
         assert all(a is b for a, b in zip(kept, reference))
         assert len(reference) < len([s for s in samples if np.any(s.omega != 0)])
+
+
+def greedy_wavefront(samples):
+    """project_wavefront by brute force: each nonzero-fiber sample is
+    compared with every base point kept before it."""
+    kept = []
+    for sample in samples:
+        if float(np.linalg.norm(sample.omega)) <= ZERO_FIBER:
+            continue
+        pt = sample.pt
+        if not any(
+            np.max(np.abs(pt.x - o.x)) <= SAME_POINT and np.max(np.abs(pt.k - o.k)) <= SAME_POINT
+            for o in kept
+        ):
+            kept.append(pt)
+    return kept
+
+
+# base points (x, k) and offsets around the SAME_POINT boundary: from a
+# zero coordinate 1e-9 and 2e-9 are exact, so 0 ~ 1e-9 ~ 2e-9 is a chain
+# whose ends do not match
+WAVEFRONT_BASES = (
+    np.zeros(4),
+    np.array([1.0, 0.0, 0.0, -1.0]),
+    np.array([0.25, -1.0, 0.0, 3.0]),
+    np.array([2.0, 1.0, 0.0, 1.5]),
+    np.array([1e3, 0.0, -7.5, 0.0]),
+    np.array([0.0, 0.0, 1e-3, -2.0]),
+)
+WAVEFRONT_OFFSETS = (
+    0.0,
+    0.5e-9,
+    SAME_POINT,
+    -SAME_POINT,
+    2 * SAME_POINT,
+    float(np.nextafter(SAME_POINT, 1.0)),
+    float(np.nextafter(SAME_POINT, 0.0)),
+    3e-9,
+)
+
+
+def wavefront_sample(base, shifts, zero_fiber):
+    z = np.concatenate([WAVEFRONT_BASES[2 * base], WAVEFRONT_BASES[2 * base + 1]])
+    for coordinate, offset in shifts:
+        z[coordinate] += WAVEFRONT_OFFSETS[offset]
+    omega = np.zeros(2) if zero_fiber else np.array([1.0, 0.5j])
+    return PolarizationSample(pt=PhaseSpacePoint(z[:4], z[4:]), omega=omega)
+
+
+class TestProjectWavefrontOracle:
+    """The sorted-window search keeps exactly what brute force keeps."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=3),
+                st.integers(0, 3).map(lambda v: v == 0),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_brute_force(self, draws):
+        samples = [wavefront_sample(*draw) for draw in draws]
+        kept = project_wavefront(samples)
+        reference = greedy_wavefront(samples)
+        assert len(kept) == len(reference)
+        assert all(a is b for a, b in zip(kept, reference))
+
+    @pytest.mark.parametrize(
+        "order, kept",
+        [((0, 1, 2), (0, 2)), ((0, 2, 1), (0, 2)), ((1, 0, 2), (1,)), ((2, 1, 0), (2, 0))],
+    )
+    def test_chains_keep_first_occurrences(self, order, kept):
+        # points 0 ~ 1 ~ 2 on x1 and k2, exactly at the boundary; 0 and 2 do not match
+        chain = [
+            wavefront_sample(0, [(1, offset), (6, offset)], False) for offset in (0, 2, 4)
+        ]
+        samples = [chain[i] for i in order]
+        for found in (project_wavefront(samples), greedy_wavefront(samples)):
+            assert len(found) == len(kept)
+            assert all(pt is chain[i].pt for pt, i in zip(found, kept))
+
+    def test_just_beyond_the_boundary_is_distinct(self):
+        a = wavefront_sample(0, [], False)
+        b = wavefront_sample(0, [(1, 5)], False)  # x1 = 1e-9 plus one ulp: distinct from a
+        c = wavefront_sample(0, [(1, 6)], False)  # x1 = 1e-9 minus one ulp: a duplicate of a
+        found = project_wavefront([a, b, c])
+        assert len(found) == 2 and found[0] is a.pt and found[1] is b.pt
 
 
 class TestReprojection:

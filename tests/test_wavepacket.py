@@ -7,6 +7,7 @@ import pytest
 
 from polaray.errors import InvalidInput
 from polaray.gauge import FourierMode, ZeroFrequency, classify_mode, physical_polarizations
+from polaray.minkowski import as_point4
 from polaray.principal_type import decompose_principal_type
 from polaray.rays import trace_ray
 from polaray.symbols import flat_maxwell
@@ -16,10 +17,15 @@ from polaray.wavepacket import (
     DegenerateField,
     GridField,
     GridSpec,
+    PolarizationEstimate,
     WavePacketSpec,
+    WindowedSpectrum,
     WindowOutOfBounds,
     _peak_candidates,
     _point_to_polyline,
+    _refine_axis,
+    _window_estimates,
+    _Workspace,
     compare,
     estimate_polarization_set,
     straightness_track,
@@ -113,6 +119,24 @@ class TestGridSpec:
 
 
 class TestSynthesize:
+    def test_samples_keep_the_closed_form_bits(self):
+        kcov = np.array([2.5, -1.5, 0.0, -2.0])
+        eps = np.array([0, 0.8, 0.6j, -0.6]) / np.linalg.norm([0, 0.8, 0.6, 0.6])
+        mode = FourierMode(kcov, eps, amplitude=0.7 - 0.2j)
+        center = np.array([0.1, 0.3, -0.2, 0.5])
+        grid = small_grid(n=32, nt=3, dt=0.3)
+        field = synthesize(WavePacketSpec(mode, center, 2.0), grid)
+        coords = grid.coordinates()
+        kvec, omega = -kcov[1:], kcov[0]
+        phase = sum(kvec[i] * coords[i] for i in range(3))
+        for j, t in enumerate(grid.times):
+            c = center[1:] + kvec / omega * (t - center[0])
+            dist2 = sum((coords[i] - c[i]) ** 2 for i in range(3))
+            scalar = np.exp(1j * (phase - omega * t) - dist2 * (1.0 / (2.0 * 2.0 * 2.0)))
+            scalar = scalar * (mode.amplitude / math.sqrt(2.0 * omega))
+            for mu in range(4):
+                assert np.array_equal(field.data[j, mu], mode.eps[mu] * scalar)
+
     def test_single_component_polarization(self):
         kcov, _, _ = carrier([0, 0, 8])
         field = synthesize(
@@ -283,6 +307,46 @@ def brute_force_candidates(mag, k_axes, threshold):
     return indices[order]
 
 
+def shifted_estimates(field, centers, window_width, threshold):
+    """The estimator on fftshifted spectra, with a fresh array for every step.
+
+    Per window: a new windowed product, its transform, an ``fftshift`` copy
+    and the magnitude ``sqrt(sum |a|^2)``; candidates from the 26-neighbour
+    rule in ``np.argwhere`` order, stably sorted by strength.  The
+    refinement and the global threshold are the library's.  Valid windows
+    only: nothing here checks them.
+    """
+    grid = field.grid
+    k_axes = tuple(grid.k_axis(i) for i in range(3))
+    steps = [k[1] - k[0] for k in k_axes]
+    coords = grid.coordinates()
+    global_max, out = 0.0, []
+    for center in map(as_point4, centers):
+        j = int(np.argmin(np.abs(grid.times - center[0])))
+        dist2 = sum((coords[i] - center[1 + i]) ** 2 for i in range(3))
+        window = np.exp(-dist2 / (2.0 * window_width**2))
+        spectra = np.fft.fftn(field.data[j] * window, axes=(1, 2, 3))
+        spectra = np.fft.fftshift(spectra, axes=(1, 2, 3))
+        mag = np.sqrt(np.sum(np.abs(spectra) ** 2, axis=0))
+        for pos in brute_force_candidates(mag, k_axes, threshold):
+            idx = tuple(int(v) for v in pos)
+            kvec = np.array([k_axes[a][idx[a]] for a in range(3)])
+            kvec = kvec + np.array([_refine_axis(mag, idx, a) * steps[a] for a in range(3)])
+            freq = float(np.linalg.norm(kvec))
+            amps = spectra[(slice(None), *idx)]
+            out.append(
+                PolarizationEstimate(
+                    x=center,
+                    k_hat=kvec / freq,
+                    freq=freq,
+                    omega_hat=amps / float(np.linalg.norm(amps)),
+                    strength=float(mag[idx]),
+                )
+            )
+        global_max = max(global_max, float(mag.max()))
+    return [est for est in out if est.strength >= threshold * global_max]
+
+
 class TestPeakCandidates:
     SHAPE = (8, 9, 10)
     K_AXES = tuple(np.fft.fftshift(np.fft.fftfreq(n)) for n in SHAPE)
@@ -329,6 +393,141 @@ class TestPeakCandidates:
                 _peak_candidates(mag, spectrum.k_axes, threshold),
                 brute_force_candidates(mag, spectrum.k_axes, threshold),
             )
+
+
+    def test_storage_order_does_not_change_the_candidates(self, rng):
+        # ifftshift puts shifted bin i at (i - n // 2) % n, zero frequency first
+        shift = np.array([n // 2 for n in self.SHAPE])
+        fft_axes = tuple(np.fft.ifftshift(k) for k in self.K_AXES)
+        for mag in (rng.random(self.SHAPE), rng.integers(0, 3, self.SHAPE).astype(float)):
+            for threshold in (0.05, 0.5):
+                shifted = _peak_candidates(mag, self.K_AXES, threshold)
+                unshifted = _peak_candidates(np.fft.ifftshift(mag), fft_axes, threshold)
+                assert len(shifted) > 1
+                assert np.array_equal(unshifted, (shifted - shift) % self.SHAPE)
+
+
+def bench_size_packet():
+    """The bench's packet: 40^3 x 3 slices, an off-lattice carrier, 8 windows on its path."""
+    grid = GridSpec((L, L, L), (40, 40, 40), time_slices=3, time_step=L / 40)
+    direction = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    k = np.array([2.4, *(-2.4 * direction)])
+    e1, e2 = physical_polarizations(k)
+    eps = math.cos(0.7) * e1 + math.sin(0.7) * np.exp(1.1j) * e2
+    center = np.array([0.0, *(-0.4 * direction)])
+    field = synthesize(WavePacketSpec(FourierMode(k, eps), center, 1.8), grid)
+    windows = [
+        np.array([t, *(center[1:] + direction * t)]) for t in np.linspace(0, grid.times[-1], 8)
+    ]
+    return field, windows
+
+
+def assert_same_estimates(found, expected):
+    assert len(found) == len(expected) > 0
+    for a, b in zip(found, expected):
+        for name in ("x", "k_hat", "freq", "omega_hat", "strength"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestWorkspace:
+    """One workspace per estimate call, spectra in FFT order: the same
+    estimates, bit for bit, as fresh fftshifted spectra."""
+
+    def test_bench_size_packet_matches_the_shifted_oracle(self):
+        field, windows = bench_size_packet()
+        assert_same_estimates(
+            estimate_polarization_set(field, windows, 2.0, 0.2),
+            shifted_estimates(field, windows, 2.0, 0.2),
+        )
+
+    def test_two_carriers_match_the_shifted_oracle(self):
+        grid = small_grid()
+        fields = [
+            synthesize(WavePacketSpec(FourierMode(carrier(c)[0], e), np.zeros(4), 2.0), grid)
+            for c, e in (([0, 2.3, 8], [0, 1, 0, 0]), ([6, 0, -1.6], [0, 0, 1, 0.5j]))
+        ]
+        field = fields[0] + fields[1]
+        centers = [np.zeros(4), np.array([0.0, 1.0, -1.0, 0.5])]
+        found = estimate_polarization_set(field, centers, 2.0, 0.1)
+        assert_same_estimates(found, shifted_estimates(field, centers, 2.0, 0.1))
+        assert len(found) >= 4
+
+    def test_plateau_on_an_odd_mixed_grid_matches_the_shifted_oracle(self):
+        # a spike at the first sample transforms to one constant: every
+        # bin ties, and on (9, 10, 11) fftshift and ifftshift differ
+        grid = GridSpec((9.0, 10.0, 11.0), (9, 10, 11))
+        data = np.zeros((1, 4, 9, 10, 11), dtype=complex)
+        data[0, :, 0, 0, 0] = [1.0, 2j, 0.0, 0.5]
+        field = GridField(grid, data)
+        found = estimate_polarization_set(field, [np.zeros(4)], 2.0, 0.5)
+        assert_same_estimates(found, shifted_estimates(field, [np.zeros(4)], 2.0, 0.5))
+        assert len({e.strength for e in found}) == 1 and len(found) == 9 * 10 * 11 - 1
+
+    def test_plane_wave_on_an_odd_mixed_grid_matches_the_shifted_oracle(self):
+        grid = GridSpec((9.0, 10.0, 11.0), (9, 10, 11))
+        field = plane_wave_field(grid, [1.3, -2.1, 0.7], np.array([0, 1, 1j, 0]) / math.sqrt(2))
+        centers = [np.zeros(4), np.array([0.0, 0.5, -0.5, 1.0])]
+        assert_same_estimates(
+            estimate_polarization_set(field, centers, 2.0, 0.2),
+            shifted_estimates(field, centers, 2.0, 0.2),
+        )
+
+    def test_windows_do_not_alias_the_reused_buffer(self):
+        field, windows = bench_size_packet()
+        singles = [
+            _window_estimates(field, c, 2.0, 0.05, _Workspace(field.grid.samples))
+            for c in windows[::3]
+        ]
+        global_max = max(window_max for window_max, _ in singles)
+        expected = [e for _, ests in singles for e in ests if e.strength >= 0.05 * global_max]
+        assert_same_estimates(estimate_polarization_set(field, windows[::3], 2.0, 0.05), expected)
+
+    def test_peak_memory_is_one_workspace(self):
+        field, windows = bench_size_packet()
+        spectrum_bytes = 4 * 40**3 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            estimate_polarization_set(field, windows, 2.0, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * spectrum_bytes
+
+    def test_spectrum_buffer_is_filled_in_fft_order_or_refused(self):
+        kcov, _, _ = carrier([0, 3, 8])
+        field = synthesize(
+            WavePacketSpec(FourierMode(kcov, [0, 1, 0.5j, 0]), np.zeros(4), 2.0), small_grid()
+        )
+        buffer = np.empty((4, 32, 32, 32), dtype=complex)
+        spectrum = windowed_spectrum(field, np.zeros(4), 2.0, out=buffer)
+        assert spectrum.amplitudes is buffer
+        assert np.array_equal(windowed_spectrum(field, np.zeros(4), 2.0).amplitudes, buffer)
+        for axis, k in zip(range(3), spectrum.k_axes):
+            assert k[0] == 0.0 and np.array_equal(np.fft.fftshift(k), field.grid.k_axis(axis))
+        read_only = np.empty_like(buffer)
+        read_only.flags.writeable = False
+        bad_buffers = [
+            np.empty((4, 32, 32, 31), dtype=complex),
+            np.empty((4, 32, 32, 32)),
+            np.empty((4, 32, 32, 32), dtype=np.complex64),
+            read_only,
+            field.data[0],
+            [[0j]],
+        ]
+        for bad in bad_buffers:
+            with pytest.raises(InvalidInput, match="spectrum buffer"):
+                windowed_spectrum(field, np.zeros(4), 2.0, out=bad)
+
+    def test_magnitude_keeps_the_summed_bits(self, rng):
+        amplitudes = rng.normal(size=(4, 9, 10, 11)) + 1j * rng.normal(size=(4, 9, 10, 11))
+        amplitudes[1, :3] = 0.0
+        amplitudes[2] *= 1e-160  # squares near the subnormal range
+        spectrum = WindowedSpectrum(amplitudes, (), np.zeros(4))
+        expected = np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=0))
+        assert np.array_equal(spectrum.magnitude(), expected)
+        out, scratch = np.empty((2, 9, 10, 11))
+        assert spectrum.magnitude(out=out, scratch=scratch) is out
+        assert np.array_equal(out, expected)
 
 
 class TestEstimatorMemory:
@@ -407,6 +606,19 @@ class TestResolutionLaw:
 
 
 class TestStraightnessTrack:
+    def test_centroids_keep_the_summed_energy_bits(self):
+        kcov, _, _ = carrier([0, 3, 8])
+        grid = small_grid(n=32, nt=3, dt=0.4)
+        field = synthesize(
+            WavePacketSpec(FourierMode(kcov, [0, 1, 0.5j, 0]), np.array([0, 0, 0, -1.0]), 2.0), grid
+        )
+        track = straightness_track(field)
+        coords = grid.coordinates()
+        for j, centroid in enumerate(track.trajectory):
+            weight = np.sum(np.abs(field.data[j]) ** 2, axis=0)
+            total = float(weight.sum())
+            assert np.array_equal(centroid, [float(np.sum(weight * c)) / total for c in coords])
+
     def test_axis_packet_speed_and_residual(self):
         kcov, _, _ = carrier([0, 0, 8])
         grid = small_grid(n=32, nt=5, dt=0.4)
