@@ -87,7 +87,6 @@ from .wavepacket import (
     CompareReport,
     CompareTolerances,
     DegenerateField,
-    EmptyOrbit,
     GridField,
     GridSpec,
     LineTrack,

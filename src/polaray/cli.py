@@ -130,12 +130,14 @@ def _read_symbol(path: str) -> MatrixSymbol:
 
 
 def _decompose(args) -> PrincipalTypeDecomposition:
-    if args.symbol_file:
-        sym = _read_symbol(args.symbol_file)
-    elif args.symbol:
+    if (args.symbol is None) == (args.symbol_file is None):
+        raise InvalidInput("give exactly one of --symbol NAME or --symbol-file PATH")
+    if args.symbol is not None:
         sym = builtin_symbol(args.symbol, scale=args.scale, dimension=args.dimension)
+    elif args.scale is not None or args.dimension is not None:
+        raise InvalidInput("--scale and --dimension apply only to --symbol scaled-wave")
     else:
-        raise InvalidInput("give --symbol NAME or --symbol-file PATH")
+        sym = _read_symbol(args.symbol_file)
     hint = _read_symbol(args.hint_file) if args.hint_file else None
     return decompose_principal_type(sym, hint=hint)
 
@@ -259,10 +261,10 @@ def _parse_centers(text: str) -> list[np.ndarray]:
 
 
 def _cmd_estimate(args) -> int:
-    field = ser.read_gridfield(args.field)
+    centers = _parse_centers(args.centers)
     estimates = estimate_polarization_set(
-        field,
-        _parse_centers(args.centers),
+        ser.read_gridfield(args.field),
+        centers,
         window_width=args.window,
         threshold=args.threshold,
     )

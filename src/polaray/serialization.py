@@ -188,15 +188,14 @@ def _orbit_header_from(meta: dict) -> str:
 def read_orbit_csv(path: str) -> HamiltonOrbit:
     meta, data = _read_table(path, "orbit csv", _orbit_header_from)
     dim = (data.shape[1] - 11) // 2
-    try:
-        reprojected = bool(int(meta.get("reprojected", "0")))
-    except ValueError as exc:
-        raise ParseError(f"orbit csv: bad reprojected metadata {meta['reprojected']!r}") from exc
+    reprojected = meta.get("reprojected", "0")
+    if reprojected not in ("0", "1"):
+        raise ParseError(f"orbit csv: reprojected metadata must be 0 or 1, got {reprojected!r}")
     return HamiltonOrbit(
         ray=_ray_from_columns(data, meta, "orbit csv"),
         omega=data[:, 10 : 10 + 2 * dim : 2] + 1j * data[:, 11 : 10 + 2 * dim : 2],
         residuals=data[:, 10 + 2 * dim],
-        reprojected=reprojected,
+        reprojected=reprojected == "1",
     )
 
 

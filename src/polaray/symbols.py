@@ -427,51 +427,46 @@ def connection_matrices(p_tilde: MatrixSymbol, p: MatrixSymbol, x, k) -> np.ndar
 # -- built-in symbols ---------------------------------------------------
 
 
-def wave_quadratic_terms() -> list[tuple[Expo, Expo, np.ndarray]]:
-    """Terms of the light-cone quadratic eta^{ab} k_a k_b as a scalar."""
-    out = []
-    for mu, sign in enumerate(SIGNATURE):
-        k_exp = [0, 0, 0, 0]
-        k_exp[mu] = 2
-        out.append((_ZERO_EXPO, tuple(k_exp), np.array([[sign]], dtype=complex)))
-    return out
+def _wave_family(f: dict[Expo, complex], dimension: int, name: str | None) -> MatrixSymbol:
+    """f(x) (k.k) I_N with f given as {x-exponents: coefficient}: every built-in symbol."""
+    if not f:
+        raise InvalidInput(f"{name} needs at least one polynomial term")
+    eye = np.eye(_dimension(dimension))
+    terms = []
+    for x_exp, c in f.items():
+        for mu, sign in enumerate(SIGNATURE):
+            k_exp = tuple(2 * (nu == mu) for nu in range(4))
+            # this grouping and the complex sign fix the signs of zero parts in the bytes
+            terms.append((_as_expo(x_exp), k_exp, complex(c) * complex(sign) * eye))
+    return MatrixSymbol(dimension, 2, terms, name=name)
 
 
 def scalar_wave() -> MatrixSymbol:
     """The scalar wave symbol k0^2 - k1^2 - k2^2 - k3^2."""
-    return MatrixSymbol(1, 2, wave_quadratic_terms(), name="scalar-wave")
+    return _wave_family({_ZERO_EXPO: 1}, 1, "scalar-wave")
 
 
 def flat_maxwell() -> MatrixSymbol:
     """The wave operator on 4-component potentials: (k.k) times the identity."""
-    terms = []
-    for x_exp, k_exp, mat in wave_quadratic_terms():
-        terms.append((x_exp, k_exp, mat[0, 0] * np.eye(4)))
-    return MatrixSymbol(4, 2, terms, name="flat-maxwell")
+    return _wave_family({_ZERO_EXPO: 1}, 4, "flat-maxwell")
 
 
 def scaled_wave(coefficients: dict[Expo, complex], dimension: int = 1) -> MatrixSymbol:
     """f(x) times the wave quadratic, f given as {x-exponents: coefficient}."""
-    if not coefficients:
-        raise InvalidInput("scaled-wave needs at least one polynomial term")
-    terms = []
-    eye = np.eye(_dimension(dimension))
-    for x_exp, c in coefficients.items():
-        for _, k_exp, mat in wave_quadratic_terms():
-            terms.append((_as_expo(x_exp), k_exp, complex(c) * mat[0, 0] * eye))
-    return MatrixSymbol(dimension, 2, terms, name="scaled-wave")
+    return _wave_family(coefficients, dimension, "scaled-wave")
 
 
 def builtin_symbol(name: str, scale: str | None = None, dimension: int | None = None) -> MatrixSymbol:
     """Resolve one of the named built-in symbols.
 
     ``scaled-wave`` requires ``scale``, a polynomial in x0..x3 such as
-    ``"1 + x3^2"`` (see :func:`parse_x_polynomial`).
+    ``"1 + x3^2"`` (see :func:`parse_x_polynomial`), and takes an optional
+    ``dimension``; the other built-ins refuse both.
     """
-    if name == "flat-maxwell":
-        return flat_maxwell()
-    if name == "scalar-wave":
-        return scalar_wave()
+    if name in ("flat-maxwell", "scalar-wave"):
+        if scale is not None or dimension is not None:
+            raise InvalidInput(f"scale and dimension apply only to scaled-wave, not {name}")
+        return flat_maxwell() if name == "flat-maxwell" else scalar_wave()
     if name == "scaled-wave":
         if scale is None:
             raise InvalidInput("scaled-wave requires a scale polynomial, e.g. '1+x3^2'")
@@ -627,37 +622,19 @@ def pretty(sym: MatrixSymbol) -> str:
     scalar = scalar_coefficients(sym)
     if scalar is None:
         return repr(sym)
-    wave = {ke: m[0, 0] for (_, ke), m in _normalize_terms(wave_quadratic_terms(), 1).items()}
-    factored = _factor_wave_quadratic(scalar, wave)
-    if factored is not None:
-        if list(factored) == [_ZERO_EXPO]:
-            c = factored[_ZERO_EXPO]
-            return "k^2" if c == 1 else f"{_fmt_coeff(c)}*k^2"
-        poly = " + ".join(
-            _fmt_term(_fmt_coeff(c), xe, _ZERO_EXPO)
-            for xe, c in sorted(factored.items(), reverse=True)
-        )
-        return f"({poly})*k^2"
-    return " + ".join(
-        _fmt_term(_fmt_coeff(c), xe, ke)
-        for (xe, ke), c in sorted(scalar.items(), reverse=True)
-    ) or "0"
-
-
-def _factor_wave_quadratic(scalar: dict, wave: dict) -> dict | None:
-    """Write scalar terms as f(x) * (k.k) if possible: {x_exp: coefficient}."""
-    by_x: dict[Expo, dict] = {}
-    for (xe, ke), c in scalar.items():
-        by_x.setdefault(xe, {})[ke] = c
-    out = {}
-    for xe, k_terms in by_x.items():
-        if k_terms.keys() != wave.keys():
-            return None
-        ratios = {k_terms[ke] / wave[ke] for ke in wave}
-        if len(ratios) != 1:
-            return None
-        out[xe] = ratios.pop()
-    return out
+    # f is read off the k0^2 terms and kept only if f (k.k) rebuilds the symbol
+    f = {xe: c for (xe, ke), c in scalar.items() if ke == (2, 0, 0, 0)}
+    if not f or scalar_coefficients(_wave_family(f, 1, None)) != scalar:
+        return " + ".join(
+            _fmt_term(_fmt_coeff(c), xe, ke) for (xe, ke), c in sorted(scalar.items(), reverse=True)
+        ) or "0"
+    if list(f) == [_ZERO_EXPO]:
+        c = f[_ZERO_EXPO]
+        return "k^2" if c == 1 else f"{_fmt_coeff(c)}*k^2"
+    poly = " + ".join(
+        _fmt_term(_fmt_coeff(c), xe, _ZERO_EXPO) for xe, c in sorted(f.items(), reverse=True)
+    )
+    return f"({poly})*k^2"
 
 
 def scalar_coefficients(sym: MatrixSymbol) -> dict | None:

@@ -13,6 +13,7 @@ parameter grid as the underlying ray.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,14 +165,21 @@ def project_wavefront(samples):
     """Base points (x, k) of all samples with a nonzero fiber vector.
 
     Samples whose fiber norm is at or below ``ZERO_FIBER`` = 1e-12 are
-    dropped (the zero section carries no singularity).  A surviving base
-    point is a duplicate when its x and its k each lie within
-    ``SAME_POINT`` = 1e-9 of a kept one in every component; first
-    occurrences are kept, in input order.  Only points within
+    dropped (the zero section carries no singularity); a NaN fiber raises
+    :class:`InvalidInput` naming the sample.  A surviving base point is
+    a duplicate when its x and its k each lie within ``SAME_POINT`` =
+    1e-9 of a kept one in every component; first occurrences are kept,
+    in input order.  Only points within
     2 * ``SAME_POINT`` of each other in the coordinate of widest spread
     are compared, found by one sort of that coordinate.
     """
-    points = [s.pt for s in samples if not float(np.linalg.norm(s.omega)) <= ZERO_FIBER]
+    points = []
+    for i, s in enumerate(samples):
+        norm = float(np.linalg.norm(s.omega))
+        if math.isnan(norm):
+            raise InvalidInput(f"polarization sample {i} has a NaN fiber vector")
+        if norm > ZERO_FIBER:
+            points.append(s.pt)
     if not points:
         return []
     z = np.array([np.concatenate([pt.x, pt.k]) for pt in points])

@@ -38,10 +38,6 @@ class DegenerateField(InvalidInput):
     """A time slice carries no usable energy."""
 
 
-class EmptyOrbit(InvalidInput):
-    """Comparison needs an orbit with at least one sample."""
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform space-time sampling grid.
@@ -568,8 +564,6 @@ def compare(
     An empty estimate list passes trivially.
     """
     tolerances = tolerances or CompareTolerances()
-    if len(orbit) == 0:
-        raise EmptyOrbit("comparison needs a nonempty orbit")
     path = orbit.ray.x
     entries = []
     for est in estimates:

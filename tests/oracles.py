@@ -10,7 +10,14 @@ import numpy as np
 from polaray.gauge import PolarizationBasis, minkowski_pairing
 from polaray.minkowski import SIGNATURE, as_point4, raise_index
 from polaray.rays import HamiltonSystem, Ray
-from polaray.symbols import MatrixSymbol
+from polaray.symbols import (
+    Expo,
+    MatrixSymbol,
+    _fmt_coeff,
+    _fmt_term,
+    scalar_coefficients,
+    scalar_wave,
+)
 from polaray.wavepacket import GridField, _check_threshold, _peak_candidates, windowed_spectrum
 
 
@@ -132,3 +139,37 @@ def same_terms(a: MatrixSymbol, b: MatrixSymbol) -> bool:
         if any(not np.array_equal(mine[key], theirs[key]) for key in mine):
             return False
     return True
+
+
+def _factor_wave_quadratic(scalar: dict, wave: dict) -> dict | None:
+    """Write scalar terms as f(x) * (k.k) if possible: {x_exp: coefficient}."""
+    by_x: dict[Expo, dict] = {}
+    for (xe, ke), c in scalar.items():
+        by_x.setdefault(xe, {})[ke] = c
+    out = {}
+    for xe, k_terms in by_x.items():
+        if k_terms.keys() != wave.keys():
+            return None
+        ratios = {k_terms[ke] / wave[ke] for ke in wave}
+        if len(ratios) != 1:
+            return None
+        out[xe] = ratios.pop()
+    return out
+
+
+_WAVE = {ke: m[0, 0] for _, ke, m in scalar_wave().terms()}
+
+
+def wave_factored_text(sym: MatrixSymbol) -> str | None:
+    """The '(f)*k^2' text of a scalar-multiple symbol f(x) (k.k), with f found
+    by dividing each k-term by the wave quadratic's; None if it does not factor."""
+    f = _factor_wave_quadratic(scalar_coefficients(sym), _WAVE)
+    if f is None:
+        return None
+    zero = (0, 0, 0, 0)
+    if list(f) == [zero]:
+        return "k^2" if f[zero] == 1 else f"{_fmt_coeff(f[zero])}*k^2"
+    poly = " + ".join(
+        _fmt_term(_fmt_coeff(c), xe, zero) for xe, c in sorted(f.items(), reverse=True)
+    )
+    return f"({poly})*k^2"

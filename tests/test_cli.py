@@ -11,7 +11,7 @@ import pytest
 import polaray
 from polaray.cli import run
 from polaray.serialization import read_estimates_json, read_orbit_csv, read_ray_csv, roundtrip
-from polaray.symbols import MatrixSymbol, format_symbol_file
+from polaray.symbols import MatrixSymbol, flat_maxwell, format_symbol_file
 
 from conftest import graded_index_symbol, graded_null_start
 
@@ -214,6 +214,8 @@ X8_DRIFT = (
     *X8_TRACE, "0:40", "--x0", "0,0,0,0.5", "--k", "1,0,0.3,-1", "--project-null", "--step", "1"
 )
 X8_OVERFLOW = (*X8_TRACE, "0:1", "--x0", "0,0,0,1e40", "--k", "1,0,0,-1", "--step", "0.1")
+MAXWELL_FILE = format_symbol_file(flat_maxwell())
+ID4 = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"
 SYNTH = ("synth", "--k", K_PI, "--eps", "0,1,0,0", "--center", "0,0,0,0", "--sigma", "2.0",
          "--samples", "32,32,32", "-o", "f.gf")
 
@@ -273,13 +275,58 @@ class TestErrorContract:
               "--tau", "0:1e300", "--step", "1e299"), None,
              "StepFailure: ray position overflowed at step 1, tau = 1e+299, x = (inf, 0, 0, inf), "
              "k = (1e+154, 0, 0, -1e+154)"),
+            (("check-type", "--symbol", "flat-maxwell", "--scale", "1+x3^2", *CHECK_AT), None,
+             "InvalidInput: scale and dimension apply only to scaled-wave, not flat-maxwell"),
+            (("check-type", "--symbol", "scalar-wave", "--dimension", "3", *CHECK_AT), None,
+             "InvalidInput: scale and dimension apply only to scaled-wave, not scalar-wave"),
+            (("check-type", "--symbol", "scalar-wave", "--symbol-file", "p.txt", *CHECK_AT),
+             MAXWELL_FILE, "InvalidInput: give exactly one of --symbol NAME or --symbol-file PATH"),
+            (("check-type", "--symbol-file", "p.txt", "--dimension", "2", "--scale", "x3",
+              *CHECK_AT), MAXWELL_FILE,
+             "InvalidInput: --scale and --dimension apply only to --symbol scaled-wave"),
+            (("check-type", *CHECK_AT), None, "InvalidInput: give exactly one of --symbol NAME"),
+            (("check-type", "--config", "p.txt", "--symbol-file", "p.txt", *CHECK_AT),
+             '{"symbol": "flat-maxwell"}', "InvalidInput: give exactly one of --symbol NAME"),
+            (("trace", *TRACE_FLAT, "--step", "0.5", "--tau", "01"), None,
+             "InvalidInput: tau span must look like '0:1'"),
+            (("trace", *TRACE_FLAT, "--step", "0.5", "--tau", "a:1"), None,
+             "InvalidInput: bad tau span: could not convert string to float: 'a'"),
+            (("estimate", "--field", "f.gf", "--centers", " ; ", "--window", "1"), None,
+             "InvalidInput: no window centers given"),
+            (("trace", "--config", "p.txt", *TRACE_FLAT, "--step", "0.5"), "{",
+             "InvalidInput: bad config file p.txt: "),
+            (("trace", "--config", "p.txt", *TRACE_FLAT, "--step", "0.5"), "[1]",
+             "InvalidInput: config file must hold a JSON object"),
+            (("trace", *TRACE_FLAT, "--step", "0.5", "--config"), None,
+             "InvalidInput: --config needs a file path"),
+            (("--config", "p.txt"), "{}", "InvalidInput: config file cannot choose the subcommand"),
+            (("gauge", "--k", "1,0,0,-1", "--eps", "nan,0,0,0"), None,
+             "InvalidInput: eps has non-finite components"),
+            (("gauge", "--k", "1e-16,1e-16,0,0", "--eps", "0,0,1,0"), None,
+             "ZeroFrequency: radiation gauge needs k0 != 0"),
+            (("check-type", "--symbol", "flat-maxwell", "--hint-file", "p.txt", *CHECK_AT),
+             f"dimension 4\norder 1\nterm principal 0,0,0,0 1,0,0,0 {ID4}\n"
+             f"term principal 0,0,0,0 0,0,0,0 {ID4}\n",
+             "NoDecomposition: hint p~ mixes k-degrees"),
+            (("check-type", "--symbol", "scaled-wave", "--scale", "1+", *CHECK_AT), None,
+             "InvalidInput: malformed polynomial term in '1+'"),
+            (("check-type", "--symbol", "scaled-wave", "--scale", "x1**2", *CHECK_AT), None,
+             "InvalidInput: malformed factor in polynomial term 'x1**2'"),
+            ((*SYNTH, "--extent", "16,16,16", "--tslices", "0"), None,
+             "InvalidInput: grid needs at least one time slice"),
+            ((*SYNTH, "--extent", "16,16,16", "--sigma", "0"), None,
+             "InvalidInput: envelope width must be positive"),
         ],
         ids=[
             "nan-omega0", "inf-omega0-imag", "overflowing-null-test", "fractional-power",
             "int64-power", "int64-file-exponent", "fractional-order", "fractional-dimension",
             "fractional-tslices", "nan-drift", "nan-drift-adaptive", "nan-start", "nan-tstep",
             "nan-extent", "nan-sideband", "degree-cap-scale", "degree-cap-file", "overflowing-p",
-            "scalar-hint", "x-free-position-overflow",
+            "scalar-hint", "x-free-position-overflow", "maxwell-scale", "scalar-wave-dimension",
+            "symbol-and-file", "file-scale-dimension", "no-source", "config-symbol-and-file",
+            "tau-no-colon", "tau-not-a-number", "no-centers", "config-not-json",
+            "config-not-object", "config-no-path", "config-only", "nan-eps", "tiny-k0",
+            "mixed-degree-hint", "dangling-sign", "empty-factor", "zero-tslices", "zero-sigma",
         ],
     )
     def test_bad_invocation_names_a_package_error(

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from polaray.errors import InvalidInput
 from polaray.gauge import (
+    FieldStrengthMode,
     FourierMode,
     GaugeFunction,
     PolarizationBasis,
@@ -95,6 +96,23 @@ class TestFourierMode:
     def test_non_finite_amplitude_rejected(self, amplitude):
         with pytest.raises(InvalidInput, match="amplitude"):
             FourierMode(K_Z, [0, 1, 0, 0], amplitude)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: PolarizationBasis(K_Z, np.eye(3)), "four 4-vectors"),
+            (lambda: FourierMode(K_Z, [0, 1, 0]), "4 components"),
+            (lambda: GaugeFunction(complex(np.inf, 0.0)), "chi_hat must be finite"),
+            (lambda: FieldStrengthMode(np.zeros((3, 3))), "4x4"),
+            (lambda: FieldStrengthMode(np.ones((4, 4))), "antisymmetric"),
+            (lambda: physical_kernel([1e-16, 1e-16, 0, 0]), "k0 != 0"),
+        ],
+        ids=["basis-shape", "eps-shape", "inf-chi", "strength-shape", "symmetric-strength",
+             "tiny-k0-kernel"],
+    )
+    def test_malformed_gauge_inputs_are_invalid_input(self, build, match):
+        with pytest.raises(InvalidInput, match=match):
+            build()
 
     def test_overflowing_null_test_is_off_the_cone(self):
         # k.k of the raw k would overflow to inf - inf = NaN; k / max|k_mu| does not

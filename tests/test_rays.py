@@ -166,6 +166,17 @@ class TestConvergenceOrder:
 
 
 class TestRayValidation:
+    @pytest.mark.parametrize("field", ["x", "k", "q"])
+    def test_sample_shapes_must_agree(self, field):
+        samples = {"tau": [0.0, 0.1], "x": np.zeros((2, 4)), "k": np.ones((2, 4)), "q": np.zeros(2)}
+        samples[field] = samples[field][:1]
+        with pytest.raises(InvalidInput, match="inconsistent ray sample shapes"):
+            Ray(**samples)
+
+    def test_null_project_branch_is_plus_or_minus(self):
+        with pytest.raises(InvalidInput, match="branch"):
+            null_project([1.0, 0, 0, -1], "0")
+
     def test_decreasing_tau_rejected(self):
         with pytest.raises(InvalidInput):
             Ray(

@@ -346,6 +346,8 @@ def _nan_last_sample(raw: bytes) -> bytes:
 
 CORRUPTIONS = {
     "orbit reprojected": ("orbit", _replace(b"reprojected=0", b"reprojected=abc"), "reprojected"),
+    "orbit reprojected 2": ("orbit", _replace(b"reprojected=0", b"reprojected=2"), "0 or 1"),
+    "orbit dimension 0": ("orbit", _replace(b"dimension=4", b"dimension=0"), "not positive"),
     "orbit step": ("orbit", _replace(b"step=0.01", b"step=fast"), "step"),
     "ray not utf-8": ("ray", _data_row(1, lambda line: b"\xff" + line), "line 4"),
     "ray nan q": ("ray", _data_row(2, lambda line: line[: line.rindex(b",") + 1] + b"nan"), "non-finite"),
@@ -356,6 +358,11 @@ CORRUPTIONS = {
         "x has non-finite",
     ),
     "estimates json list": ("estimates.json", lambda raw: b"[1]\n", "not a polaray"),
+    "estimates json estimates not a list": (
+        "estimates.json",
+        lambda raw: b'{"format": "polaray-estimates", "estimates": 5}\n',
+        "not a list",
+    ),
     "estimates json entry": (
         "estimates.json",
         lambda raw: b'{"format": "polaray-estimates", "version": 1, "estimates": [1]}\n',

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import random
 import re
 
 import numpy as np
@@ -24,7 +25,6 @@ from polaray.symbols import (
     scalar_wave,
     scaled_wave,
     subprincipal_symbol,
-    wave_quadratic_terms,
 )
 
 from conftest import (
@@ -35,7 +35,7 @@ from conftest import (
     random_phase_points,
     rel_err,
 )
-from oracles import same_terms
+from oracles import same_terms, wave_factored_text
 
 NULL_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, -1])
 TIME_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, 0])
@@ -286,6 +286,68 @@ class TestBuiltins:
         assert pretty(decompose_principal_type(maxwell).q) == "k^2"
         assert pretty(scaled_wave({(0, 0, 0, 0): 2.0})) == "2*k^2"
 
+    @pytest.mark.parametrize("name", ["flat-maxwell", "scalar-wave"])
+    @pytest.mark.parametrize("option", [{"scale": "1+x3^2"}, {"dimension": 1}])
+    def test_fixed_builtins_refuse_scale_and_dimension(self, name, option):
+        with pytest.raises(InvalidInput, match="scale and dimension"):
+            builtin_symbol(name, **option)
+
+    def test_scaled_wave_needs_a_term(self):
+        with pytest.raises(InvalidInput, match="at least one polynomial term"):
+            scaled_wave({})
+
+    def test_builtins_keep_their_signed_zeros(self):
+        # the signed zeros are pinned too: regrouping f * sign * I changes some of them
+        assert format_symbol_file(scalar_wave()).splitlines()[4:] == [
+            f"term principal 0,0,0,0 {k} {c}"
+            for k, c in [("0,0,0,2", "-1+0j"), ("0,0,2,0", "-1+0j"), ("0,2,0,0", "-1+0j")]
+        ] + ["term principal 0,0,0,0 2,0,0,0 1+0j"]
+        text = format_symbol_file(scaled_wave({(0, 0, 0, 1): 1 - 2j}, 2)).splitlines()
+        assert text[4] == "term principal 0,0,0,1 0,0,0,2 -1+2j,-0+0j,-0+0j,-1+2j"
+        assert text[7] == "term principal 0,0,0,1 2,0,0,0 1-2j,0j,0j,1-2j"
+
+    def test_pretty_factors_like_the_ratio_oracle(self):
+        draw = random.Random(14)
+        xs = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (1, 0, 0, 0), (0, 1, 1, 0)]
+        ks = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 0, 0)]
+        values = [1.0, -1.0, 2.0, -0.5, 0.25, 3.0]
+
+        def stray():
+            return (draw.choice(xs), draw.choice(ks), draw.choice(values))
+
+        factored = 0
+        for case in range(10_000):
+            # f (k.k) over up to three x-monomials, then maybe one term dropped,
+            # one doubled or one stray term added; every fifth case is unstructured
+            if case % 5:
+                terms = [
+                    (xe, ks[mu], c * sign)
+                    for xe, c in zip(draw.sample(xs, draw.randint(1, 3)), draw.choices(values, k=3))
+                    for mu, sign in enumerate((1, -1, -1, -1))
+                ]
+                edit, at = draw.randrange(6), draw.randrange(len(terms))
+                if edit == 0:
+                    del terms[at]
+                elif edit == 1:
+                    terms[at] = terms[at][:2] + (2 * terms[at][2],)
+                elif edit == 2:
+                    terms.append(stray())
+            else:
+                terms = [stray() for _ in range(draw.randint(1, 5))]
+            sym = MatrixSymbol(1, 2, terms)
+            expected = wave_factored_text(sym)
+            factored += expected is not None
+            text = pretty(sym)
+            assert text == expected if expected else "k^2" not in text, terms
+        assert 3000 < factored < 7000, factored
+
+    def test_pretty_reads_complex_f_without_negative_zeros(self):
+        # f is read off k0^2; dividing the k1^2 term by -1 would give -0+1j
+        assert pretty(scaled_wave({(1, 0, 1, 0): 1j})) == "(1j*x0*x2)*k^2"
+
+    def test_pretty_of_the_zero_symbol(self):
+        assert pretty(MatrixSymbol(1, 2)) == "0"
+
 
 class TestSymbolFiles:
     def test_round_trip(self, rng, maxwell):
@@ -382,6 +444,11 @@ def test_non_integral_dimension_or_order_is_invalid_input(dimension, order):
         MatrixSymbol(dimension, order)
 
 
+def test_coefficient_shape_must_match_dimension():
+    with pytest.raises(DimensionMismatch, match="does not match dimension 2"):
+        MatrixSymbol(2, 2, [((0, 0, 0, 0), (2, 0, 0, 0), np.eye(3))])
+
+
 class TestCompiledSymbol:
     def test_structural_flags(self, maxwell):
         def flags(sym):
@@ -392,7 +459,7 @@ class TestCompiledSymbol:
         assert flags(MatrixSymbol.identity(2)) == (True, True, True)
         assert flags(maxwell) == (True, False, True)
         assert flags(scaled_example()) == (False, False, False)
-        with_lower = MatrixSymbol(1, 2, wave_quadratic_terms(), [(z, z, 1.0)])
+        with_lower = MatrixSymbol(1, 2, scalar_wave().terms(), [(z, z, 1.0)])
         assert flags(with_lower) == (True, False, False)
         # the mixed derivatives of x0 k0 - x1 k1 cancel, so p^s is zero
         e0, e1 = (1, 0, 0, 0), (0, 1, 0, 0)

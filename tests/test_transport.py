@@ -13,6 +13,7 @@ from polaray.symbols import MatrixSymbol, parse_x_polynomial, scaled_wave
 from polaray.transport import (
     SAME_POINT,
     ZERO_FIBER,
+    HamiltonOrbit,
     KernelEscape,
     PolarizationSample,
     connection_matrix,
@@ -174,6 +175,12 @@ class TestProjectWavefront:
     def test_zero_fiber_excluded(self):
         out = project_wavefront([PolarizationSample(pt=NULL_PT, omega=np.zeros(4))])
         assert out == []
+
+    def test_nan_fiber_is_invalid_input(self):
+        good = PolarizationSample(pt=NULL_PT, omega=np.array([0, 1, 0, 0]))
+        bad = PolarizationSample(pt=NULL_PT, omega=np.array([math.nan, 0]))
+        with pytest.raises(InvalidInput, match="sample 1 has a NaN fiber"):
+            project_wavefront([good, bad])
 
     def test_duplicates_merge(self):
         a = PolarizationSample(pt=NULL_PT, omega=np.array([0, 1, 0, 0]))
@@ -420,6 +427,20 @@ class TestNonFiniteInputs:
     def test_non_finite_omega0_is_invalid_input(self, omega0):
         d, ray = hinted_graded_ray()
         with pytest.raises(InvalidInput, match="omega0 has non-finite"):
+            transport(d, ray, omega0)
+
+    @pytest.mark.parametrize("cut, what", [("omega", "fiber samples"), ("residuals", "residuals")])
+    def test_orbit_samples_must_match_the_ray(self, cut, what):
+        _, ray = hinted_graded_ray()
+        parts = {"omega": np.zeros((len(ray), 2)), "residuals": np.zeros(len(ray))}
+        parts[cut] = parts[cut][1:]
+        with pytest.raises(InvalidInput, match=f"orbit {what} must match ray samples"):
+            HamiltonOrbit(ray=ray, **parts)
+
+    @pytest.mark.parametrize("omega0", [[0.6], [0.6, 0.8j, 0.0], [[0.6, 0.8j]]])
+    def test_omega0_must_have_the_fiber_shape(self, omega0):
+        d, ray = hinted_graded_ray()
+        with pytest.raises(InvalidInput, match=r"omega0 must have shape \(2,\)"):
             transport(d, ray, omega0)
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6])

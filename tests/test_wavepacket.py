@@ -71,6 +71,22 @@ def plane_wave_field(grid, kvec, eps):
 
 
 class TestGridSpec:
+    @pytest.mark.parametrize(
+        "extents, samples", [((L, L), (32, 32, 32)), ((L, L, L), (32, 32)), ((L,) * 4, (32,) * 4)]
+    )
+    def test_rejects_other_than_three_axes(self, extents, samples):
+        with pytest.raises(InvalidInput, match="3 spatial extents and 3 sample counts"):
+            GridSpec(extents=extents, samples=samples)
+
+    def test_field_shape_must_match_the_grid(self):
+        with pytest.raises(InvalidInput, match="field data must have shape"):
+            GridField(small_grid(n=8), np.zeros((1, 4, 8, 8, 9), dtype=complex))
+
+    def test_fields_on_different_grids_do_not_add(self):
+        a, b = (GridField(small_grid(n=n), np.zeros((1, 4, n, n, n))) for n in (8, 16))
+        with pytest.raises(InvalidInput, match="different grids"):
+            a + b
+
     def test_rejects_coarse_axes(self):
         with pytest.raises(InvalidInput):
             GridSpec(extents=(L, L, L), samples=(4, 32, 32))
@@ -648,6 +664,11 @@ class TestStraightnessTrack:
             small_grid(nt=2, dt=0.4),
         )
         with pytest.raises(InvalidInput):
+            straightness_track(field)
+
+    def test_stationary_field_has_no_direction(self):
+        field = GridField(small_grid(n=8, nt=3, dt=0.4), np.ones((3, 4, 8, 8, 8), dtype=complex))
+        with pytest.raises(DegenerateField, match="centroid does not move"):
             straightness_track(field)
 
     def test_zero_field_degenerate(self):
