@@ -32,7 +32,7 @@ from .gauge import (
     physical_kernel,
     radiation_fix,
 )
-from .minkowski import PhaseSpacePoint
+from .minkowski import ZERO_TOL, PhaseSpacePoint
 from .principal_type import (
     PrincipalTypeDecomposition,
     char_membership,
@@ -114,12 +114,6 @@ def _parse_complex_vec(real_text: str, imag_text: str | None, count: int, what: 
     return ser._complex(re, _parse_reals(imag_text, count, f"{what} imaginary part"))
 
 
-def _positive(value: float, what: str) -> float:
-    if not value > 0:
-        raise InvalidInput(f"{what} must be positive, got {value}")
-    return value
-
-
 def _read_symbol(path: str) -> MatrixSymbol:
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -155,16 +149,15 @@ def _mode_from_args(args) -> FourierMode:
 def _cmd_check_type(args) -> int:
     decomp = _decompose(args)
     pt = PhaseSpacePoint(_parse_reals(args.point, 4, "--point"), _parse_reals(args.k, 4, "--k"))
-    tol = _positive(args.tol, "--tol")
-    vectors, singular_values = kernel_basis(decomp.p, pt, tol=tol)
+    vectors, singular_values = kernel_basis(decomp.p, pt, tol=args.tol)
     result = {
         "symbol": decomp.p.name or "file",
         "point": [float(v) for v in pt.x],
         "k": [float(v) for v in pt.k],
         "q": pretty(decomp.q),
         "q_value": float(decomp.q.eval(pt)[0, 0].real),
-        "real_principal_type": is_real_principal_type(decomp.q, pt, tol=tol),
-        "on_char": char_membership(decomp, pt, tol=tol),
+        "real_principal_type": is_real_principal_type(decomp.q, pt, tol=args.tol),
+        "on_char": char_membership(decomp, pt, tol=args.tol),
         "kernel_dimension": len(vectors),
         "singular_values": [float(s) for s in singular_values],
     }
@@ -338,7 +331,7 @@ def build_parser() -> _Parser:
     _add_symbol_options(sub)
     sub.add_argument("--point", required=True, help="base point t,x1,x2,x3")
     sub.add_argument("--k", required=True, help="covector k0,k1,k2,k3")
-    sub.add_argument("--tol", type=float, default=1e-10)
+    sub.add_argument("--tol", type=float, default=ZERO_TOL)
     sub.add_argument("-o", "--output")
 
     sub = command("trace", _cmd_trace, "integrate a null ray, emit CSV")

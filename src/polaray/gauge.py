@@ -10,7 +10,8 @@ transverse subspace as a constraint-plus-quotient construction.
 Two different inner products appear and must not be conflated: the
 *bilinear* Minkowski pairing (no conjugation) in which the basis is
 orthonormal, and the Hermitian Euclidean product used for comparing
-complex polarization vectors numerically.
+complex polarization vectors numerically.  Zero tests (k on the cone, k0 != 0)
+use ``ZERO_TOL`` on k / max |k_mu|, so scaling k changes no verdict.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .minkowski import as_point4, raise_index, unit_momentum
-
-NULL_TOL = 1e-10
+from .minkowski import ZERO_TOL, as_point4, raise_index, scaled_covector, unit_momentum
 
 
 class ZeroFrequency(InvalidInput):
@@ -71,10 +70,9 @@ class FourierMode:
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if not cmath.isfinite(self.amplitude):
             raise InvalidInput(f"amplitude must be finite, got {self.amplitude}")
-        # k / max|k_mu| neither overflows nor underflows in k.k
-        k = self.k / (np.max(np.abs(self.k)) or 1.0)
+        k = scaled_covector(self.k)
         kk, size = minkowski_pairing(k, k).real, float(k @ k)
-        if not abs(kk) <= NULL_TOL * size:
+        if not abs(kk) <= ZERO_TOL * size:
             raise InvalidInput(f"mode covector is off the cone: k.k / |k|^2 = {kk / size:.3e}")
 
 
@@ -104,6 +102,12 @@ class FieldStrengthMode:
         if np.any(F + F.T != 0):
             raise InvalidInput("field strength must be exactly antisymmetric")
         object.__setattr__(self, "F", F)
+
+
+def _check_frequency(k: np.ndarray, message: str) -> None:
+    """Refuse k whose k0 is zero up to rounding next to its largest component."""
+    if abs(scaled_covector(k)[0]) <= ZERO_TOL:
+        raise ZeroFrequency(message)
 
 
 def minkowski_pairing(a, b) -> complex:
@@ -166,10 +170,8 @@ def radiation_fix(mode: FourierMode) -> tuple[FourierMode, GaugeFunction]:
     the cone, so inputs violating the Lorenz constraint keep their
     residual; callers can check :func:`lorenz_residual` on the output.
     """
-    k0 = mode.k[0]
-    if abs(k0) < 1e-15:
-        raise ZeroFrequency("radiation gauge needs k0 != 0")
-    chi = 1j * mode.eps[0] / k0
+    _check_frequency(mode.k, "radiation gauge needs k0 != 0")
+    chi = 1j * mode.eps[0] / mode.k[0]
     fixed = gauge_transform(mode, GaugeFunction(chi))
     eps = fixed.eps.copy()
     eps[0] = 0.0
@@ -205,6 +207,7 @@ def physical_kernel(k) -> np.ndarray:
     """
     k = as_point4(k, "k")
     unit_momentum(k)  # raises on zero spatial part
+    _check_frequency(k, "physical kernel needs k0 != 0 on the cone")
     row = raise_index(k).astype(complex)  # functional eps -> k^mu eps_mu
     _, _, vh = np.linalg.svd(row[np.newaxis, :])
     lorenz_space = vh[1:].conj()  # (3, 4) orthonormal rows spanning ker of the functional
@@ -215,10 +218,7 @@ def physical_kernel(k) -> np.ndarray:
     _, _, wh = np.linalg.svd(coords.conj()[np.newaxis, :])
     complement = wh[1:].conj() @ lorenz_space  # (2, 4), a complement of span{k}
 
-    k0 = k[0]
-    if abs(k0) < 1e-15:
-        raise ZeroFrequency("physical kernel needs k0 != 0 on the cone")
-    reps = complement - np.outer(complement[:, 0] / k0, k.astype(complex))
+    reps = complement - np.outer(complement[:, 0] / k[0], k.astype(complex))
     reps[:, 0] = 0.0  # exactly zero by construction
     qmat, _ = np.linalg.qr(reps.T)
     return np.ascontiguousarray(qmat[:, :2].T)

@@ -21,6 +21,10 @@ from .errors import InvalidInput
 
 SIGNATURE = (1.0, -1.0, -1.0, -1.0)
 
+# The zero rule: a value is zero up to rounding when |value| <= ZERO_TOL * the summed sizes
+# of the terms it is made of, so scaling a symbol or a covector changes no verdict.
+ZERO_TOL = 1e-10
+
 
 class InvalidPoint(InvalidInput, ValueError):
     """A space-time point or covector that is not four finite reals.
@@ -41,6 +45,26 @@ def as_point4(x, name: str = "point") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidPoint(f"{name} has non-finite components: {arr}")
     return arr
+
+
+def check_tolerances(**tolerances) -> None:
+    """Refuse, by name, each tolerance argument that is not finite and positive."""
+    for name, value in tolerances.items():
+        if not 0 < value < float("inf"):
+            raise InvalidInput(f"{name} must be finite and positive, got {value}")
+
+
+def scaled_covector(k) -> np.ndarray:
+    """k / max |k_mu| (zero stays zero): its squares neither overflow nor underflow,
+    and up to rounding it is the same for every positive multiple of k."""
+    return k / (np.max(np.abs(k)) or 1.0)
+
+
+def failure_site(x, k, label: str | None = None, i: int = 0, tau: float = 0.0) -> str:
+    """``[at <label> <i>, tau = <tau>, ]x = (...), k = (...)``: where a failure happened."""
+    x, k = (", ".join(f"{v:.9g}" for v in part) for part in (x, k))
+    along = "" if label is None else f"at {label} {i}, tau = {tau:.9g}, "
+    return f"{along}x = ({x}), k = ({k})"
 
 
 def raise_index(covector) -> np.ndarray:

@@ -5,7 +5,8 @@ real scalar q; the characteristic set is where q vanishes and the
 numerical kernel of p carries the admissible fiber directions.  The
 decomposition is verified by exact polynomial multiplication, never by
 sampling, so a valid decomposition satisfies the defining identity with
-all-zero residual coefficients.
+all-zero residual coefficients.  The zero tests use the rule of ``ZERO_TOL``
+with ``tol`` (default ``ZERO_TOL``): no verdict changes when p, q or k is scaled.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .minkowski import PhaseSpacePoint
+from .minkowski import ZERO_TOL, PhaseSpacePoint, check_tolerances, failure_site, scaled_covector
 from .symbols import (
     ComplexSymbol,
     MatrixSymbol,
@@ -80,25 +81,28 @@ def decompose_principal_type(
     return PrincipalTypeDecomposition(p=p, p_tilde=p_tilde, q=q, scalar_multiple=hint is None)
 
 
-def is_real_principal_type(q: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> bool:
+def is_real_principal_type(q: MatrixSymbol, pt: PhaseSpacePoint, tol: float = ZERO_TOL) -> bool:
     """Real-principal-type test for a real scalar symbol at one point.
 
-    Off the zero set of q (|q| above tol times ``q.term_bound``) the
-    condition is vacuous.  On it, the Hamilton field must neither vanish
-    nor be purely radial, which for the dx/dtau components reduces to
-    dq/dk != 0 at the point.
+    Off the zero set of q (|q| above tol times ``q.term_bound``) the condition is
+    vacuous.  On it, the Hamilton field must neither vanish nor be purely radial,
+    which for the dx/dtau components reduces to dq/dk != 0: max |dq/dk| above tol
+    times ``q.term_bound``, both taken at k/|k|.
     """
+    check_tolerances(tol=tol)
     system = q.hamilton
     value, _ = system(np.concatenate([pt.x, pt.k, [1.0]]))
     if abs(value) > tol * q.term_bound(pt.x, pt.k)[0, 0]:
         return True
     # dq/dk is homogeneous in k, so its size at k/|k| does not depend on |k|
-    _, flow = system(np.concatenate([pt.x, _unit_covector(pt.k), [1.0]]))
-    return bool(np.max(np.abs(flow[:4])) > tol)
+    k = scaled_covector(pt.k)
+    k /= np.linalg.norm(k)
+    _, flow = system(np.concatenate([pt.x, k, [1.0]]))
+    return bool(np.max(np.abs(flow[:4])) > tol * q.term_bound(pt.x, k)[0, 0])
 
 
 def char_membership(
-    d: PrincipalTypeDecomposition, pt: PhaseSpacePoint, tol: float = 1e-10
+    d: PrincipalTypeDecomposition, pt: PhaseSpacePoint, tol: float = ZERO_TOL
 ) -> bool:
     """Whether the point lies on the characteristic set q = 0.
 
@@ -106,18 +110,12 @@ def char_membership(
     its terms, so membership is scale-free in k and a covector on the cone
     up to rounding belongs.
     """
+    check_tolerances(tol=tol)
     value = abs(d.q.eval(pt)[0, 0])
     return bool(value <= tol * d.q.term_bound(pt.x, pt.k)[0, 0])
 
 
-def _unit_covector(k: np.ndarray) -> np.ndarray:
-    """k/|k|, with k first divided by max |k_mu| so that the sum of squares
-    inside the norm neither underflows nor overflows."""
-    scaled = k / np.max(np.abs(k))
-    return scaled / np.linalg.norm(scaled)
-
-
-def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> tuple:
+def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = ZERO_TOL) -> tuple:
     """Orthonormal numerical nullspace of p(x, k) by singular values.
 
     Returns ``(vectors, singular_values)``: an ``(m, N)`` array whose rows
@@ -127,11 +125,11 @@ def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = 1e-10) -> tu
     vanishes up to rounding the kernel is the whole fiber.  A p(x, k) that
     overflows raises :class:`InvalidInput` naming the point.
     """
+    check_tolerances(tol=tol)
     with np.errstate(over="ignore", invalid="ignore"):
         mat = p.eval(pt)
     if not np.all(np.isfinite(mat)):
-        x, k = (", ".join(f"{v:.9g}" for v in part) for part in (pt.x, pt.k))
-        raise InvalidInput(f"p(x, k) is not finite at x = ({x}), k = ({k})")
+        raise InvalidInput(f"p(x, k) is not finite at {failure_site(pt.x, pt.k)}")
     _, s, vh = np.linalg.svd(mat)
     scale = np.linalg.norm(p.term_bound(pt.x, pt.k) @ np.abs(vh.T), axis=0)
     return vh[s <= tol * scale].conj(), s

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .minkowski import PhaseSpacePoint, ZeroSpatialPart, as_point4
+from .minkowski import (
+    ZERO_TOL, PhaseSpacePoint, ZeroSpatialPart, as_point4, check_tolerances, failure_site
+)
 from .symbols import HamiltonSystem, MatrixSymbol
 
 
@@ -88,18 +90,12 @@ def null_project(k, branch: str = "+") -> np.ndarray:
 _MAX_STEPS = 10_000_000
 
 
-def _where(label: str, i: int, tau: float, y: np.ndarray) -> str:
-    """Where along a ray something happened: the step or sample index, tau,
-    and x and k (the first eight entries of ``y``) after that step."""
-    x, k = (", ".join(f"{v:.9g}" for v in part) for part in (y[:4], y[4:8]))
-    return f"at {label} {i}, tau = {tau:.9g}, x = ({x}), k = ({k})"
-
-
 def _check_drift(q: float, drift_tol: float, i: int, tau: float, y: np.ndarray) -> None:
     """Abort the trace when |q| after step i exceeds the drift bound or is NaN."""
     if not abs(q) <= drift_tol:
         raise ConstraintDrift(
-            f"|q| = {abs(q):.3e} exceeded drift bound {drift_tol:.1e} " + _where("step", i, tau, y)
+            f"|q| = {abs(q):.3e} exceeded drift bound {drift_tol:.1e} "
+            + failure_site(y[:4], y[4:8], "step", i, tau)
         )
 
 
@@ -118,7 +114,7 @@ def trace_ray(
     tau_span: tuple[float, float],
     step: float,
     method: str = "rk4",
-    start_tol: float = 1e-10,
+    start_tol: float = ZERO_TOL,
     drift_tol: float = 1e-6,
     rtol: float = 1e-10,
     atol: float = 1e-12,
@@ -132,7 +128,7 @@ def trace_ray(
     (callers project to the cone first); a drift monitor aborts if |q|
     ever exceeds the absolute bound drift_tol or is NaN, since q is
     conserved by the exact flow and silent drift would poison downstream
-    transport.
+    transport.  The four tolerances must be finite and positive.
     """
     x0 = as_point4(x0, "x0")
     k0 = as_point4(k0, "k0")
@@ -143,6 +139,7 @@ def trace_ray(
         raise InvalidInput(f"step must be positive, got {step}")
     if method not in ("rk4", "adaptive"):
         raise InvalidInput(f"unknown method {method!r}")
+    check_tolerances(start_tol=start_tol, drift_tol=drift_tol, rtol=rtol, atol=atol)
     span = tau1 - tau0
     count = span / step - 1e-9
     if method == "rk4" and not count <= _MAX_STEPS:
@@ -157,7 +154,7 @@ def trace_ray(
     if not abs(q0) <= start_tol * size:
         raise NonNullStart(
             f"|q| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e} times the term size "
-            f"{size:.3e} " + _where("step", 0, tau0, y)
+            f"{size:.3e} " + failure_site(x0, k0, "step", 0, tau0)
         )
 
     if span == 0.0:
@@ -176,8 +173,7 @@ def trace_ray(
             if bad.any():
                 i = int(np.argmax(bad))
                 raise StepFailure(
-                    "ray position overflowed "
-                    + _where("step", i, tau[i], np.concatenate([x[i], k0]))
+                    "ray position overflowed " + failure_site(x[i], k0, "step", i, tau[i])
                 )
             k = np.broadcast_to(k0, (n + 1, 4)).copy()
             qs = np.full(n + 1, q0)
@@ -234,7 +230,8 @@ def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
         h = min(h, tau1 - tau)
         if h < h_min:
             raise StepFailure(
-                f"adaptive step underflowed to {h:.3e} " + _where("step", len(taus) - 1, tau, y)
+                f"adaptive step underflowed to {h:.3e} "
+                + failure_site(y[:4], y[4:8], "step", len(taus) - 1, tau)
             )
         for i in range(1, 7):
             yi = y + (h * _DP_A[i, :i]) @ stages[:i]
@@ -254,7 +251,7 @@ def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
     else:
         raise StepFailure(
             f"adaptive integrator exceeded the step budget of {_MAX_STEPS} attempts "
-            + _where("step", len(taus) - 1, tau, y)
+            + failure_site(y[:4], y[4:8], "step", len(taus) - 1, tau)
         )
     return _ray(taus, ys, qs, "adaptive", h0)
 

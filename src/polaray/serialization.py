@@ -22,7 +22,9 @@ from .transport import HamiltonOrbit
 from .wavepacket import GridField, GridSpec, PolarizationEstimate
 
 GRIDFIELD_MAGIC = b"polaray-gridfield v1\n"
-JSON_START = b"{"  # the first byte of every JSON file written here
+RAY_MAGIC = "# polaray ray v1"
+ORBIT_MAGIC = "# polaray orbit v1"
+ESTIMATES_MAGIC = "# polaray estimates v1"
 
 
 def fmt(value: float) -> str:
@@ -136,14 +138,10 @@ RAY_HEADER = "tau,x0,x1,x2,x3,k0,k1,k2,k3,q"
 
 def ray_csv_text(ray: Ray) -> str:
     return _table_text(
-        f"# polaray ray v1 method={ray.method} step={fmt(ray.step)}",
+        f"{RAY_MAGIC} method={ray.method} step={fmt(ray.step)}",
         RAY_HEADER,
         [ray.tau, ray.x, ray.k, ray.q],
     )
-
-
-def write_ray_csv(path: str, ray: Ray) -> None:
-    _write_text(path, ray_csv_text(ray))
 
 
 def read_ray_csv(path: str) -> Ray:
@@ -163,8 +161,7 @@ def orbit_csv_text(orbit: HamiltonOrbit) -> str:
     dim = orbit.omega.shape[1]
     ray = orbit.ray
     return _table_text(
-        "# polaray orbit v1 "
-        f"method={ray.method} step={fmt(ray.step)} dimension={dim} "
+        f"{ORBIT_MAGIC} method={ray.method} step={fmt(ray.step)} dimension={dim} "
         f"reprojected={int(orbit.reprojected)}",
         _orbit_header(dim),
         [ray.tau, ray.x, ray.k, ray.q, _re_im(orbit.omega), orbit.residuals],
@@ -211,7 +208,7 @@ ESTIMATES_HEADER = (
 def estimates_csv_text(estimates) -> str:
     count = len(estimates)
     return _table_text(
-        "# polaray estimates v1",
+        ESTIMATES_MAGIC,
         ESTIMATES_HEADER,
         [
             np.reshape([est.x for est in estimates], (count, 4)),
@@ -221,10 +218,6 @@ def estimates_csv_text(estimates) -> str:
             [est.strength for est in estimates],
         ],
     )
-
-
-def write_estimates_csv(path: str, estimates) -> None:
-    _write_text(path, estimates_csv_text(estimates))
 
 
 def read_estimates_csv(path: str) -> list[PolarizationEstimate]:
@@ -297,13 +290,6 @@ def read_estimates_json(path: str) -> list[PolarizationEstimate]:
     return out
 
 
-def read_estimates(path: str) -> list[PolarizationEstimate]:
-    """Read estimates JSON or CSV, told apart by content as :func:`roundtrip` does."""
-    with open(path, "rb") as handle:
-        json_file = handle.read(1) == JSON_START
-    return read_estimates_json(path) if json_file else read_estimates_csv(path)
-
-
 # -- grid-field binary -----------------------------------------------------
 
 
@@ -370,19 +356,27 @@ def read_gridfield(path: str) -> GridField:
         raise ParseError(f"gridfield: {exc}") from exc
 
 
-def _gridfield_roundtrip(path: str) -> bool:
-    """Decode a grid-field file and compare its re-encoded header with the file.
+# -- file kinds and the round-trip check -------------------------------------
 
-    The decoder has already checked that the body holds exactly the bytes
-    the header implies, every value finite, and copied them unchanged into
-    the array that re-encodes as the body, so only the header can differ.
-    """
-    head, _ = _gridfield_bytes(read_gridfield(path))
+# every text file written here: its leading bytes, its reader and its text writer
+FILE_KINDS = (
+    (RAY_MAGIC.encode(), read_ray_csv, ray_csv_text),
+    (ORBIT_MAGIC.encode(), read_orbit_csv, orbit_csv_text),
+    (ESTIMATES_MAGIC.encode(), read_estimates_csv, estimates_csv_text),
+    (b"{", read_estimates_json, estimates_json_text),
+)
+
+
+def _kind(head: bytes):
+    """The row of :data:`FILE_KINDS` whose leading bytes ``head`` starts with (Nones if none)."""
+    return next((row for row in FILE_KINDS if head.startswith(row[0])), (None, None, None))
+
+
+def read_estimates(path: str) -> list[PolarizationEstimate]:
+    """Read estimates JSON, or else CSV, told apart by their leading bytes."""
     with open(path, "rb") as handle:
-        return handle.read(len(head)) == head
-
-
-# -- round-trip check ------------------------------------------------------
+        json_file = _kind(handle.read(len(ESTIMATES_MAGIC)))[1] is read_estimates_json
+    return read_estimates_json(path) if json_file else read_estimates_csv(path)
 
 
 def roundtrip(path: str) -> bool:
@@ -394,13 +388,12 @@ def roundtrip(path: str) -> bool:
         if original != GRIDFIELD_MAGIC:
             original += handle.read()
     if original == GRIDFIELD_MAGIC:
-        return _gridfield_roundtrip(path)
-    if original.startswith(b"# polaray ray"):
-        return ray_csv_text(read_ray_csv(path)).encode() == original
-    if original.startswith(b"# polaray orbit"):
-        return orbit_csv_text(read_orbit_csv(path)).encode() == original
-    if original.startswith(b"# polaray estimates"):
-        return estimates_csv_text(read_estimates_csv(path)).encode() == original
-    if original.startswith(JSON_START):
-        return estimates_json_text(read_estimates_json(path)).encode() == original
-    raise ParseError(f"unrecognized file format: {path}")
+        # the decoder checked that the body holds exactly the bytes the header implies,
+        # all finite, and they re-encode unchanged, so only the header can differ
+        head, _ = _gridfield_bytes(read_gridfield(path))
+        with open(path, "rb") as handle:
+            return handle.read(len(head)) == head
+    _, read, text = _kind(original)
+    if read is None:
+        raise ParseError(f"unrecognized file format: {path}")
+    return text(read(path)).encode() == original

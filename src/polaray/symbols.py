@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, ParseError
-from .minkowski import SIGNATURE, PhaseSpacePoint
+from .minkowski import SIGNATURE, ZERO_TOL, PhaseSpacePoint
 
 Expo = tuple[int, int, int, int]
 
@@ -164,7 +164,8 @@ class HamiltonSystem:
     every integrator stage keeps it at exactly 1.0.  One call is one real
     product of the monomials with a ``(T, 10)`` matrix holding q and
     dy/dtau = (dq/dk, -dq/dx, 0).  A non-scalar q raises :class:`DimensionMismatch`,
-    a q with complex principal coefficients :class:`ComplexSymbol`.
+    a q with an imaginary part above ``ZERO_TOL`` times its largest coefficient
+    :class:`ComplexSymbol`.
     """
 
     def __init__(self, q: "MatrixSymbol"):
@@ -173,7 +174,7 @@ class HamiltonSystem:
         compiled = q.compiled
         # real and imaginary parts of each output sit in alternate columns
         real, imag = compiled.coeff[:, 0::2], compiled.coeff[:, 1::2]
-        if np.any(np.abs(imag[:, VALUE]) > 1e-10 * (1.0 + np.abs(real[:, VALUE]))):
+        if np.any(np.abs(imag[:, VALUE]) > ZERO_TOL * compiled.term_size.max(initial=0.0)):
             raise ComplexSymbol("the Hamilton flow needs a real-valued symbol")
         grad = real[:, GRAD]
         self.factors = compiled.factors
@@ -229,19 +230,13 @@ class MatrixSymbol:
 
     def terms(self, part: str = "principal"):
         """Canonically sorted (x_exp, k_exp, coeff) triples of one part."""
-        src = self._part(part)
-        return [(xe, ke, m.copy()) for (xe, ke), m in src.items()]
+        return [(xe, ke, m.copy()) for (xe, ke), m in self._part(part)[0].items()]
 
-    def _part(self, part: str) -> dict:
-        if part == "principal":
-            return self.principal
-        if part == "lower":
-            return self.lower
-        raise InvalidInput(f"unknown symbol part {part!r} (use 'principal' or 'lower')")
-
-    def _output(self, part: str) -> int:
-        self._part(part)
-        return VALUE if part == "principal" else LOWER
+    def _part(self, part: str) -> tuple[dict, int]:
+        """The terms of one part and the compiled output that evaluates it."""
+        if part not in ("principal", "lower"):
+            raise InvalidInput(f"unknown symbol part {part!r} (use 'principal' or 'lower')")
+        return (self.principal, VALUE) if part == "principal" else (self.lower, LOWER)
 
     # -- calculus -----------------------------------------------------
 
@@ -268,11 +263,11 @@ class MatrixSymbol:
 
     def eval(self, pt: PhaseSpacePoint, part: str = "principal") -> np.ndarray:
         """Exact polynomial evaluation of one part at (x, k)."""
-        return self.compiled(pt.x, pt.k)[self._output(part)]
+        return self.compiled(pt.x, pt.k)[self._part(part)[1]]
 
     def eval_raw(self, x, k, part: str = "principal") -> np.ndarray:
         """Evaluation on raw arrays of shape (..., 4); gives (..., N, N)."""
-        return self.compiled(x, k)[..., self._output(part), :, :]
+        return self.compiled(x, k)[..., self._part(part)[1], :, :]
 
     @np.errstate(over="ignore")
     def term_bound(self, x, k) -> np.ndarray:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .minkowski import PhaseSpacePoint
+from .minkowski import PhaseSpacePoint, failure_site
 from .principal_type import PrincipalTypeDecomposition, kernel_basis, kernel_residual
-from .rays import Ray, _where
+from .rays import Ray
 from .symbols import connection_matrices
 
 ZERO_FIBER = 1e-12
@@ -143,7 +143,7 @@ def transport(
     if not residuals[worst] <= residual_tol:
         raise KernelEscape(
             f"kernel residual {residuals[worst]:.3e} exceeds {residual_tol:.1e} "
-            + _where("sample", worst, ray.tau[worst], np.concatenate([ray.x[worst], ray.k[worst]]))
+            + failure_site(ray.x[worst], ray.k[worst], "sample", worst, ray.tau[worst])
         )
     return HamiltonOrbit(ray=ray, omega=omega, residuals=residuals, reprojected=reproject)
 

@@ -37,6 +37,25 @@ class TestCheckType:
         assert payload["on_char"] is True
         assert payload["kernel_dimension"] == 4
 
+    def test_verdicts_do_not_depend_on_the_scale_of_q(self, capsys):
+        verdicts = []
+        for scale in ("1e-20", "1", "1e20"):
+            code, out, _ = run_cli(
+                capsys, "check-type", "--symbol", "scaled-wave", "--scale", scale, *CHECK_AT
+            )
+            payload = json.loads(out)
+            assert code == 0
+            verdicts.append([payload[key] for key in ("on_char", "real_principal_type")])
+        assert verdicts == [[True, True]] * 3
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "check-type", "--symbol", "flat-maxwell", *CHECK_AT, f"--tol={tol}"
+        )
+        assert code == 1 and not out
+        assert err.startswith("InvalidInput: tol must be finite and positive")
+
     def test_off_cone(self, capsys):
         code, out, _ = run_cli(
             capsys, "check-type", "--symbol", "flat-maxwell", "--point", "0,0,0,0", "--k", "1,0,0,0"
@@ -302,8 +321,8 @@ class TestErrorContract:
             (("--config", "p.txt"), "{}", "InvalidInput: config file cannot choose the subcommand"),
             (("gauge", "--k", "1,0,0,-1", "--eps", "nan,0,0,0"), None,
              "InvalidInput: eps has non-finite components"),
-            (("gauge", "--k", "1e-16,1e-16,0,0", "--eps", "0,0,1,0"), None,
-             "ZeroFrequency: radiation gauge needs k0 != 0"),
+            (("synth", "--k=-1e-16,1e-16,0,0", *SYNTH[3:], "--extent", "16,16,16"), None,
+             "ZeroFrequency: synthesis needs a carrier with k0 > 0"),
             (("check-type", "--symbol", "flat-maxwell", "--hint-file", "p.txt", *CHECK_AT),
              f"dimension 4\norder 1\nterm principal 0,0,0,0 1,0,0,0 {ID4}\n"
              f"term principal 0,0,0,0 0,0,0,0 {ID4}\n",
@@ -516,6 +535,22 @@ class TestGauge:
         code, _, err = run_cli(capsys, "gauge", "--k", "1,0,0,0", "--eps", "0,1,0,0")
         assert code == 1
         assert "cone" in err
+
+    def test_tiny_mode_is_the_same_mode(self, capsys):
+        payloads = []
+        for k in ("1e-16,1e-16,0,0", "1,1,0,0"):
+            code, out, err = run_cli(capsys, "gauge", "--k", k, "--eps", "0,0,1,0")
+            assert code == 0 and not err
+            payloads.append(json.loads(out))
+        tiny, unit = payloads
+        for part in ("re", "im"):
+            np.testing.assert_allclose(
+                tiny["radiation_fix"][f"eps_{part}"], unit["radiation_fix"][f"eps_{part}"],
+                rtol=0, atol=1e-15,
+            )
+            np.testing.assert_allclose(
+                tiny[f"physical_kernel_{part}"], unit[f"physical_kernel_{part}"], rtol=0, atol=1e-15
+            )
 
 
 class TestPipeline:

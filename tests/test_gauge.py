@@ -105,7 +105,7 @@ class TestFourierMode:
             (lambda: GaugeFunction(complex(np.inf, 0.0)), "chi_hat must be finite"),
             (lambda: FieldStrengthMode(np.zeros((3, 3))), "4x4"),
             (lambda: FieldStrengthMode(np.ones((4, 4))), "antisymmetric"),
-            (lambda: physical_kernel([1e-16, 1e-16, 0, 0]), "k0 != 0"),
+            (lambda: physical_kernel([1e-16, 1, 0, 0]), "k0 != 0"),
         ],
         ids=["basis-shape", "eps-shape", "inf-chi", "strength-shape", "symmetric-strength",
              "tiny-k0-kernel"],

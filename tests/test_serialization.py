@@ -21,11 +21,9 @@ from polaray.serialization import (
     read_orbit_csv,
     read_ray_csv,
     roundtrip,
-    write_estimates_csv,
     write_estimates_json,
     write_gridfield,
     write_orbit_csv,
-    write_ray_csv,
 )
 from polaray.transport import HamiltonOrbit, transport
 from polaray.wavepacket import (
@@ -72,6 +70,12 @@ def small_field(rng, samples=8, time_slices=1) -> GridField:
     return GridField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def write_text(path, text: str) -> None:
+    """Write a text file as the CLI does: UTF-8, newlines kept as written."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
 def complex_from_parts(re, im) -> np.ndarray:
     """re + i im with the sign of every zero kept (``re + 1j * im`` drops it)."""
     out = np.empty(np.shape(re), dtype=complex)
@@ -82,7 +86,7 @@ def complex_from_parts(re, im) -> np.ndarray:
 class TestRayCsv:
     def test_exact_roundtrip(self, tmp_path, ray):
         path = str(tmp_path / "ray.csv")
-        write_ray_csv(path, ray)
+        write_text(path, ray_csv_text(ray))
         back = read_ray_csv(path)
         assert np.array_equal(back.tau, ray.tau)
         assert np.array_equal(back.x, ray.x)
@@ -93,7 +97,7 @@ class TestRayCsv:
 
     def test_truncated_row_reported(self, tmp_path, ray):
         path = tmp_path / "ray.csv"
-        write_ray_csv(str(path), ray)
+        write_text(path, ray_csv_text(ray))
         lines = path.read_text().splitlines()
         lines[5] = lines[5].rsplit(",", 1)[0]  # drop one field from row 4
         path.write_text("\n".join(lines) + "\n")
@@ -122,7 +126,7 @@ class TestOrbitCsv:
 class TestEstimates:
     def test_csv_roundtrip(self, tmp_path, estimates):
         path = str(tmp_path / "est.csv")
-        write_estimates_csv(path, estimates)
+        write_text(path, estimates_csv_text(estimates))
         back = read_estimates_csv(path)
         assert len(back) == len(estimates)
         for a, b in zip(back, estimates):
@@ -150,7 +154,7 @@ class TestEstimates:
         )
         path = str(tmp_path / f"est.{suffix}")
         write, read = {
-            "csv": (write_estimates_csv, read_estimates_csv),
+            "csv": (lambda p, e: write_text(p, estimates_csv_text(e)), read_estimates_csv),
             "json": (write_estimates_json, read_estimates_json),
         }[suffix]
         write(path, [est])
@@ -410,9 +414,9 @@ def valid_files(tmp_path_factory, maxwell_decomposition) -> dict[str, bytes]:
     ]
     out = tmp_path_factory.mktemp("valid")
     writers = {
-        "ray": lambda p: write_ray_csv(p, ray),
+        "ray": lambda p: write_text(p, ray_csv_text(ray)),
         "orbit": lambda p: write_orbit_csv(p, orbit),
-        "estimates.csv": lambda p: write_estimates_csv(p, estimates),
+        "estimates.csv": lambda p: write_text(p, estimates_csv_text(estimates)),
         "estimates.json": lambda p: write_estimates_json(p, estimates),
         "field": lambda p: write_gridfield(p, small_field(rng)),
     }
