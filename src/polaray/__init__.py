@@ -53,6 +53,7 @@ from .rays import (
     ConstraintDrift,
     NonNullStart,
     Ray,
+    StationaryStart,
     StepFailure,
     ZeroSpatialPart,
     null_project,

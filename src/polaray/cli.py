@@ -184,7 +184,7 @@ def _cmd_trace(args) -> int:
 def _cmd_transport(args) -> int:
     decomp, ray = _trace_from_args(args)
     omega0 = _parse_complex_vec(args.omega0, args.omega0_imag, decomp.p.dimension, "--omega0")
-    orbit = transport(decomp, ray, omega0, reproject=args.reproject)
+    orbit = transport(decomp, ray, omega0)
     _emit(ser.orbit_csv_text(orbit), args.output)
     return EXIT_OK
 
@@ -342,7 +342,6 @@ def build_parser() -> _Parser:
     _add_trace_options(sub)
     sub.add_argument("--omega0", required=True, help="fiber vector real parts")
     sub.add_argument("--omega0-imag", help="fiber vector imaginary parts")
-    sub.add_argument("--reproject", action="store_true")
     sub.add_argument("-o", "--output")
 
     sub = command("gauge", _cmd_gauge, "classify a mode, fix the gauge, emit JSON")

@@ -26,6 +26,10 @@ class NonNullStart(NumericalFailure):
     """Ray tracing started off the characteristic set."""
 
 
+class StationaryStart(InvalidInput):
+    """dq/dk vanishes at the start: q is not of real principal type there."""
+
+
 class StepFailure(NumericalFailure):
     """The integrator could not take a step: the adaptive step underflowed,
     the step budget ran out, or the ray position overflowed."""
@@ -125,7 +129,9 @@ def trace_ray(
     an integer number of steps, at most ``_MAX_STEPS``) and the initial
     step for the adaptive embedded pair.  The start must lie on the cone
     up to rounding, |q(x0,k0)| <= start_tol * ``q.term_bound(x0, k0)``
-    (callers project to the cone first); a drift monitor aborts if |q|
+    (callers project to the cone first), and q must be of real principal
+    type there: a start with max|k0_mu| max|dq/dk| <= start_tol times
+    that size raises :class:`StationaryStart`.  A drift monitor aborts if |q|
     ever exceeds the absolute bound drift_tol or is NaN, since q is
     conserved by the exact flow and silent drift would poison downstream
     transport.  The four tolerances must be finite and positive.
@@ -155,6 +161,12 @@ def trace_ray(
         raise NonNullStart(
             f"|q| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e} times the term size "
             f"{size:.3e} " + failure_site(x0, k0, "step", 0, tau0)
+        )
+    # max|k| |dq/dk| and the term size are both of q's degree in k
+    if np.max(np.abs(k0)) * np.max(np.abs(f[:4])) <= start_tol * size:
+        raise StationaryStart(
+            "dq/dk vanishes at the start, so the ray would not move "
+            + failure_site(x0, k0, "step", 0, tau0)
         )
 
     if span == 0.0:

@@ -40,8 +40,11 @@ class ComplexSymbol(InvalidInput):
 
 
 def _as_expo(e) -> Expo:
-    t = tuple(int(v) for v in e)
-    if len(t) != 4 or any(not 0 <= v < 2**63 for v in t):
+    try:  # a symbol-file string must spell an int; a number must equal one
+        t = tuple(int(v) if isinstance(v, str) or int(v) == v else None for v in e)
+    except (ValueError, OverflowError):  # not an int, NaN or infinite
+        t = ()
+    if len(t) != 4 or any(v is None or not 0 <= v < 2**63 for v in t):
         raise InvalidInput(f"exponent tuple must be 4 nonnegative int64 values, got {e}")
     return t  # type: ignore[return-value]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .minkowski import PhaseSpacePoint, failure_site
+from .minkowski import PhaseSpacePoint, check_tolerances, failure_site
 from .principal_type import PrincipalTypeDecomposition, kernel_basis, kernel_residual
 from .rays import Ray
 from .symbols import connection_matrices
@@ -39,7 +39,7 @@ class HamiltonOrbit:
     ray: Ray
     omega: np.ndarray  # (n, N) complex
     residuals: np.ndarray  # (n,) kernel-membership residual per sample
-    reprojected: bool = False
+    reprojected: bool = False  # whether each step was projected onto the kernel of p
 
     def __post_init__(self):
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=complex))
@@ -78,7 +78,6 @@ def transport(
     ray: Ray,
     omega0,
     residual_tol: float = 1e-6,
-    reproject: bool = False,
 ) -> HamiltonOrbit:
     """Transport a fiber vector along a ray: d omega/dtau = -M omega.
 
@@ -88,14 +87,15 @@ def transport(
     each interval's RK4 step of the linear system is formed once, for all
     intervals together, as an N x N propagator.  The midpoint (x, k) is
     linearly interpolated, which limits the transport to second order in
-    the step.  Optional reprojection onto the numerical kernel after each
-    step is off by default and recorded on the orbit when enabled.
+    the step.  If p~ is not constant and the start kernel has dimension
+    0 < m < N, each propagator is followed by the projector onto p's m
+    smallest right-singular vectors at the step's end (``reprojected``).
 
     Raises
     ------
     InvalidInput
         If omega0 is not N finite components or ``residual_tol`` is not
-        positive.
+        finite and positive.
     KernelEscape
         If the kernel residual |p omega| / |omega| exceeds
         ``residual_tol`` or is NaN at any sample, including the start.
@@ -106,9 +106,10 @@ def transport(
         raise InvalidInput(f"omega0 must have shape ({dim},)")
     if not np.all(np.isfinite(omega0)):
         raise InvalidInput(f"omega0 has non-finite components: {omega0}")
-    if not residual_tol > 0:
-        raise InvalidInput(f"residual_tol must be positive, got {residual_tol}")
+    check_tolerances(residual_tol=residual_tol)
     n = len(ray)
+    # a constant p~ is invertible, so on the cone p's kernel is the whole fiber
+    m = dim if d.p_tilde.compiled.constant else len(kernel_basis(d.p, ray.point(0))[0])
 
     omega = np.empty((n, dim), dtype=complex)
     omega[0] = omega0
@@ -129,13 +130,12 @@ def transport(
         s3 = mid @ (eye + 0.5 * h * s2)
         s4 = a[1:n] @ (eye + h * s3)
         propagator = eye + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
+        if 0 < m < dim:
+            v = np.linalg.svd(d.p.eval_raw(ray.x[1:], ray.k[1:]))[2][:, dim - m :]
+            propagator = (v.conj().swapaxes(1, 2) @ v) @ propagator
         w = omega0
         for i in range(n - 1):
             w = propagator[i] @ w
-            if reproject:
-                vectors, _ = kernel_basis(d.p, ray.point(i + 1))
-                if len(vectors):
-                    w = vectors.T @ (vectors.conj() @ w)
             omega[i + 1] = w
 
     residuals = _orbit_residuals(d, ray, omega)
@@ -145,7 +145,7 @@ def transport(
             f"kernel residual {residuals[worst]:.3e} exceeds {residual_tol:.1e} "
             + failure_site(ray.x[worst], ray.k[worst], "sample", worst, ray.tau[worst])
         )
-    return HamiltonOrbit(ray=ray, omega=omega, residuals=residuals, reprojected=reproject)
+    return HamiltonOrbit(ray=ray, omega=omega, residuals=residuals, reprojected=0 < m < dim)
 
 
 def _orbit_residuals(d: PrincipalTypeDecomposition, ray: Ray, omega: np.ndarray) -> np.ndarray:

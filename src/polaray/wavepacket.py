@@ -390,8 +390,6 @@ def _window_estimates(
         deltas = [_refine_axis(mag, idx, a) for a in range(3)]
         kvec = kvec + np.array([d * s for d, s in zip(deltas, steps)])
         freq = float(np.linalg.norm(kvec))
-        if freq == 0.0:
-            continue
         amps = spectrum.amplitudes[(slice(None), *idx)]
         norm = float(np.linalg.norm(amps))
         out.append(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from polaray.minkowski import PhaseSpacePoint
-from polaray.principal_type import decompose_principal_type
+from polaray.principal_type import decompose_principal_type, kernel_basis
 from polaray.rays import null_project
 from polaray.symbols import MatrixSymbol, flat_maxwell
 
@@ -195,6 +195,7 @@ def random_matrix_symbol(rng, dimension=2, order=2, n_terms=5, lower_terms=2):
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def graded_index_symbol(dimension=1, grade=0.1, scale=None):
@@ -224,6 +225,37 @@ def graded_null_start(grade=0.1):
     x = np.array([0.0, 0.4, 0.0, 0.5])
     spatial = np.array([1.2, 0.0, 0.6])
     return x, np.array([np.sqrt((1 + grade * x[3] ** 2) * spatial @ spatial), *spatial])
+
+
+def weyl_symbol(sign=-1, grade=0.1):
+    """k0 I + sign n(x) sigma.k with n = 1 + grade x3^2.
+
+    ``sign=-1`` is the Weyl-type system p, ``sign=+1`` its hint p~:
+    p~ p = (k0^2 - n^2 |k|^2) I.  On the cone p has a one-dimensional
+    kernel in a two-dimensional fiber, and p~ depends on x and k.
+    """
+    zero = (0, 0, 0, 0)
+    terms = [(zero, (1, 0, 0, 0), np.eye(2))]
+    for i, sigma in enumerate((_SIGMA_X, _SIGMA_Y, _SIGMA_Z), start=1):
+        k_exp = tuple(int(mu == i) for mu in range(4))
+        terms += [(zero, k_exp, sign * sigma), ((0, 0, 0, 2), k_exp, sign * grade * sigma)]
+    return MatrixSymbol(2, 1, terms)
+
+
+def weyl_decomposition():
+    return decompose_principal_type(weyl_symbol(-1), hint=weyl_symbol(+1))
+
+
+def weyl_start(spatial=(1.2, 0.0, 0.6), grade=0.1):
+    """x0 = (0, 0.4, 0, 0.5), k0 = n|k| on the Weyl cone, and the start kernel vector.
+
+    The kernel vector is complex when the spatial k has a k2 component."""
+    x = np.array([0.0, 0.4, 0.0, 0.5])
+    spatial = np.asarray(spatial, dtype=float)
+    k = np.array([(1 + grade * x[3] ** 2) * np.linalg.norm(spatial), *spatial])
+    vectors, _ = kernel_basis(weyl_symbol(-1, grade), PhaseSpacePoint(x, k))
+    assert len(vectors) == 1
+    return x, k, vectors[0]
 
 
 def observed_orders(ends) -> list[float]:

@@ -11,9 +11,9 @@ import pytest
 import polaray
 from polaray.cli import run
 from polaray.serialization import read_estimates_json, read_orbit_csv, read_ray_csv, roundtrip
-from polaray.symbols import MatrixSymbol, flat_maxwell, format_symbol_file
+from polaray.symbols import MatrixSymbol, flat_maxwell, format_symbol_file, scalar_wave
 
-from conftest import graded_index_symbol, graded_null_start
+from conftest import graded_index_symbol, graded_null_start, weyl_start, weyl_symbol
 
 PI = "3.141592653589793"
 K_PI = f"{PI},0,0,-{PI}"
@@ -234,6 +234,13 @@ X8_DRIFT = (
 )
 X8_OVERFLOW = (*X8_TRACE, "0:1", "--x0", "0,0,0,1e40", "--k", "1,0,0,-1", "--step", "0.1")
 MAXWELL_FILE = format_symbol_file(flat_maxwell())
+# q = (k.k)^2: dq/dk vanishes on the whole cone
+QUARTIC_FILE = format_symbol_file(scalar_wave().matmul(scalar_wave()))
+QUARTIC_START = ("--symbol-file", "p.txt", *TRACE_FLAT[2:], "--step", "0.1")
+STATIONARY = (
+    "StationaryStart: dq/dk vanishes at the start, so the ray would not move "
+    "at step 0, tau = 0, x = (0, 0, 0, 0), k = (1, 0, 0, -1)"
+)
 ID4 = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"
 SYNTH = ("synth", "--k", K_PI, "--eps", "0,1,0,0", "--center", "0,0,0,0", "--sigma", "2.0",
          "--samples", "32,32,32", "-o", "f.gf")
@@ -335,6 +342,8 @@ class TestErrorContract:
              "InvalidInput: grid needs at least one time slice"),
             ((*SYNTH, "--extent", "16,16,16", "--sigma", "0"), None,
              "InvalidInput: envelope width must be positive"),
+            (("trace", *QUARTIC_START), QUARTIC_FILE, STATIONARY),
+            (("transport", *QUARTIC_START, "--omega0", "1"), QUARTIC_FILE, STATIONARY),
         ],
         ids=[
             "nan-omega0", "inf-omega0-imag", "overflowing-null-test", "fractional-power",
@@ -346,6 +355,7 @@ class TestErrorContract:
             "tau-no-colon", "tau-not-a-number", "no-centers", "config-not-json",
             "config-not-object", "config-no-path", "config-only", "nan-eps", "tiny-k0",
             "mixed-degree-hint", "dangling-sign", "empty-factor", "zero-tslices", "zero-sigma",
+            "stationary-trace", "stationary-transport",
         ],
     )
     def test_bad_invocation_names_a_package_error(
@@ -362,20 +372,40 @@ class TestErrorContract:
 
 
 class TestTransport:
-    def test_reproject_recorded_in_orbit_header(self, capsys, tmp_path):
-        paths = {flag: tmp_path / f"orbit{flag}.csv" for flag in (0, 1)}
-        for flag, path in paths.items():
-            code, _, _ = run_cli(
-                capsys,
-                "transport", "--symbol", "scaled-wave", "--scale", "1+x3^2", "--dimension", "2",
+    def test_projection_recorded_in_orbit_header(self, capsys, tmp_path):
+        # the Weyl-type system p = k0 I - n(x) sigma.k has a one-dimensional kernel on the cone
+        # and a non-constant p~; the scaled wave has p~ = I and the whole fiber as kernel
+        x0, k0, omega0 = weyl_start()
+        for name, symbol in (("p.txt", weyl_symbol(-1)), ("hint.txt", weyl_symbol(+1))):
+            (tmp_path / name).write_text(format_symbol_file(symbol))
+        runs = {
+            1: ("--symbol-file", str(tmp_path / "p.txt"), "--hint-file", str(tmp_path / "hint.txt"),
+                "--x0", ",".join(map(repr, x0.tolist())), "--k", ",".join(map(repr, k0.tolist())),
+                "--tau", "0:2", "--step", "0.04",
+                "--omega0=" + ",".join(map(repr, omega0.real.tolist())),
+                "--omega0-imag=" + ",".join(map(repr, omega0.imag.tolist()))),
+            0: ("--symbol", "scaled-wave", "--scale", "1+x3^2", "--dimension", "2",
                 "--x0", "0,0,0,0", "--k", "1,0.6,0,0.8", "--tau", "0:0.1", "--step", "0.01",
-                "--omega0", "0.6,0.8", *(["--reproject"] if flag else []), "-o", str(path),
-            )
-            assert code == 0
-        for flag, path in paths.items():
+                "--omega0", "0.6,0.8"),
+        }
+        for flag, argv in runs.items():
+            path = tmp_path / f"orbit{flag}.csv"
+            code, _, err = run_cli(capsys, "transport", *argv, "-o", str(path))
+            assert code == 0, err
             header = path.read_text().splitlines()[0]
             assert f"reprojected={flag}" in header.split()
-        assert read_orbit_csv(str(paths[1])).reprojected
+            assert read_orbit_csv(str(path)).reprojected == bool(flag)
+
+    @pytest.mark.parametrize("config", [None, '{"reproject": true}'], ids=["flag", "config"])
+    def test_reproject_option_is_gone(self, capsys, tmp_path, config):
+        argv = ["transport", *TRACE_FLAT, "--step", "0.5", "--omega0", "1,0,0,0"]
+        if config is None:
+            argv.append("--reproject")
+        else:
+            (tmp_path / "c.json").write_text(config)
+            argv[1:1] = ["--config", str(tmp_path / "c.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out and "reproject" in err
 
 
 class TestHintFile:

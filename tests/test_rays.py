@@ -12,6 +12,7 @@ from polaray.rays import (
     HamiltonSystem,
     NonNullStart,
     Ray,
+    StationaryStart,
     StepFailure,
     ZeroSpatialPart,
     null_project,
@@ -24,6 +25,7 @@ from polaray.symbols import (
     MatrixSymbol,
     hamilton_field,
     parse_x_polynomial,
+    scalar_wave,
     scaled_wave,
 )
 
@@ -390,6 +392,19 @@ class TestFailuresSayWhere:
         place = r"at step 0, tau = 0.5, x = \(0, 0.4, 0, 0.5\), k = \(1"
         with pytest.raises(NonNullStart, match=place):
             trace_ray(self.q, self.x0, self.k0 * [1.1, 1, 1, 1], (0.5, 1), 0.1)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
+    def test_stationary_start(self, method, scale):
+        # q = (k.k)^2 vanishes to second order on the cone, so dq/dk = 0 there
+        # and the ray would stand still; q is not of real principal type
+        q = scalar_wave().matmul(scalar_wave())
+        k0 = scale * np.array([1.0, 0.0, 0.0, -1.0])
+        assert not principal_type.is_real_principal_type(q, PhaseSpacePoint(self.x0, k0))
+        place = r"at step 0, tau = 0.5, x = \(0, 0.4, 0, 0.5\), k = \("
+        with pytest.raises(StationaryStart, match="dq/dk vanishes at the start, .* " + place):
+            trace_ray(q, self.x0, k0, (0.5, 1), 0.1, method=method)
+        assert issubclass(StationaryStart, InvalidInput)
 
     @pytest.mark.parametrize("method", ["rk4", "adaptive"])
     def test_constraint_drift(self, method):

@@ -186,6 +186,36 @@ class TestGridField:
         with pytest.raises(ParseError, match="bytes"):
             read_gridfield(str(path))
 
+    def test_body_shrinking_after_the_size_check_is_a_length_mismatch(
+        self, tmp_path, field, monkeypatch
+    ):
+        path = tmp_path / "field.gf"
+        write_gridfield(str(path), field)
+        expected = field.data.size * 16
+
+        class ShortBody:
+            """A file whose body loses its last element between fstat and readinto."""
+
+            def __init__(self, *args):
+                self.handle = open(*args)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def readinto(self, buffer):
+                return self.handle.readinto(buffer.reshape(-1)[:-1])
+
+        monkeypatch.setattr(serialization, "open", ShortBody, raising=False)
+        message = f"gridfield: body has {expected - 16} bytes, header implies {expected}"
+        with pytest.raises(ParseError, match=message):
+            read_gridfield(str(path))
+
     def test_appended_byte_is_a_length_mismatch(self, tmp_path, field):
         path = tmp_path / "field.gf"
         write_gridfield(str(path), field)

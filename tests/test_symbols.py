@@ -444,6 +444,28 @@ def test_non_integral_dimension_or_order_is_invalid_input(dimension, order):
         MatrixSymbol(dimension, order)
 
 
+@pytest.mark.parametrize(
+    "x_exp, k_exp",
+    [
+        ((0, 0, 0, 0), (2.5, 0, 0, 0)),
+        ((0.5, 0, 0, 0), (2, 0, 0, 0)),
+        ((0, 0, 0, 0), (2, 0, 0, 1e-9)),
+        ((0, 0, 0, math.nan), (2, 0, 0, 0)),
+        ((0, 0, 0, 0), (2, 0, 0, -math.inf)),
+        ((0, 0, 0, 0), (2, 0, 0, np.float64(math.inf))),
+    ],
+)
+def test_non_integral_exponent_is_invalid_input(x_exp, k_exp):
+    # int() would truncate the fractional ones to a different monomial
+    with pytest.raises(InvalidInput, match="exponent tuple must be 4 nonnegative int64 values"):
+        MatrixSymbol(1, 2, [(x_exp, k_exp, 1.0)])
+
+
+def test_integral_exponents_of_any_type_are_accepted():
+    sym = MatrixSymbol(1, 2, [(np.zeros(4), ("2", "0", "0", "0"), 1.0), ((0.0,) * 4, (0, 2.0, 0, 0), 1.0)])
+    assert [ke for _, ke, _ in sym.terms()] == [(0, 2, 0, 0), (2, 0, 0, 0)]
+
+
 def test_coefficient_shape_must_match_dimension():
     with pytest.raises(DimensionMismatch, match="does not match dimension 2"):
         MatrixSymbol(2, 2, [((0, 0, 0, 0), (2, 0, 0, 0), np.eye(3))])

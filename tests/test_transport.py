@@ -9,7 +9,7 @@ from polaray.errors import InvalidInput
 from polaray.minkowski import PhaseSpacePoint, raise_index
 from polaray.principal_type import decompose_principal_type, kernel_basis
 from polaray.rays import Ray, trace_ray
-from polaray.symbols import MatrixSymbol, parse_x_polynomial, scaled_wave
+from polaray.symbols import MatrixSymbol, flat_maxwell, parse_x_polynomial, scaled_wave
 from polaray.transport import (
     SAME_POINT,
     ZERO_FIBER,
@@ -21,7 +21,14 @@ from polaray.transport import (
     transport,
 )
 
-from conftest import graded_index_symbol, graded_null_start, observed_orders, random_null_covector
+from conftest import (
+    graded_index_symbol,
+    graded_null_start,
+    observed_orders,
+    random_null_covector,
+    weyl_decomposition,
+    weyl_start,
+)
 
 NULL_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, -1])
 # the module, which the package's ``transport`` function shadows as an attribute
@@ -316,22 +323,52 @@ class TestProjectWavefrontOracle:
         assert len(found) == 2 and found[0] is a.pt and found[1] is b.pt
 
 
-class TestReprojection:
-    def test_reprojected_orbit_residuals_no_larger(self):
-        """The non-scalar diag(1, 2) graded symbol, decomposed with the
-        hint diag(2, 1).  Off the exact cone p = diag(1, 2) q has no
-        numerical kernel, so reprojection has nothing to project onto
-        here; it must still be recorded and must not raise the residual."""
-        sym = graded_index_symbol(2, scale=np.diag([1.0, 2.0]))
-        hint = MatrixSymbol(2, 0, [((0, 0, 0, 0), (0, 0, 0, 0), np.diag([2.0, 1.0]))])
-        d = decompose_principal_type(sym, hint=hint)
-        assert not d.scalar_multiple
-        x0, k0 = graded_null_start()
-        ray = trace_ray(d.q, x0, k0, (0.0, 1.0), 0.02)
-        plain = transport(d, ray, [0.6, 0.8j])
-        projected = transport(d, ray, [0.6, 0.8j], reproject=True)
-        assert projected.reprojected and not plain.reprojected
-        assert np.all(projected.residuals <= plain.residuals)
+class TestKernelProjection:
+    @pytest.mark.parametrize("steps, bound", [(50, 1e-8), (200, 1e-10), (800, 1e-12)])
+    def test_weyl_fiber_stays_in_the_kernel(self, steps, bound):
+        """p = k0 I - n(x) sigma.k has a one-dimensional kernel on the cone and a
+        non-constant p~, so every step is projected back onto the kernel."""
+        d = weyl_decomposition()
+        x0, k0, omega0 = weyl_start()
+        ray = trace_ray(d.q, x0, k0, (0.0, 2.0), 2.0 / steps)
+        orbit = transport(d, ray, omega0)
+        assert orbit.reprojected
+        assert np.max(orbit.residuals) <= bound
+
+    @pytest.mark.parametrize(
+        "symbol, hint",
+        [
+            (flat_maxwell(), None),
+            (graded_index_symbol(2), None),
+            (graded_index_symbol(2, scale=np.diag([1.0, 2.0])), np.diag([2.0, 1.0])),
+        ],
+        ids=["zero-connection", "identity-p-tilde", "constant-hint"],
+    )
+    def test_constant_p_tilde_searches_no_kernel(self, symbol, hint, monkeypatch):
+        # a constant p~ is invertible: on the cone p vanishes and its kernel is the fiber
+        if hint is not None:
+            hint = MatrixSymbol(symbol.dimension, 0, [((0, 0, 0, 0), (0, 0, 0, 0), hint)])
+        d = decompose_principal_type(symbol, hint=hint)
+        x0, k0 = graded_null_start(0.0 if symbol.dimension == 4 else 0.1)
+        ray = trace_ray(d.q, x0, k0, (0.0, 0.5), 0.05)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel_basis called")
+
+        monkeypatch.setattr(TRANSPORT_MODULE, "kernel_basis", refuse)
+        omega0 = np.array([0.6, 0.8j, 0.0, 0.0])[: symbol.dimension]
+        orbit = transport(d, ray, omega0)
+        assert not orbit.reprojected
+        reference = per_stage_transport(d, ray, omega0)
+        assert np.max(np.abs(orbit.omega - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_no_start_kernel_no_projection(self):
+        d = weyl_decomposition()
+        x0, k0, _ = weyl_start()
+        ray = frozen_ray(x0, k0 * [1.5, 1, 1, 1], 0.0)
+        assert len(kernel_basis(d.p, ray.point(0))[0]) == 0
+        orbit = transport(d, ray, [1.0, 0.0], residual_tol=10.0)
+        assert not orbit.reprojected
 
 
 class TestConvergenceOrder:
@@ -348,9 +385,11 @@ class TestConvergenceOrder:
         assert all(1.8 <= p <= 2.2 for p in observed_orders(ends))
 
 
-def per_stage_transport(d, ray, omega0, reproject):
+def per_stage_transport(d, ray, omega0, m=0):
     """RK4 on d omega/dtau = -M omega, one stage at a time through
-    connection_matrix, with M at the linearly interpolated midpoints."""
+    connection_matrix, with M at the linearly interpolated midpoints; for
+    m > 0 each step ends with the projector onto the m smallest
+    right-singular vectors of p there, from an SVD of that one sample."""
     w = np.asarray(omega0, dtype=complex)
     out = [w]
     for i in range(len(ray) - 1):
@@ -362,37 +401,57 @@ def per_stage_transport(d, ray, omega0, reproject):
         s3 = am @ (w + 0.5 * h * s2)
         s4 = a1 @ (w + h * s3)
         w = w + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
-        if reproject:
-            vectors, _ = kernel_basis(d.p, ray.point(i + 1))
-            if len(vectors):
-                w = vectors.T @ (vectors.conj() @ w)
+        if m:
+            _, _, vh = np.linalg.svd(d.p.eval(ray.point(i + 1)))
+            basis = vh[len(vh) - m :]
+            w = basis.conj().T @ (basis @ w)
         out.append(w)
     return np.array(out)
 
 
-class TestPropagators:
-    @pytest.mark.parametrize("reproject", [False, True])
-    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
-    def test_matches_per_stage_loop(self, method, reproject):
-        d = decompose_principal_type(graded_index_symbol(2))
-        x0, k0 = graded_null_start()
-        ray = trace_ray(d.q, x0, k0, (0.0, 4.0), 0.02, method=method)
-        omega0 = np.array([0.6, 0.8j])
-        orbit = transport(d, ray, omega0, reproject=reproject)
-        reference = per_stage_transport(d, ray, omega0, reproject)
-        assert np.max(np.abs(orbit.omega - reference)) <= 1e-13 * np.max(np.abs(reference))
-        assert np.max(np.abs(orbit.omega[-1] - omega0)) > 1e-3  # M really acts
+def graded_case():
+    d = decompose_principal_type(graded_index_symbol(2))
+    x0, k0 = graded_null_start()
+    return d, x0, k0, np.array([0.6, 0.8j]), 0, 4.0
 
-    @pytest.mark.parametrize("reproject", [False, True])
-    def test_matches_per_stage_loop_where_the_kernel_is_the_fiber(self, reproject):
+
+def weyl_case(spatial):
+    x0, k0, omega0 = weyl_start(spatial)
+    return weyl_decomposition(), x0, k0, omega0, 1, 2.0
+
+
+class TestPropagators:
+    @pytest.mark.parametrize(
+        "case",
+        [graded_case, lambda: weyl_case((1.2, 0.0, 0.6)), lambda: weyl_case((1.2, 0.5, 0.6))],
+        ids=["graded", "weyl-real-kernel", "weyl-complex-kernel"],
+    )
+    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
+    def test_matches_per_stage_loop(self, method, case):
+        d, x0, k0, omega0, m, tau_end = case()
+        ray = trace_ray(d.q, x0, k0, (0.0, tau_end), 0.02, method=method)
+        orbit = transport(d, ray, omega0)
+        assert orbit.reprojected == bool(m)
+        reference = per_stage_transport(d, ray, omega0, m)
+        assert np.max(np.abs(orbit.omega - reference)) <= 1e-13 * np.max(np.abs(reference))
+        assert np.max(np.abs(orbit.omega[-1] - omega0)) > 1e-3  # M or the projection acts
+
+    @pytest.mark.parametrize("hint", [None, "1+x1^2"], ids=["identity", "x-dependent"])
+    def test_matches_per_stage_loop_where_the_kernel_is_the_fiber(self, hint):
         # on the exact cone p vanishes, so the kernel is the whole fiber at
-        # every sample and the reprojection branch runs after each step
-        d = decompose_principal_type(scaled_wave(parse_x_polynomial("1+x3^2"), dimension=2))
-        ray = frozen_ray([0, 0, 0, 1], [1, 0, 0, -1], 0.0)
+        # every sample; an x-dependent scalar p~ leaves nothing to project
+        p = scaled_wave(parse_x_polynomial("1+x3^2"), dimension=2)
+        if hint is not None:
+            hint = MatrixSymbol(
+                2, 0, [(xe, (0, 0, 0, 0), c * np.eye(2)) for xe, c in parse_x_polynomial(hint).items()]
+            )
+        d = decompose_principal_type(p, hint=hint)
+        ray = frozen_ray([0, 1, 0, 1], [1, 0, 0, -1], 0.0)
         assert len(kernel_basis(d.p, ray.point(1))[0]) == 2
         omega0 = np.array([1.0, -0.5j])
-        orbit = transport(d, ray, omega0, reproject=reproject)
-        reference = per_stage_transport(d, ray, omega0, reproject)
+        orbit = transport(d, ray, omega0)
+        assert not orbit.reprojected
+        reference = per_stage_transport(d, ray, omega0)
         assert np.max(np.abs(orbit.omega - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
@@ -443,7 +502,7 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidInput, match=r"omega0 must have shape \(2,\)"):
             transport(d, ray, omega0)
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
     def test_residual_tol_must_be_positive(self, tol):
         d, ray = hinted_graded_ray()
         with pytest.raises(InvalidInput, match="residual_tol"):
