@@ -82,7 +82,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        ser._write_text(output, text)
+        ser._write(output, [text.encode()])
     else:
         sys.stdout.write(text)
 

@@ -13,6 +13,7 @@ import json
 import math
 import operator
 import os
+import stat
 
 import numpy as np
 
@@ -61,9 +62,20 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def _write(path: str, chunks) -> None:
+    """Write the byte chunks over ``path`` in place (``O_TRUNC``'s cut to zero is slow), then
+    cut a regular file at their end, even if a chunk fails; its first bytes stay NUL till then."""
+    with open(path, "wb", opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666)) as handle:
+        if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # /dev/null or a pipe
+            return handle.writelines(chunks)
+        first = next(chunks := iter(chunks))
+        try:
+            handle.writelines([bytes(min(len(first), 8)), memoryview(first)[8:]])
+            handle.writelines(chunks)
+        finally:
+            handle.truncate()
+        handle.seek(0)  # the head goes last, so readers refuse a write cut short even by a kill
+        handle.write(first[:8])
 
 
 def _read_table(path: str, kind: str, expected_header) -> tuple[dict[str, str], np.ndarray]:
@@ -75,7 +87,7 @@ def _read_table(path: str, kind: str, expected_header) -> tuple[dict[str, str], 
     """
     meta: dict[str, str] = {}
     header = None
-    rows = []
+    tokens, linenos = [], []  # every data field, and the line number of each data row
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
@@ -97,19 +109,22 @@ def _read_table(path: str, kind: str, expected_header) -> tuple[dict[str, str], 
                     raise ParseError(f"{kind} line {lineno}: expected header {header!r}")
                 width = header.count(",") + 1
                 continue
-            rows.append(_parse_floats(line.split(","), width, lineno, kind))
+            row = line.split(",")
+            if len(row) != width:
+                raise ParseError(f"{kind} line {lineno}: expected {width} fields, got {len(row)}")
+            tokens += row
+            linenos.append(lineno)
     if header is None:
         raise ParseError(f"{kind}: missing header line")
-    return meta, np.array(rows, dtype=float).reshape(len(rows), width)
-
-
-def _parse_floats(fields, count, lineno, kind):
-    if len(fields) != count:
-        raise ParseError(f"{kind} line {lineno}: expected {count} fields, got {len(fields)}")
-    try:
-        return [float(tok) for tok in fields]
-    except ValueError as exc:
-        raise ParseError(f"{kind} line {lineno}: {exc}") from exc
+    try:  # numpy converts str with float()'s grammar, bit for bit
+        return meta, np.array(tokens, dtype=float).reshape(len(linenos), width)
+    except ValueError:  # find the bad line to name it
+        for i, lineno in enumerate(linenos):
+            try:
+                [float(tok) for tok in tokens[i * width : (i + 1) * width]]
+            except ValueError as exc:
+                raise ParseError(f"{kind} line {lineno}: {exc}") from exc
+        raise
 
 
 def _ray_from_columns(data: np.ndarray, meta: dict[str, str], kind: str) -> Ray:
@@ -169,7 +184,7 @@ def orbit_csv_text(orbit: HamiltonOrbit) -> str:
 
 
 def write_orbit_csv(path: str, orbit: HamiltonOrbit) -> None:
-    _write_text(path, orbit_csv_text(orbit))
+    _write(path, [orbit_csv_text(orbit).encode()])
 
 
 def _orbit_header_from(meta: dict) -> str:
@@ -256,7 +271,7 @@ def estimates_json_text(estimates) -> str:
 
 
 def write_estimates_json(path: str, estimates) -> None:
-    _write_text(path, estimates_json_text(estimates))
+    _write(path, [estimates_json_text(estimates).encode()])
 
 
 def read_estimates_json(path: str) -> list[PolarizationEstimate]:
@@ -314,8 +329,7 @@ def _gridfield_bytes(field: GridField) -> tuple[bytes, np.ndarray]:
 
 def write_gridfield(path: str, field: GridField) -> None:
     """Self-describing binary: magic, JSON header line, raw complex128."""
-    with open(path, "wb") as handle:
-        handle.writelines(_gridfield_bytes(field))
+    _write(path, _gridfield_bytes(field))
 
 
 def read_gridfield(path: str) -> GridField:

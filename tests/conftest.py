@@ -6,10 +6,13 @@ the exact-derivative code paths they are used to check.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import polaray
 from polaray.minkowski import PhaseSpacePoint
 from polaray.principal_type import decompose_principal_type, kernel_basis
 from polaray.rays import null_project
@@ -24,6 +27,13 @@ settings.register_profile(
 settings.load_profile("det")
 
 SEED = 20250810
+
+
+def subprocess_env() -> dict:
+    """The environment with this checkout's package first on the import path."""
+    src = os.path.dirname(os.path.dirname(polaray.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture

@@ -13,7 +13,13 @@ from polaray.cli import run
 from polaray.serialization import read_estimates_json, read_orbit_csv, read_ray_csv, roundtrip
 from polaray.symbols import MatrixSymbol, flat_maxwell, format_symbol_file, scalar_wave
 
-from conftest import graded_index_symbol, graded_null_start, weyl_start, weyl_symbol
+from conftest import (
+    graded_index_symbol,
+    graded_null_start,
+    subprocess_env,
+    weyl_start,
+    weyl_symbol,
+)
 
 PI = "3.141592653589793"
 K_PI = f"{PI},0,0,-{PI}"
@@ -407,6 +413,22 @@ class TestTransport:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and not out and "reproject" in err
 
+    def test_output_to_dev_null(self, capsys):
+        argv = ("transport", *TRACE_FLAT, "--step", "0.5", "--omega0", "0,1,0,0")
+        code, out, err = run_cli(capsys, *argv, "-o", os.devnull)
+        assert code == 0 and not out and not err
+
+    def test_output_to_a_pipe(self, capsys):
+        argv = ("transport", *TRACE_FLAT, "--step", "0.5", "--omega0", "0,1,0,0")
+        _, expected, _ = run_cli(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polaray.cli", *argv, "-o", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=subprocess_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == expected
+
 
 class TestHintFile:
     @pytest.mark.parametrize("command", ["trace", "transport"])
@@ -512,15 +534,12 @@ class TestConfigFile:
     def test_bad_config_entry_in_a_subprocess(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"x0": 5, "step": 0.1}))
-        src = os.path.dirname(os.path.dirname(polaray.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run(
             [
                 sys.executable, "-m", "polaray.cli", "trace", "--config", str(cfg),
                 "--symbol", "flat-maxwell", "--k", "1,0,0,-1", "--tau", "0:1",
             ],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
         )
         assert proc.returncode == 1
         assert "x0" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,4 +1,9 @@
 import math
+import os
+import pickle
+import stat
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -35,7 +40,7 @@ from polaray.wavepacket import (
     synthesize,
 )
 
-from conftest import SEED, random_null_covector
+from conftest import SEED, random_null_covector, subprocess_env
 
 
 @pytest.fixture
@@ -109,6 +114,18 @@ class TestRayCsv:
         path.write_text("1,2,3\n")
         with pytest.raises(ParseError):
             read_ray_csv(str(path))
+
+    def test_tokens_read_as_float_reads_them(self, tmp_path):
+        rows = [
+            ["0", "1_0", " 2.5", "+.5", "0", "1", "0", "0", "-1", "0"],
+            ["+.5", "1e1", "2.5 ", "0.5", "1_0.0", "1_0", "0", "0", "-1_0", "1e-3_0"],
+        ]
+        path = tmp_path / "ray.csv"
+        lines = [serialization.RAY_MAGIC, serialization.RAY_HEADER, *map(",".join, rows)]
+        path.write_text("\n".join(lines) + "\n")
+        back = read_ray_csv(str(path))
+        table = np.column_stack([back.tau, back.x, back.k, back.q])
+        assert table.tolist() == [[float(tok) for tok in row] for row in rows]
 
 
 class TestOrbitCsv:
@@ -272,6 +289,129 @@ class TestRoundtripDispatch:
             roundtrip(str(tmp_path / "absent.csv"))
 
 
+class TestOverwrite:
+    """Every writer overwrites an existing file in place and cuts off whatever
+    the file held past the new bytes."""
+
+    @pytest.fixture
+    def writers(self, ray, orbit):
+        estimates = special_estimates()
+        field = small_field(np.random.default_rng(SEED))
+
+        def cli_output(path):
+            argv = ["trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0", "--k", "1,0,0,-1"]
+            assert run([*argv, "--tau", "0:1", "--step", "0.5", "-o", path]) == 0
+
+        return {
+            "ray csv": lambda path: serialization._write(path, [ray_csv_text(ray).encode()]),
+            "orbit csv": lambda path: write_orbit_csv(path, orbit),
+            "estimates csv": lambda path: serialization._write(
+                path, [estimates_csv_text(estimates).encode()]
+            ),
+            "estimates json": lambda path: write_estimates_json(path, estimates),
+            "grid field": lambda path: write_gridfield(path, field),
+            "cli output": cli_output,
+        }
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["ray csv", "orbit csv", "estimates csv", "estimates json", "grid field", "cli output"],
+    )
+    def test_short_output_over_a_longer_file_leaves_only_the_new_bytes(
+        self, tmp_path, writers, kind
+    ):
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        writers[kind](str(fresh))
+        new = fresh.read_bytes()
+        reused.write_bytes(b"\xff" * (2 * len(new) + 4096))
+        writers[kind](str(reused))
+        assert reused.read_bytes() == new
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_is_0o666_less_the_umask(self, tmp_path, writers, umask):
+        old = os.umask(umask)
+        try:
+            for kind, write in writers.items():
+                write(str(tmp_path / kind))
+        finally:
+            os.umask(old)
+        for kind in writers:
+            assert stat.S_IMODE((tmp_path / kind).stat().st_mode) == 0o666 & ~umask
+
+    def test_failed_grid_field_write_leaves_a_file_the_reader_refuses(self, tmp_path, monkeypatch):
+        field = small_field(np.random.default_rng(SEED))
+        path = tmp_path / "field.gf"
+        write_gridfield(str(path), field)  # a valid field of the same shape
+        head, _ = serialization._gridfield_bytes(field)
+
+        def head_then_fail(field):
+            yield head
+            raise RuntimeError("failed after the header")
+
+        monkeypatch.setattr(serialization, "_gridfield_bytes", head_then_fail)
+        with pytest.raises(RuntimeError, match="after the header"):
+            write_gridfield(str(path), field)
+        assert path.read_bytes() == bytes(8) + head[8:]
+        with pytest.raises(ParseError, match="bad magic line"):
+            read_gridfield(str(path))
+
+    @pytest.mark.parametrize(
+        "writer, reader",
+        [("write_gridfield", read_gridfield), ("write_orbit_csv", read_orbit_csv)],
+    )
+    def test_write_killed_halfway_leaves_a_file_the_reader_refuses(
+        self, tmp_path, orbit, writer, reader
+    ):
+        """A process killed between the chunks of an overwrite runs no ``finally``; the
+        new head, half the new body and the old rest would be a file of the right size."""
+        rng = np.random.default_rng(SEED)
+        old, new = {
+            "write_gridfield": (small_field(rng), small_field(rng)),
+            "write_orbit_csv": (orbit, HamiltonOrbit(orbit.ray, -orbit.omega, orbit.residuals)),
+        }[writer]
+        path, fresh = tmp_path / "reused", tmp_path / "fresh"
+        getattr(serialization, writer)(str(fresh), new)
+        getattr(serialization, writer)(str(path), old)
+        before = path.read_bytes()
+        (tmp_path / "new.pickle").write_bytes(pickle.dumps(new))
+        proc = subprocess.run(
+            [sys.executable, "-c", KILLED_HALFWAY, writer, str(path), str(tmp_path / "new.pickle")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert path.read_bytes() not in (before, fresh.read_bytes())
+        with pytest.raises(ParseError):
+            reader(str(path))
+
+
+# a writer run in a process that dies (no finally, no flush) halfway through its last chunk
+KILLED_HALFWAY = """
+import os, pickle, sys
+from polaray import serialization
+
+class KilledHalfway:
+    def __init__(self, handle):
+        self.handle = handle
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def fileno(self):
+        return self.handle.fileno()
+    def writelines(self, chunks):
+        *whole, last = chunks
+        last = memoryview(last).cast("B")
+        self.handle.writelines([*whole, last[: len(last) // 2]])
+        self.handle.flush()
+        os._exit(3)
+
+writer, path, new = sys.argv[1:]
+serialization.open = lambda *args, **kwargs: KilledHalfway(open(*args, **kwargs))
+with open(new, "rb") as handle:
+    getattr(serialization, writer)(path, pickle.load(handle))
+"""
+
+
 # -- writers against the per-value reference formatting ------------------------
 
 # zero of either sign, the smallest subnormal, integer-valued floats, and values
@@ -384,6 +524,11 @@ CORRUPTIONS = {
     "orbit dimension 0": ("orbit", _replace(b"dimension=4", b"dimension=0"), "not positive"),
     "orbit step": ("orbit", _replace(b"step=0.01", b"step=fast"), "step"),
     "ray not utf-8": ("ray", _data_row(1, lambda line: b"\xff" + line), "line 4"),
+    "ray not a number": (
+        "ray",
+        _data_row(1, lambda line: b"abc" + line[line.index(b","):]),
+        "line 4: could not convert string to float: 'abc'",
+    ),
     "ray nan q": ("ray", _data_row(2, lambda line: line[: line.rindex(b",") + 1] + b"nan"), "non-finite"),
     "ray decreasing tau": ("ray", _swap_rows, "increasing"),
     "estimates csv infinite x": (
