@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -406,8 +407,22 @@ def _config_arguments(sub: _Parser, path: str) -> list[str]:
     return out
 
 
+def _attach_negative_values(sub: _Parser, argv: list[str]) -> list[str]:
+    """``--opt -1,2`` as ``--opt=-1,2`` where ``--opt`` takes a value: argparse reads
+    a token such as ``-1,2`` or ``-.5`` as an option and leaves ``--opt`` without one."""
+    takes_value = {"--" + key.replace("_", "-") for key, value in sub.options.items() if value}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in takes_value and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     parser = build_parser()
+    path = None
     if "--config" in argv:
         idx = argv.index("--config")
         if idx + 1 >= len(argv):
@@ -416,9 +431,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         argv = argv[:idx] + argv[idx + 2 :]
         if not argv:
             raise InvalidInput("config file cannot choose the subcommand")
-        sub = parser.commands.get(argv[0])
-        if sub is not None:
-            argv = argv[:1] + _config_arguments(sub, path) + argv[1:]
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        config = [] if path is None else _config_arguments(sub, path)
+        argv = [argv[0], *config, *_attach_negative_values(sub, argv[1:])]
     return parser.parse_args(argv)
 
 

@@ -430,6 +430,37 @@ class TestTransport:
         assert proc.stdout == expected
 
 
+class TestNegativeValues:
+    """A value whose first entry is negative may follow its option as the next
+    argument: each row runs as written with ``--opt=value`` and with ``--opt value``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("transport", *TRACE_FLAT, "--step", "0.5", "--omega0=-0.85,-0.53,0,0",
+             "--omega0-imag=-.5,0,0,0"),
+            ("trace", "--symbol", "flat-maxwell", "--x0=-1,0,0,0", "--k=-1,0,0,1", "--tau=-1:1",
+             "--step", "0.5"),
+            ("gauge", "--k=-1,0,0,1", "--eps=-1,1,0,-1", "--eps-imag=-0.5,0,0,0"),
+            ("check-type", "--symbol", "flat-maxwell", "--point=-2,0,0,0", "--k=-1,0,0,1"),
+        ],
+        ids=["omega0", "x0-k-tau", "k-eps", "point"],
+    )
+    def test_same_output_as_the_equals_form(self, capsys, argv):
+        code, expected, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        spaced = [part for arg in argv for part in arg.split("=", 1)]
+        assert len(spaced) > len(argv)
+        assert run_cli(capsys, *spaced) == (0, expected, "")
+
+    @pytest.mark.parametrize("follower", ["--k", "-o", "--symbol"])
+    def test_option_followed_by_an_option_has_no_value(self, capsys, follower):
+        argv = ["transport", *TRACE_FLAT, "--step", "0.5", "--omega0"]
+        code, out, err = run_cli(capsys, *argv, follower, "x")
+        assert code == 1 and not out
+        assert err == "InvalidInput: argument --omega0: expected one argument\n"
+
+
 class TestHintFile:
     @pytest.mark.parametrize("command", ["trace", "transport"])
     def test_non_scalar_symbol_needs_the_hint(self, capsys, tmp_path, command):
