@@ -33,7 +33,7 @@ from .gauge import (
     physical_kernel,
     radiation_fix,
 )
-from .minkowski import ZERO_TOL, PhaseSpacePoint
+from .minkowski import ZERO_TOL, PhaseSpacePoint, scaled_covector
 from .principal_type import (
     PrincipalTypeDecomposition,
     char_membership,
@@ -156,7 +156,7 @@ def _cmd_check_type(args) -> int:
         "point": [float(v) for v in pt.x],
         "k": [float(v) for v in pt.k],
         "q": pretty(decomp.q),
-        "q_value": float(decomp.q.eval(pt)[0, 0].real),
+        "q_value": float(decomp.q.eval_raw(pt.x, scaled_covector(pt.k))[0, 0].real),
         "real_principal_type": is_real_principal_type(decomp.q, pt, tol=args.tol),
         "on_char": char_membership(decomp, pt, tol=args.tol),
         "kernel_dimension": len(vectors),

@@ -17,12 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .minkowski import ZERO_TOL, PhaseSpacePoint, check_tolerances, failure_site, scaled_covector
-from .symbols import (
-    ComplexSymbol,
-    MatrixSymbol,
-    check_homogeneity,
-    scalar_coefficients,
-)
+from .symbols import ComplexSymbol, MatrixSymbol, check_homogeneity, scalar_coefficients
 
 
 class NoDecomposition(InvalidInput):
@@ -81,24 +76,26 @@ def decompose_principal_type(
     return PrincipalTypeDecomposition(p=p, p_tilde=p_tilde, q=q, scalar_multiple=hint is None)
 
 
+def _pointwise(q: MatrixSymbol, x, k, tol: float) -> tuple:
+    """``(q, flow, size, q vanishes, dq/dk vanishes)`` at (x, k), from one evaluation of q's
+    Hamilton system: size is ``q.term_bound(x, k)``, and q and dq/dk vanish when |q| and
+    max|k_mu| max|dq/dk|, both of q's degree in k like size, are at most tol * size."""
+    value, flow = q.hamilton(np.concatenate([x, k, [1.0]]))
+    size = q.term_bound(x, k)[0, 0]
+    dq_dk = np.max(np.abs(k)) * np.max(np.abs(flow[:4]))
+    return value, flow, size, abs(value) <= tol * size, dq_dk <= tol * size
+
+
 def is_real_principal_type(q: MatrixSymbol, pt: PhaseSpacePoint, tol: float = ZERO_TOL) -> bool:
     """Real-principal-type test for a real scalar symbol at one point.
 
-    Off the zero set of q (|q| above tol times ``q.term_bound``) the condition is
-    vacuous.  On it, the Hamilton field must neither vanish nor be purely radial,
-    which for the dx/dtau components reduces to dq/dk != 0: max |dq/dk| above tol
-    times ``q.term_bound``, both taken at k/|k|.
+    Off the zero set of q the condition is vacuous.  On it, the Hamilton field
+    must neither vanish nor be purely radial, which for the dx/dtau components
+    reduces to dq/dk != 0.  Both verdicts are taken at ``scaled_covector(k)``.
     """
     check_tolerances(tol=tol)
-    system = q.hamilton
-    value, _ = system(np.concatenate([pt.x, pt.k, [1.0]]))
-    if abs(value) > tol * q.term_bound(pt.x, pt.k)[0, 0]:
-        return True
-    # dq/dk is homogeneous in k, so its size at k/|k| does not depend on |k|
-    k = scaled_covector(pt.k)
-    k /= np.linalg.norm(k)
-    _, flow = system(np.concatenate([pt.x, k, [1.0]]))
-    return bool(np.max(np.abs(flow[:4])) > tol * q.term_bound(pt.x, k)[0, 0])
+    *_, q_vanishes, dq_dk_vanishes = _pointwise(q, pt.x, scaled_covector(pt.k), tol)
+    return not (q_vanishes and dq_dk_vanishes)
 
 
 def char_membership(
@@ -106,17 +103,16 @@ def char_membership(
 ) -> bool:
     """Whether the point lies on the characteristic set q = 0.
 
-    q counts as zero when |q| <= tol * ``q.term_bound(x, k)``, the size of
-    its terms, so membership is scale-free in k and a covector on the cone
-    up to rounding belongs.
+    q counts as zero when |q| <= tol * ``q.term_bound``, the size of its terms, at
+    ``scaled_covector(k)``, so membership is scale-free in k and a covector on the
+    cone up to rounding belongs.  A complex q raises :class:`ComplexSymbol`.
     """
     check_tolerances(tol=tol)
-    value = abs(d.q.eval(pt)[0, 0])
-    return bool(value <= tol * d.q.term_bound(pt.x, pt.k)[0, 0])
+    return bool(_pointwise(d.q, pt.x, scaled_covector(pt.k), tol)[3])
 
 
 def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = ZERO_TOL) -> tuple:
-    """Orthonormal numerical nullspace of p(x, k) by singular values.
+    """Orthonormal numerical nullspace of p at (x, ``scaled_covector(k)``) by singular values.
 
     Returns ``(vectors, singular_values)``: an ``(m, N)`` array whose rows
     span the kernel, and the N singular values in descending order.  A
@@ -126,12 +122,13 @@ def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = ZERO_TOL) ->
     overflows raises :class:`InvalidInput` naming the point.
     """
     check_tolerances(tol=tol)
+    k = scaled_covector(pt.k)
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = p.eval(pt)
+        mat = p.eval_raw(pt.x, k)
     if not np.all(np.isfinite(mat)):
         raise InvalidInput(f"p(x, k) is not finite at {failure_site(pt.x, pt.k)}")
     _, s, vh = np.linalg.svd(mat)
-    scale = np.linalg.norm(p.term_bound(pt.x, pt.k) @ np.abs(vh.T), axis=0)
+    scale = np.linalg.norm(p.term_bound(pt.x, k) @ np.abs(vh.T), axis=0)
     return vh[s <= tol * scale].conj(), s
 
 

@@ -19,6 +19,7 @@ from .errors import InvalidInput, NumericalFailure
 from .minkowski import (
     ZERO_TOL, PhaseSpacePoint, ZeroSpatialPart, as_point4, check_tolerances, failure_site
 )
+from .principal_type import _pointwise
 from .symbols import HamiltonSystem, MatrixSymbol
 
 
@@ -127,12 +128,11 @@ def trace_ray(
 
     ``step`` is the fixed step for rk4 (shrunk uniformly so the span is
     an integer number of steps, at most ``_MAX_STEPS``) and the initial
-    step for the adaptive embedded pair.  The start must lie on the cone
-    up to rounding, |q(x0,k0)| <= start_tol * ``q.term_bound(x0, k0)``
-    (callers project to the cone first), and q must be of real principal
-    type there: a start with max|k0_mu| max|dq/dk| <= start_tol times
-    that size raises :class:`StationaryStart`.  A drift monitor aborts if |q|
-    ever exceeds the absolute bound drift_tol or is NaN, since q is
+    step for the adaptive embedded pair.  At (x0, k0) q must vanish and
+    dq/dk must not, by the rule of ``is_real_principal_type`` with tolerance
+    ``start_tol`` (callers project to the cone first); otherwise it raises
+    :class:`NonNullStart` or :class:`StationaryStart`.  A drift monitor aborts if
+    |q| ever exceeds the absolute bound drift_tol or is NaN, since q is
     conserved by the exact flow and silent drift would poison downstream
     transport.  The four tolerances must be finite and positive.
     """
@@ -153,22 +153,21 @@ def trace_ray(
             f"step {step} needs {count:.3g} rk4 steps, more than the budget of {_MAX_STEPS}"
         )
 
-    system = q.hamilton
-    y = np.concatenate([x0, k0, [1.0]])
-    q0, f = system(y)
-    size = q.term_bound(x0, k0)[0, 0]
-    if not abs(q0) <= start_tol * size:
+    # the start's verdicts, and its q and flow as the first integrator stage
+    q0, f, size, on_cone, stationary = _pointwise(q, x0, k0, start_tol)
+    if not on_cone:
         raise NonNullStart(
             f"|q| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e} times the term size "
             f"{size:.3e} " + failure_site(x0, k0, "step", 0, tau0)
         )
-    # max|k| |dq/dk| and the term size are both of q's degree in k
-    if np.max(np.abs(k0)) * np.max(np.abs(f[:4])) <= start_tol * size:
+    if stationary:
         raise StationaryStart(
             "dq/dk vanishes at the start, so the ray would not move "
             + failure_site(x0, k0, "step", 0, tau0)
         )
 
+    system = q.hamilton
+    y = np.concatenate([x0, k0, [1.0]])
     if span == 0.0:
         return _ray([tau0], [y], [q0], method, step)
 

@@ -308,12 +308,9 @@ def read_estimates_json(path: str) -> list[PolarizationEstimate]:
 # -- grid-field binary -----------------------------------------------------
 
 
-def _gridfield_bytes(field: GridField) -> tuple[bytes, np.ndarray]:
-    """The grid-field file as two parts: magic plus JSON header line, then the
-    body as a contiguous little-endian complex128 array (no copy when the data
-    already is one)."""
-    grid = field.grid
-    header = {
+def _gridfield_header(grid: GridSpec, metadata: dict) -> dict:
+    """The JSON header of a grid field on ``grid``: what the body's layout follows from."""
+    return {
         "extents": [float(v) for v in grid.extents],
         "samples": [int(v) for v in grid.samples],
         "time_slices": int(grid.time_slices),
@@ -321,9 +318,15 @@ def _gridfield_bytes(field: GridField) -> tuple[bytes, np.ndarray]:
         "times": [float(t) for t in grid.times],
         "components": 4,
         "dtype": "complex128-le",
-        "metadata": field.metadata,
+        "metadata": metadata,
     }
-    head = GRIDFIELD_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
+
+
+def _gridfield_bytes(field: GridField) -> tuple[bytes, np.ndarray]:
+    """The grid-field file as two parts: magic plus JSON header line, then the body
+    as a contiguous little-endian complex128 array (no copy when the data is one)."""
+    header = json.dumps(_gridfield_header(field.grid, field.metadata), sort_keys=True)
+    head = GRIDFIELD_MAGIC + header.encode() + b"\n"
     return head, np.ascontiguousarray(field.data, dtype="<c16")
 
 
@@ -342,12 +345,9 @@ def read_gridfield(path: str) -> GridField:
         except ValueError as exc:  # bad JSON or bad UTF-8
             raise ParseError(f"gridfield: bad header: {exc}") from exc
         try:
-            grid = GridSpec(
-                extents=tuple(header["extents"]),
-                samples=tuple(header["samples"]),
-                time_slices=operator.index(header["time_slices"]),
-                time_step=header["time_step"],
-            )
+            grid = GridSpec(extents=tuple(header["extents"]), samples=tuple(header["samples"]),
+                            time_slices=operator.index(header["time_slices"]),
+                            time_step=header["time_step"])
         except (KeyError, TypeError, ValueError, OverflowError, InvalidInput) as exc:
             raise ParseError(
                 f"gridfield: bad header extents, samples, time_slices or time_step: {exc}"
@@ -355,6 +355,10 @@ def read_gridfield(path: str) -> GridField:
         metadata = header.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ParseError("gridfield: header metadata is not an object")
+        described = _gridfield_header(grid, metadata)
+        for key in ("components", "dtype", "times"):
+            if header.get(key) != described[key]:
+                raise ParseError(f"gridfield: header {key} does not match the grid and its body")
         shape = (grid.time_slices, 4, *grid.samples)
         expected = math.prod(shape) * 16
         size = os.fstat(handle.fileno()).st_size - handle.tell()

@@ -107,6 +107,23 @@ class TestCheckType:
         assert code == 0 and not err
         assert payload["on_char"] is True and payload["real_principal_type"] is True
 
+    def test_huge_k_on_cone(self, capsys):
+        # p(x, k) overflows at k itself, but the verdicts are taken at k / max|k_mu|
+        at = ("--point", "0,0,0,0", "--k", "1e200,0,0,-1e200")
+        code, out, err = run_cli(capsys, "check-type", "--symbol", "flat-maxwell", *at)
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        assert code == 0 and not err
+        assert payload["q_value"] == 0.0 and payload["singular_values"] == [0.0] * 4
+        assert payload["on_char"] is True and payload["kernel_dimension"] == 4
+
+    @pytest.mark.parametrize("k", ["1,0,0,0", "1e-170,0,0,0", "1e170,0,0,0"])
+    def test_timelike_k_is_off_the_cone_at_any_scale(self, capsys, k):
+        code, out, _ = run_cli(
+            capsys, "check-type", "--symbol", "flat-maxwell", "--point", "0,0,0,0", "--k", k
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["on_char"] is False and payload["kernel_dimension"] == 0
+
     def test_undecodable_symbol_file(self, capsys, tmp_path):
         path = tmp_path / "sym.txt"
         path.write_bytes(b"dimension 1\norder 2\n\xff\xfe\n")
@@ -115,6 +132,37 @@ class TestCheckType:
         )
         assert code == 1
         assert "ParseError" in err
+
+
+def near_quartic(eps: float) -> str:
+    """The symbol file of q = (k.k)(k.k + eps k0^2): on the cone dq/dk is about 2 eps k0^3."""
+    inner = MatrixSymbol(1, 2, scalar_wave().terms() + [((0, 0, 0, 0), (2, 0, 0, 0), eps)])
+    return format_symbol_file(scalar_wave().matmul(inner))
+
+
+class TestCheckTypeAgreesWithTrace:
+    """check-type's real-principal-type verdict and trace's start gate are one rule.
+
+    At k = (sqrt 3, 1, 1, 1) q's term size is 4 k0^4 and max|k| max|dq/dk| is 2 eps k0^4,
+    so dq/dk counts as zero for eps below 2e-10.
+    """
+
+    @pytest.mark.parametrize("eps", [1.2e-10, 1.6e-10, 1.8e-10, 2.2e-10])
+    def test_near_the_tolerance(self, capsys, tmp_path, monkeypatch, eps):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "q.txt").write_text(near_quartic(eps))
+        k = ("--k", "1.7320508075688772,1,1,1")
+        code, out, _ = run_cli(
+            capsys, "check-type", "--symbol-file", "q.txt", "--point", "0,0,0,0", *k
+        )
+        assert code == 0
+        principal = json.loads(out)["real_principal_type"]
+        code, _, err = run_cli(
+            capsys, "trace", "--symbol-file", "q.txt", "--x0", "0,0,0,0", *k, "--tau", "0:1",
+            "--step", "0.5",
+        )
+        assert principal is (code == 0) is (eps > 2e-10)
+        assert principal or err.startswith("StationaryStart:")
 
 
 class TestTrace:
@@ -297,9 +345,9 @@ class TestErrorContract:
             (("check-type", "--symbol-file", "p.txt", *CHECK_AT),
              "dimension 1\norder 2\nterm principal 0,0,0,63 2,0,0,0 1\n",
              "ParseError: symbol file: term degree 65 exceeds the maximum of 64"),
-            (("check-type", "--symbol", "flat-maxwell", "--point", "0,0,0,0",
-              "--k", "1e200,0,0,-1e200"), None,
-             "InvalidInput: p(x, k) is not finite at x = (0, 0, 0, 0), k = (1e+200, 0, 0, -1e+200)"),
+            (("check-type", "--symbol", "scaled-wave", "--scale", "1+x3^8",
+              "--point", "0,0,0,1e40", "--k", "1,0,0,-1"), None,
+             "InvalidInput: p(x, k) is not finite at x = (0, 0, 0, 1e+40), k = (1, 0, 0, -1)"),
             (("check-type", "--symbol", "flat-maxwell", "--hint-file", "p.txt", *CHECK_AT),
              "dimension 1\norder 0\nterm principal 0,0,0,0 0,0,0,0 2\n",
              "DimensionMismatch: matmul needs equal dimensions, got 1x1 and 4x4 symbols"),
@@ -723,7 +771,8 @@ class TestOnTheConeUpToRounding:
             "--k", "1.4142135623730951,1,1,0",
         )
         payload = json.loads(out)
-        assert code == 0 and payload["q_value"] == 4.440892098500626e-16
+        # q at k / max|k_mu| = (1, 0.7071067811865475, 0.7071067811865475, 0)
+        assert code == 0 and payload["q_value"] == 2.220446049250313e-16
         assert payload["on_char"] is True and payload["kernel_dimension"] == 4
 
     def test_trace_of_a_projected_covector(self, capsys):

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from polaray.cli import run
 from polaray.errors import DimensionMismatch, InvalidInput
-from polaray.minkowski import PhaseSpacePoint
+from polaray.minkowski import SIGNATURE, PhaseSpacePoint
 from polaray.principal_type import (
     ComplexSymbol,
     NoDecomposition,
@@ -12,7 +15,17 @@ from polaray.principal_type import (
     kernel_basis,
     kernel_residual,
 )
-from polaray.symbols import MatrixSymbol, pretty, scalar_wave
+from polaray.rays import trace_ray
+from polaray.symbols import (
+    HamiltonSystem,
+    MatrixSymbol,
+    check_homogeneity,
+    format_symbol_file,
+    parse_x_polynomial,
+    pretty,
+    scalar_wave,
+    scaled_wave,
+)
 
 from conftest import EXACT_NULL_COVECTORS, exact_null_points, random_null_covector
 from oracles import same_terms
@@ -108,6 +121,11 @@ class TestCharMembership:
     def test_null_covector_on_char(self, maxwell_decomposition):
         assert char_membership(maxwell_decomposition, NULL_PT) is True
 
+    def test_complex_q_is_refused(self):
+        d = decompose_principal_type(MatrixSymbol(1, 1, [((0, 0, 0, 0), (1, 0, 0, 0), [[1j]])]))
+        with pytest.raises(ComplexSymbol):
+            char_membership(d, TIME_PT)
+
     def test_timelike_off_char(self, maxwell_decomposition):
         assert char_membership(maxwell_decomposition, TIME_PT) is False
 
@@ -141,11 +159,13 @@ class TestKernelBasis:
         assert len(vectors) == 1
         assert abs(abs(vectors[0][0]) - 1.0) < 1e-14
 
-    def test_overflowing_p_is_invalid_input(self, maxwell):
-        pt = PhaseSpacePoint([0, 0, 0, 0], [1e200, 0, 0, -1e200])
-        place = r"not finite at x = \(0, 0, 0, 0\), k = \(1e\+200, 0, 0, -1e\+200\)"
+    def test_overflowing_p_is_invalid_input(self):
+        # x3^8 overflows; a large k does not, since p is taken at k / max|k_mu|
+        p = scaled_wave(parse_x_polynomial("1+x3^8"))
+        pt = PhaseSpacePoint([0, 0, 0, 1e40], [1, 0, 0, -1])
+        place = r"not finite at x = \(0, 0, 0, 1e\+40\), k = \(1, 0, 0, -1\)"
         with pytest.raises(InvalidInput, match=place):
-            kernel_basis(maxwell, pt)
+            kernel_basis(p, pt)
 
     def test_vectors_orthonormal(self, maxwell, rng):
         for pt in exact_null_points(rng, 5):
@@ -204,3 +224,118 @@ class TestCharKernelConsistency:
             for v in vectors:
                 for phase in (1j, np.exp(0.7j), -1.0):
                     assert kernel_residual(maxwell, pt, phase * v) <= 1e-12
+
+
+class TestOneEvaluation:
+    """Each verdict on q comes from one evaluation of q's Hamilton system."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"hamilton": 0, "term_bound": 0}
+        evaluate, bound = HamiltonSystem.__call__, MatrixSymbol.term_bound
+
+        def counting_evaluate(system, y):
+            counts["hamilton"] += 1
+            return evaluate(system, y)
+
+        def counting_bound(sym, x, k):
+            counts["term_bound"] += 1
+            return bound(sym, x, k)
+
+        monkeypatch.setattr(HamiltonSystem, "__call__", counting_evaluate)
+        monkeypatch.setattr(MatrixSymbol, "term_bound", counting_bound)
+        return counts
+
+    def test_is_real_principal_type(self, maxwell_decomposition, counts):
+        assert is_real_principal_type(maxwell_decomposition.q, NULL_PT) is True
+        assert counts == {"hamilton": 1, "term_bound": 1}
+
+    def test_char_membership(self, maxwell_decomposition, counts):
+        assert char_membership(maxwell_decomposition, NULL_PT) is True
+        assert counts == {"hamilton": 1, "term_bound": 1}
+
+    def test_trace_ray_before_its_first_step(self, maxwell_decomposition, counts):
+        trace_ray(maxwell_decomposition.q, NULL_PT.x, NULL_PT.k, (0.0, 0.0), 1.0)
+        assert counts == {"hamilton": 1, "term_bound": 1}
+
+
+def r_xi(a: float) -> MatrixSymbol:
+    """(k.k) delta_mu^nu - a k_mu k^nu: R_xi gauge for a = 1 - 1/xi, its hint for a = 1 - xi."""
+    z = (0, 0, 0, 0)
+    terms = [(z, ke, m[0, 0] * np.eye(4)) for _, ke, m in scalar_wave().terms()]
+    for mu, nu in np.ndindex(4, 4):
+        coeff = np.zeros((4, 4))
+        coeff[mu, nu] = -a * SIGNATURE[nu]
+        terms.append((z, tuple(np.eye(4, dtype=int)[mu] + np.eye(4, dtype=int)[nu]), coeff))
+    return MatrixSymbol(4, 2, terms)
+
+
+# xi: (p, hint)
+R_XI = {
+    "1/2": (r_xi(1 - 2), r_xi(1 - 0.5)),
+    "1": (r_xi(0.0), None),
+    "2": (r_xi(1 - 0.5), r_xi(1 - 2)),
+    "inf": (r_xi(1.0), None),
+}
+R_XI_START = ("--tau", "0:1", "--step", "0.5", "--x0", "0,0,0,0", "--k", "1,0,0,-1")
+
+
+class TestRXiGauges:
+    """The gauge decides whether Maxwell's operator is of real principal type.
+
+    R_xi at k = (1, 0, 0, -1): Feynman gauge (xi = 1) is q = k.k times the identity;
+    xi = 1/2 and 2 decompose only to q = (k.k)^2, whose dq/dk vanishes on the cone, and
+    the kernel there is 3-dimensional although det p vanishes to order 4; the Maxwell
+    operator itself (xi = inf) has no decomposition.
+    """
+
+    # xi: (q's order or None, real principal type, kernel dimension,
+    #      exit codes of check-type, trace and transport)
+    TABLE = {
+        "1/2": (4, False, 3, (0, 1, 1)),
+        "1": (2, True, 4, (0, 0, 0)),
+        "2": (4, False, 3, (0, 1, 1)),
+        "inf": (None, None, 3, (1, 1, 1)),
+    }
+
+    @pytest.mark.parametrize("xi", TABLE)
+    def test_verdicts(self, xi, capsys, tmp_path, monkeypatch):
+        p, hint = R_XI[xi]
+        order, principal, kernel, codes = self.TABLE[xi]
+        if order is None:
+            with pytest.raises(NoDecomposition):
+                decompose_principal_type(p, hint=hint)
+            found = None
+        else:
+            d = decompose_principal_type(p, hint=hint)
+            assert check_homogeneity(d.q) == (True, order)
+            found = is_real_principal_type(d.q, NULL_PT)
+        assert (found, len(kernel_basis(p, NULL_PT)[0])) == (principal, kernel)
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.txt").write_text(format_symbol_file(p))
+        files = ("--symbol-file", "p.txt")
+        if hint is not None:
+            (tmp_path / "hint.txt").write_text(format_symbol_file(hint))
+            files += ("--hint-file", "hint.txt")
+        runs = [
+            ("check-type", *files, "--point", "0,0,0,0", "--k", "1,0,0,-1"),
+            ("trace", *files, *R_XI_START),
+            ("transport", *files, *R_XI_START, "--omega0", "0,1,0,0"),
+        ]
+        outcomes = []
+        for argv in runs:
+            outcomes.append((run(list(argv)), capsys.readouterr()))
+        assert tuple(code for code, _ in outcomes) == codes
+        if order is not None:
+            # check-type's verdict is the trace's start gate
+            assert json.loads(outcomes[0][1].out)["real_principal_type"] is principal
+            assert principal or outcomes[1][1].err.startswith("StationaryStart:")
+        else:
+            assert all(out.err.startswith("NoDecomposition:") for _, out in outcomes)
+
+    def test_maxwell_refuses_every_hint_tried(self):
+        # R_xi at xi = 1, inf and 1/2
+        for a in (0.0, 1.0, -1.0):
+            with pytest.raises(NoDecomposition):
+                decompose_principal_type(R_XI["inf"][0], hint=r_xi(a))

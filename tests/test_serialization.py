@@ -257,10 +257,21 @@ class TestGridField:
         path = tmp_path / "field.gf"
         write_gridfield(str(path), field)
         raw = path.read_bytes()
-        assert b'"components": 4' in raw
-        path.write_bytes(raw.replace(b'"components": 4', b'"components": 5', 1))
+        assert b'"extents": [16.0, ' in raw
+        path.write_bytes(raw.replace(b'"extents": [16.0, ', b'"extents": [16, ', 1))
         assert read_gridfield(str(path)).grid == field.grid
         assert not roundtrip(str(path))
+
+    @pytest.mark.parametrize("time_slices", [1, 3, 7])
+    @pytest.mark.parametrize("time_step", [0.1, 1 / 3, 0.7])
+    def test_every_written_header_reads_back(self, tmp_path, rng, time_slices, time_step):
+        # the times a header lists are the grid's own, bit for bit
+        grid = GridSpec((8.0, 8.0, 8.0), (8, 8, 8), time_slices=time_slices, time_step=time_step)
+        data = rng.standard_normal((time_slices, 4, 8, 8, 8)) + 0j
+        path = str(tmp_path / "field.gf")
+        write_gridfield(path, GridField(grid, data, {"seed": 1}))
+        back = read_gridfield(path)
+        assert back.grid == grid and np.array_equal(back.data, data) and roundtrip(path)
 
     @pytest.mark.parametrize("check", [roundtrip, read_gridfield])
     def test_peak_memory_holds_one_decoded_copy(self, tmp_path, check):
@@ -560,6 +571,13 @@ CORRUPTIONS = {
     "gridfield metadata": ("field", _replace(b'"metadata": {}', b'"metadata": [1]'), "metadata"),
     "gridfield non-finite body": ("field", _nan_last_sample, "non-finite"),
     "gridfield header not utf-8": ("field", _replace(b'"dtype"', b'"\xffdtype"'), "header"),
+    "gridfield dtype": (
+        "field", _replace(b'"complex128-le"', b'"float32-xx-be"'), "header dtype does not match"
+    ),
+    "gridfield components": (
+        "field", _replace(b'"components": 4', b'"components": 7'), "header components"
+    ),
+    "gridfield times": ("field", _replace(b'"times": [0.0]', b'"times": [5.0]'), "header times"),
 }
 
 READERS = {
