@@ -11,7 +11,7 @@ Two different inner products appear and must not be conflated: the
 *bilinear* Minkowski pairing (no conjugation) in which the basis is
 orthonormal, and the Hermitian Euclidean product used for comparing
 complex polarization vectors numerically.  Zero tests (k on the cone, k0 != 0)
-use ``ZERO_TOL`` on k / max |k_mu|, so scaling k changes no verdict.
+use ``ZERO_TOL`` relative to the size of k, so scaling k changes no verdict.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class FieldStrengthMode:
 
 def _check_frequency(k: np.ndarray, message: str) -> None:
     """Refuse k whose k0 is zero up to rounding next to its largest component."""
-    if abs(scaled_covector(k)[0]) <= ZERO_TOL:
+    if abs(k[0]) <= ZERO_TOL * np.max(np.abs(k)):
         raise ZeroFrequency(message)
 
 
@@ -205,7 +205,7 @@ def physical_kernel(k) -> np.ndarray:
     orthonormal rows spanning the same plane as the linear transverse
     pair, up to unitary mixing.
     """
-    k = as_point4(k, "k")
+    k = scaled_covector(as_point4(k, "k"))  # the plane is the same; no square underflows
     unit_momentum(k)  # raises on zero spatial part
     _check_frequency(k, "physical kernel needs k0 != 0 on the cone")
     row = raise_index(k).astype(complex)  # functional eps -> k^mu eps_mu

@@ -54,10 +54,25 @@ def check_tolerances(**tolerances) -> None:
             raise InvalidInput(f"{name} must be finite and positive, got {value}")
 
 
+def _exponent(v) -> int:
+    """n with max |v_i| * 2**n in [1, 2); 1 for a zero v."""
+    return 1 - int(np.frexp(np.max(np.abs(v)))[1])
+
+
 def scaled_covector(k) -> np.ndarray:
-    """k / max |k_mu| (zero stays zero): its squares neither overflow nor underflow,
-    and up to rounding it is the same for every positive multiple of k."""
-    return k / (np.max(np.abs(k)) or 1.0)
+    """k times the power of two that puts max |k_mu| in [1, 2) (zero stays zero).
+
+    The scaling is exact, so k and every power-of-two multiple of it scale to the same
+    bits, and no square of it over- or underflows; a k with max |k_mu| = 1 is unchanged.
+    """
+    return np.ldexp(k, _exponent(k))
+
+
+def _norm(v) -> float:
+    """The Euclidean norm of v, taken on v scaled like :func:`scaled_covector`, so no
+    square over- or underflows, and scaled back."""
+    n = _exponent(v)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, n)), -n))
 
 
 def failure_site(x, k, label: str | None = None, i: int = 0, tau: float = 0.0) -> str:
@@ -82,8 +97,9 @@ def spatial_momentum(k) -> np.ndarray:
 
 
 def unit_momentum(k) -> np.ndarray:
-    """The spatial momentum of a covector scaled to unit length."""
-    momentum = spatial_momentum(k)
+    """The spatial momentum of a covector scaled to unit length (its norm is taken on
+    ``scaled_covector`` of it, so no square over- or underflows)."""
+    momentum = scaled_covector(spatial_momentum(k))
     norm = float(np.linalg.norm(momentum))
     if norm == 0.0:
         raise ZeroSpatialPart("covector has zero spatial part")

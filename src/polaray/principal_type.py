@@ -76,12 +76,16 @@ def decompose_principal_type(
     return PrincipalTypeDecomposition(p=p, p_tilde=p_tilde, q=q, scalar_multiple=hint is None)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pointwise(q: MatrixSymbol, x, k, tol: float) -> tuple:
     """``(q, flow, size, q vanishes, dq/dk vanishes)`` at (x, k), from one evaluation of q's
     Hamilton system: size is ``q.term_bound(x, k)``, and q and dq/dk vanish when |q| and
-    max|k_mu| max|dq/dk|, both of q's degree in k like size, are at most tol * size."""
+    max|k_mu| max|dq/dk|, both of q's degree in k like size, are at most tol * size.
+    A q or size that is not finite raises :class:`InvalidInput` naming the point."""
     value, flow = q.hamilton(np.concatenate([x, k, [1.0]]))
     size = q.term_bound(x, k)[0, 0]
+    if not np.isfinite(value) or not np.isfinite(size):
+        raise InvalidInput(f"q(x, k) is not finite at {failure_site(x, k)}")
     dq_dk = np.max(np.abs(k)) * np.max(np.abs(flow[:4]))
     return value, flow, size, abs(value) <= tol * size, dq_dk <= tol * size
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .minkowski import (
-    ZERO_TOL, PhaseSpacePoint, ZeroSpatialPart, as_point4, check_tolerances, failure_site
+    ZERO_TOL, PhaseSpacePoint, ZeroSpatialPart, _norm, as_point4, check_tolerances, failure_site
 )
 from .principal_type import _pointwise
 from .symbols import HamiltonSystem, MatrixSymbol
@@ -79,8 +79,7 @@ class Ray:
 def null_project(k, branch: str = "+") -> np.ndarray:
     """Replace k0 by +/-|spatial k| so the covector lands on the cone."""
     k = as_point4(k, "k")
-    spatial = k[1:4]
-    norm = float(np.linalg.norm(spatial))
+    norm = _norm(k[1:4])
     if norm == 0.0:
         raise ZeroSpatialPart("cannot null-project a covector with zero spatial part")
     if branch not in ("+", "-"):
@@ -131,7 +130,8 @@ def trace_ray(
     step for the adaptive embedded pair.  At (x0, k0) q must vanish and
     dq/dk must not, by the rule of ``is_real_principal_type`` with tolerance
     ``start_tol`` (callers project to the cone first); otherwise it raises
-    :class:`NonNullStart` or :class:`StationaryStart`.  A drift monitor aborts if
+    :class:`NonNullStart` or :class:`StationaryStart`, and :class:`InvalidInput`
+    where q or its term size is not finite.  A drift monitor aborts if
     |q| ever exceeds the absolute bound drift_tol or is NaN, since q is
     conserved by the exact flow and silent drift would poison downstream
     transport.  The four tolerances must be finite and positive.

@@ -13,14 +13,17 @@ against an independent finite-difference oracle.  Every evaluation goes
 through :class:`CompiledSymbol`, built once per symbol.
 
 Operations provided: evaluation, partial derivatives, Hamilton fields of
-scalar symbols, matrix-ordered Poisson brackets, subprincipal symbols,
-the transport matrix built from them, and a structural k-homogeneity
-check.  Factories for the built-in
-symbols ("flat-maxwell", "scalar-wave", "scaled-wave") and a plain-text
-symbol file format round the module out.
+scalar symbols, matrix-ordered Poisson brackets, subprincipal symbols, the
+transport matrix built from them, and a structural k-homogeneity check.
+Factories for the built-in symbols ("flat-maxwell", "scalar-wave",
+"scaled-wave") and a plain-text symbol file format round the module out.
 """
 
 from __future__ import annotations
+
+import contextlib
+import itertools
+import re
 
 import numpy as np
 
@@ -56,27 +59,42 @@ def _dimension(dimension) -> int:
 
 
 def _normalize_terms(terms, dimension: int) -> dict[tuple[Expo, Expo], np.ndarray]:
-    """Merge duplicate exponents, drop exactly-zero coefficients."""
-    acc: dict[tuple[Expo, Expo], np.ndarray] = {}
+    """Sum duplicate exponents in input order, drop exactly-zero coefficients, sort."""
+    slots: dict[tuple[Expo, Expo], int] = {}  # each distinct key and the row of its sum
+    slot, coeffs = [], []
     for x_exp, k_exp, coeff in terms:
         key = (_as_expo(x_exp), _as_expo(k_exp))
         degree = sum(key[0] + key[1])
         if degree > MAX_DEGREE:
             raise InvalidInput(f"term degree {degree} exceeds the maximum of {MAX_DEGREE}")
+        slot.append(slots.setdefault(key, len(slots)))
+        coeffs.append(coeff)
+    mats = _coefficients(coeffs, dimension)
+    if not np.all(np.isfinite(mats.view(float))):
+        raise InvalidInput("non-finite coefficient matrix")
+    # -0.0 + z is z bit for bit, so a lone term keeps its signed zeros
+    acc = np.full((len(slots), dimension, dimension), complex(-0.0, -0.0))
+    np.add.at(acc, slot, mats)  # in input order
+    keys = sorted(slots)
+    acc = acc[list(map(slots.get, keys))]
+    keep = np.any(acc != 0, axis=(1, 2))
+    return dict(zip(itertools.compress(keys, keep), acc[keep]))
+
+
+def _coefficients(coeffs: list, dimension: int) -> np.ndarray:
+    """The (T, N, N) complex stack of T coefficients; with N = 1 a scalar is a 1 x 1 matrix."""
+    shape = (len(coeffs), dimension, dimension)
+    with contextlib.suppress(TypeError, ValueError):  # ragged: the loop below names the term
+        mats = np.array(coeffs, dtype=complex)
+        if mats.shape == shape or dimension == 1 and mats.shape == shape[:1]:
+            return mats.reshape(shape)
+    for coeff in coeffs:  # one term at a time, so the first of a wrong shape is reported
         mat = np.array(coeff, dtype=complex)
-        if mat.shape == () and dimension == 1:
-            mat = mat.reshape(1, 1)
-        if mat.shape != (dimension, dimension):
+        if mat.shape != shape[1:] and (mat.shape, dimension) != ((), 1):
             raise DimensionMismatch(
                 f"coefficient shape {mat.shape} does not match dimension {dimension}"
             )
-        if not np.all(np.isfinite(mat.view(float))):
-            raise InvalidInput("non-finite coefficient matrix")
-        if key in acc:
-            acc[key] = acc[key] + mat
-        else:
-            acc[key] = mat
-    return {key: m for key, m in sorted(acc.items()) if np.any(m != 0)}
+    return np.array([np.reshape(c, shape[1:]) for c in coeffs], dtype=complex).reshape(shape)
 
 
 # outputs of a compiled symbol, in order: the principal part, its partial
@@ -90,6 +108,11 @@ def _stack(terms: dict, dimension: int):
     expo = np.array([xe + ke for xe, ke in terms], dtype=int).reshape(-1, 8)
     coeff = np.array(list(terms.values()), dtype=complex).reshape(-1, dimension, dimension)
     return expo, coeff
+
+
+def _terms(expo: np.ndarray, coeff: np.ndarray):
+    """(x_exp, k_exp, coeff) triples of stacked terms."""
+    return zip(expo[:, :4].tolist(), expo[:, 4:].tolist(), coeff)
 
 
 def _derive(expo: np.ndarray, coeff: np.ndarray, slot: int):
@@ -137,11 +160,10 @@ class CompiledSymbol:
         # real and imaginary parts interleaved, so the real product views as complex
         self.coeff = coeff.reshape(len(expo), len(outputs) * dim * dim).view(float)
         self.term_size = np.abs(coeff[:, VALUE]).reshape(len(expo), dim * dim)  # |C|
-        # each row of E as a list of factor slots, padded with slot 8 (= 1.0)
-        degree = expo.sum(axis=1)
-        self.factors = np.full((len(expo), int(degree.max(initial=0))), 8)
-        for t, row in enumerate(expo):
-            self.factors[t, : degree[t]] = np.repeat(np.arange(8), row)
+        # each row of E as factor slots padded with slot 8 (= 1.0): slot j of row t
+        # counts the variables whose exponents end at or before j
+        ends = np.cumsum(expo, axis=1)
+        self.factors = (np.arange(ends[:, -1].max(initial=0))[:, None] >= ends[:, None]).sum(2)
 
     def __call__(self, x, k) -> np.ndarray:
         out = _products(_state(x, k), self.factors, self.coeff).view(complex)
@@ -204,8 +226,8 @@ class MatrixSymbol:
         enforced at construction, so malformed symbols can be built and
         then detected.
     principal_terms, lower_terms : iterable of (x_exp, k_exp, coeff)
-        Monomial terms; duplicate exponent pairs are merged and exact
-        zeros dropped.
+        Monomial terms; duplicate exponent pairs are summed in input order,
+        exact zeros dropped, signed zeros kept, and terms sorted canonically.
     name : str, optional
         Display name used by the CLI.
     """
@@ -295,9 +317,8 @@ class MatrixSymbol:
     def _derived(self, mu: int, offset: int, order: int) -> "MatrixSymbol":
         if not isinstance(mu, (int, np.integer)) or not 0 <= mu <= 3:
             raise InvalidInput(f"derivative index must be 0, 1, 2 or 3, got {mu!r}")
-        slot = offset + mu
         principal, lower = (
-            [(e[:4], e[4:], c) for e, c in zip(*_derive(*_stack(part, self.dimension), slot))]
+            _terms(*_derive(*_stack(part, self.dimension), offset + mu))
             for part in (self.principal, self.lower)
         )
         return MatrixSymbol(self.dimension, order, principal, lower)
@@ -311,18 +332,17 @@ class MatrixSymbol:
         is the depth the rest of the package consumes.
         """
         _same_dimension(self, other, "matmul")
+        n = self.dimension
 
         def convolve(left: dict, right: dict):
-            for (xa, ka), ma in left.items():
-                for (xb, kb), mb in right.items():
-                    x_exp = tuple(i + j for i, j in zip(xa, xb))
-                    k_exp = tuple(i + j for i, j in zip(ka, kb))
-                    yield (x_exp, k_exp, _product(ma, mb))
+            """Every left term times every right term, left-major."""
+            (ea, ca), (eb, cb) = _stack(left, n), _stack(right, n)
+            expo = (ea[:, None] + eb[None]).reshape(-1, 8)
+            return _terms(expo, _product(ca[:, None], cb[None]).reshape(-1, n, n))
 
-        principal = list(convolve(self.principal, other.principal))
-        lower = list(convolve(self.principal, other.lower))
-        lower += list(convolve(self.lower, other.principal))
-        return MatrixSymbol(self.dimension, self.order + other.order, principal, lower)
+        principal = convolve(self.principal, other.principal)
+        lower = [*convolve(self.principal, other.lower), *convolve(self.lower, other.principal)]
+        return MatrixSymbol(n, self.order + other.order, principal, lower)
 
     def __repr__(self):
         label = self.name or "symbol"
@@ -358,11 +378,9 @@ def check_homogeneity(sym: MatrixSymbol) -> tuple[bool, int | None]:
     ``(False, None)``.  This is a check on exponent data; no sampling.
     """
     degrees = {sum(k_exp) for (_, k_exp) in sym.principal}
-    if not degrees:
-        return True, sym.order
-    if len(degrees) == 1:
-        return True, degrees.pop()
-    return False, None
+    if len(degrees) > 1:
+        return False, None
+    return True, degrees.pop() if degrees else sym.order
 
 
 def hamilton_field(q: MatrixSymbol, pt: PhaseSpacePoint) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +453,7 @@ def _wave_family(f: dict[Expo, complex], dimension: int, name: str | None) -> Ma
         for mu, sign in enumerate(SIGNATURE):
             k_exp = tuple(2 * (nu == mu) for nu in range(4))
             # this grouping and the complex sign fix the signs of zero parts in the bytes
-            terms.append((_as_expo(x_exp), k_exp, complex(c) * complex(sign) * eye))
+            terms.append((x_exp, k_exp, complex(c) * complex(sign) * eye))
     return MatrixSymbol(dimension, 2, terms, name=name)
 
 
@@ -487,24 +505,14 @@ def parse_x_polynomial(text: str) -> dict[Expo, complex]:
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise InvalidInput("empty polynomial")
-    # split into signed terms at top level
-    terms: list[str] = []
-    start = 0
-    for i, ch in enumerate(cleaned):
-        if ch in "+-" and i > 0 and cleaned[i - 1] not in "+-*^eE":
-            terms.append(cleaned[start:i])
-            start = i
-    terms.append(cleaned[start:])
-
+    # split into signed terms before each sign that follows no sign, '*', '^' or exponent e
+    terms = re.split(r"(?<=[^-+*^eE])(?=[-+])", cleaned)
     out: dict[Expo, complex] = {}
     for term in terms:
         if not term or term in "+-":
             raise InvalidInput(f"malformed polynomial term in {text!r}")
-        sign = 1.0
-        if term[0] in "+-":
-            if term[0] == "-":
-                sign = -1.0
-            term = term[1:]
+        sign = -1.0 if term[0] == "-" else 1.0
+        term = term[1:] if term[0] in "+-" else term
         if not term or term[0] in "+-":
             raise InvalidInput(f"malformed polynomial term in {text!r}")
         coeff = sign
@@ -554,9 +562,7 @@ def format_symbol_file(sym: MatrixSymbol) -> str:
 
 def parse_symbol_file(text: str) -> MatrixSymbol:
     """Parse the plain-text symbol definition format."""
-    name = None
-    dimension = None
-    order = None
+    name = dimension = order = None
     raw_terms: list[tuple[str, str, str, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -637,14 +643,11 @@ def pretty(sym: MatrixSymbol) -> str:
 
 def scalar_coefficients(sym: MatrixSymbol) -> dict | None:
     """{exponents: scalar} when every principal coefficient is c * identity."""
-    out = {}
-    eye = np.eye(sym.dimension)
-    for (xe, ke), mat in sym.principal.items():
-        c = mat[0, 0]
-        if not np.array_equal(mat, c * eye):
-            return None
-        out[(xe, ke)] = c
-    return out
+    coeff = np.reshape(list(sym.principal.values()), (-1, sym.dimension, sym.dimension))
+    c = coeff[:, 0, 0]
+    if not np.array_equal(coeff, c[:, None, None] * np.eye(sym.dimension)):
+        return None
+    return dict(zip(sym.principal, c))
 
 
 def _fmt_coeff(c) -> str:
@@ -656,15 +659,12 @@ def _fmt_coeff(c) -> str:
 
 
 def _fmt_term(coeff: str, x_exp: Expo, k_exp: Expo) -> str:
-    factors = []
-    for prefix, exps in (("x", x_exp), ("k", k_exp)):
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(f"{prefix}{i}")
-            elif e > 1:
-                factors.append(f"{prefix}{i}^{e}")
+    factors = [
+        f"{prefix}{i}" + (f"^{e}" if e > 1 else "")
+        for prefix, exps in (("x", x_exp), ("k", k_exp))
+        for i, e in enumerate(exps)
+        if e
+    ]
     if not factors:
         return coeff
-    if coeff == "1":
-        return "*".join(factors)
-    return "*".join([coeff] + factors)
+    return "*".join(factors if coeff == "1" else [coeff, *factors])

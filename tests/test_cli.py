@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -108,7 +109,7 @@ class TestCheckType:
         assert payload["on_char"] is True and payload["real_principal_type"] is True
 
     def test_huge_k_on_cone(self, capsys):
-        # p(x, k) overflows at k itself, but the verdicts are taken at k / max|k_mu|
+        # p(x, k) overflows at k itself, but the verdicts are taken at scaled_covector(k)
         at = ("--point", "0,0,0,0", "--k", "1e200,0,0,-1e200")
         code, out, err = run_cli(capsys, "check-type", "--symbol", "flat-maxwell", *at)
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
@@ -147,7 +148,7 @@ class TestCheckTypeAgreesWithTrace:
     so dq/dk counts as zero for eps below 2e-10.
     """
 
-    @pytest.mark.parametrize("eps", [1.2e-10, 1.6e-10, 1.8e-10, 2.2e-10])
+    @pytest.mark.parametrize("eps", [1.2e-10, 1.6e-10, 1.8e-10, 2.0e-10, 2.2e-10])
     def test_near_the_tolerance(self, capsys, tmp_path, monkeypatch, eps):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "q.txt").write_text(near_quartic(eps))
@@ -161,8 +162,10 @@ class TestCheckTypeAgreesWithTrace:
             capsys, "trace", "--symbol-file", "q.txt", "--x0", "0,0,0,0", *k, "--tau", "0:1",
             "--step", "0.5",
         )
-        assert principal is (code == 0) is (eps > 2e-10)
+        assert principal is (code == 0)
         assert principal or err.startswith("StationaryStart:")
+        if eps != 2e-10:  # exactly at the tolerance only the agreement is pinned
+            assert principal is (eps > 2e-10)
 
 
 class TestTrace:
@@ -332,8 +335,7 @@ class TestErrorContract:
             (X8_DRIFT, None, "ConstraintDrift: |q| = nan exceeded drift bound 1.0e-06 at step 1,"),
             ((*X8_DRIFT, "--method", "adaptive"), None, "ConstraintDrift: |q| = "),
             (X8_OVERFLOW, None,
-             "NonNullStart: |q| = nan exceeds start tolerance 1.0e-10 times the term size nan "
-             "at step 0,"),
+             "InvalidInput: q(x, k) is not finite at x = (0, 0, 0, 1e+40), k = (1, 0, 0, -1)"),
             ((*SYNTH, "--extent", "16,16,16", "--tslices", "2", "--tstep", "nan"), None,
              "InvalidInput: time step must be finite and positive, got nan"),
             ((*SYNTH, "--extent", "nan,16,16"), None,
@@ -666,12 +668,13 @@ class TestGauge:
 
     def test_tiny_mode_is_the_same_mode(self, capsys):
         payloads = []
-        for k in ("1e-16,1e-16,0,0", "1,1,0,0"):
+        # at 1e-170 the squares of k underflow, so its norms are taken on a scaled k
+        for k in ("1e-16,1e-16,0,0", "1e-170,1e-170,0,0", "1,1,0,0"):
             code, out, err = run_cli(capsys, "gauge", "--k", k, "--eps", "0,0,1,0")
             assert code == 0 and not err
             payloads.append(json.loads(out))
-        tiny, unit = payloads
-        for part in ("re", "im"):
+        *tinies, unit = payloads
+        for tiny, part in itertools.product(tinies, ("re", "im")):
             np.testing.assert_allclose(
                 tiny["radiation_fix"][f"eps_{part}"], unit["radiation_fix"][f"eps_{part}"],
                 rtol=0, atol=1e-15,
@@ -771,8 +774,8 @@ class TestOnTheConeUpToRounding:
             "--k", "1.4142135623730951,1,1,0",
         )
         payload = json.loads(out)
-        # q at k / max|k_mu| = (1, 0.7071067811865475, 0.7071067811865475, 0)
-        assert code == 0 and payload["q_value"] == 2.220446049250313e-16
+        # max|k_mu| = sqrt(2) is in [1, 2), so q is taken at k itself
+        assert code == 0 and payload["q_value"] == 4.440892098500626e-16
         assert payload["on_char"] is True and payload["kernel_dimension"] == 4
 
     def test_trace_of_a_projected_covector(self, capsys):

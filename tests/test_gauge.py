@@ -115,7 +115,7 @@ class TestFourierMode:
             build()
 
     def test_overflowing_null_test_is_off_the_cone(self):
-        # k.k of the raw k would overflow to inf - inf = NaN; k / max|k_mu| does not
+        # k.k of the raw k would overflow to inf - inf = NaN; scaled_covector(k) does not
         with pytest.raises(InvalidInput, match=r"off the cone: k.k / \|k\|\^2 = 6.000e-01$"):
             FourierMode([2e200, 1e200, 0, 0], [0, 0, 1, 0])
 

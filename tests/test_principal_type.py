@@ -32,6 +32,10 @@ from oracles import same_terms
 
 NULL_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, -1])
 TIME_PT = PhaseSpacePoint([0, 0, 0, 0], [1, 0, 0, 0])
+# x3^8 overflows at x3 = 1e40
+X8_WAVE = scaled_wave(parse_x_polynomial("1+x3^8"))
+OVERFLOW_PT = PhaseSpacePoint([0, 0, 0, 1e40], [1, 0, 0, -1])
+OVERFLOW_SITE = r"not finite at x = \(0, 0, 0, 1e\+40\), k = \(1, 0, 0, -1\)$"
 
 
 def diag_symbol(entries_by_kexp):
@@ -116,6 +120,11 @@ class TestRealPrincipalType:
         with pytest.raises(ComplexSymbol):
             is_real_principal_type(sym, TIME_PT)
 
+    def test_overflowing_q_is_invalid_input(self):
+        # x3^8 overflows to a NaN q, which is refused rather than judged
+        with pytest.raises(InvalidInput, match=OVERFLOW_SITE):
+            is_real_principal_type(X8_WAVE, OVERFLOW_PT)
+
 
 class TestCharMembership:
     def test_null_covector_on_char(self, maxwell_decomposition):
@@ -125,6 +134,10 @@ class TestCharMembership:
         d = decompose_principal_type(MatrixSymbol(1, 1, [((0, 0, 0, 0), (1, 0, 0, 0), [[1j]])]))
         with pytest.raises(ComplexSymbol):
             char_membership(d, TIME_PT)
+
+    def test_overflowing_q_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match=OVERFLOW_SITE):
+            char_membership(decompose_principal_type(X8_WAVE), OVERFLOW_PT)
 
     def test_timelike_off_char(self, maxwell_decomposition):
         assert char_membership(maxwell_decomposition, TIME_PT) is False
@@ -160,12 +173,9 @@ class TestKernelBasis:
         assert abs(abs(vectors[0][0]) - 1.0) < 1e-14
 
     def test_overflowing_p_is_invalid_input(self):
-        # x3^8 overflows; a large k does not, since p is taken at k / max|k_mu|
-        p = scaled_wave(parse_x_polynomial("1+x3^8"))
-        pt = PhaseSpacePoint([0, 0, 0, 1e40], [1, 0, 0, -1])
-        place = r"not finite at x = \(0, 0, 0, 1e\+40\), k = \(1, 0, 0, -1\)"
-        with pytest.raises(InvalidInput, match=place):
-            kernel_basis(p, pt)
+        # x3^8 overflows; a large k does not, since p is taken at scaled_covector(k)
+        with pytest.raises(InvalidInput, match=OVERFLOW_SITE):
+            kernel_basis(X8_WAVE, OVERFLOW_PT)
 
     def test_vectors_orthonormal(self, maxwell, rng):
         for pt in exact_null_points(rng, 5):

@@ -39,6 +39,9 @@ class TestNullProject:
 
     def test_three_four_five(self):
         assert np.array_equal(null_project([0, 3, 4, 0], "+"), [5, 3, 4, 0])
+        # at 2^-565 (1.4e-170) the squares underflow, so the norm is taken on a scaled copy
+        tiny = np.ldexp([0.0, 3, 4, 0], -565)
+        assert np.array_equal(null_project(tiny, "+"), np.ldexp([5.0, 3, 4, 0], -565))
 
     def test_minus_branch(self):
         assert np.array_equal(null_project([0, 3, 4, 0], "-"), [-5, 3, 4, 0])
@@ -360,7 +363,7 @@ class TestAdaptive:
 
 
 class TestNanQ:
-    """A q that overflows to NaN fails the |q| checks, as a large one does."""
+    """A q that overflows to NaN fails the |q| checks along a ray and is refused at its start."""
 
     q = scaled_wave(parse_x_polynomial("1+x3^8"))
 
@@ -371,8 +374,10 @@ class TestNanQ:
 
     @pytest.mark.parametrize("method", ["rk4", "adaptive"])
     def test_nan_at_the_start(self, method):
-        # x3^8 overflows, and 0 * inf is NaN in the stacked product
-        with pytest.raises(NonNullStart, match=r"\|q\| = nan exceeds .* at step 0, tau = 0,"):
+        # x3^8 overflows, and 0 * inf is NaN in the stacked product: the start is refused,
+        # not judged, and no RuntimeWarning escapes
+        refused = r"^q\(x, k\) is not finite at x = \(0, 0, 0, 1e\+40\), k = \(1, 0, 0, -1\)$"
+        with pytest.raises(InvalidInput, match=refused):
             trace_ray(self.q, [0, 0, 0, 1e40], [1, 0, 0, -1], (0, 1), 0.1, method=method)
 
     def test_adaptive_shrinks_the_step_on_a_nan_error(self, monkeypatch):

@@ -99,6 +99,10 @@ class TestRayCsv:
         assert np.array_equal(back.q, ray.q)
         assert back.method == ray.method and back.step == ray.step
         assert roundtrip(path)
+        # blank lines are skipped wherever they stand
+        write_text(path, "\n" + ray_csv_text(ray).replace("\n", "\n\n", 3) + "\n")
+        again = read_ray_csv(path)
+        assert all(np.array_equal(getattr(again, f), getattr(ray, f)) for f in ("tau", "x", "k", "q"))
 
     def test_truncated_row_reported(self, tmp_path, ray):
         path = tmp_path / "ray.csv"

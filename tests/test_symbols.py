@@ -5,13 +5,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polaray
 from polaray.errors import DimensionMismatch, InvalidInput, ParseError
 from polaray.minkowski import PhaseSpacePoint
 from polaray.symbols import (
     MAX_DEGREE,
+    _as_expo,
     MatrixSymbol,
     builtin_symbol,
     check_homogeneity,
@@ -22,6 +23,7 @@ from polaray.symbols import (
     parse_x_polynomial,
     poisson_bracket,
     pretty,
+    scalar_coefficients,
     scalar_wave,
     scaled_wave,
     subprincipal_symbol,
@@ -158,6 +160,10 @@ class TestHomogeneity:
     def test_wave_quadratic(self):
         assert check_homogeneity(scalar_wave()) == (True, 2)
 
+    def test_no_principal_terms_has_the_declared_order(self):
+        lower_only = MatrixSymbol(2, 3, [], [((0,) * 4, (1, 0, 0, 0), np.eye(2))])
+        assert check_homogeneity(lower_only) == (True, 3)
+
     def test_mixed_degrees_fail(self):
         sym = MatrixSymbol(
             1, 2, [((0,) * 4, (2, 0, 0, 0), [[1.0]]), ((0,) * 4, (1, 0, 0, 0), [[1.0]])]
@@ -285,6 +291,9 @@ class TestBuiltins:
 
         assert pretty(decompose_principal_type(maxwell).q) == "k^2"
         assert pretty(scaled_wave({(0, 0, 0, 0): 2.0})) == "2*k^2"
+        # a coefficient that is not a multiple of the identity falls back to repr
+        weights = MatrixSymbol(4, 0, [((0,) * 4, (0,) * 4, np.diag([1.0, 2, 3, 4]))])
+        assert pretty(weights) == "MatrixSymbol('symbol', N=4, m=0, 1 principal / 0 lower terms)"
 
     @pytest.mark.parametrize("name", ["flat-maxwell", "scalar-wave"])
     @pytest.mark.parametrize("option", [{"scale": "1+x3^2"}, {"dimension": 1}])
@@ -545,3 +554,215 @@ class TestLayering:
 
     def test_rays_uses_the_symbols_hamilton_system(self):
         assert polaray.rays.HamiltonSystem is polaray.symbols.HamiltonSystem
+
+
+# -- per-term oracles for the stacked term operations ---------------------
+#
+# Term-by-term references for construction, scalar detection, the product
+# convolution, derivatives and the factor table.  The stacked code in
+# ``symbols`` must give the same bits and raise the same errors.
+
+
+def per_term_normalize(terms, dimension):
+    acc = {}
+    for x_exp, k_exp, coeff in terms:
+        key = (_as_expo(x_exp), _as_expo(k_exp))
+        degree = sum(key[0] + key[1])
+        if degree > MAX_DEGREE:
+            raise InvalidInput(f"term degree {degree} exceeds the maximum of {MAX_DEGREE}")
+        mat = np.array(coeff, dtype=complex)
+        if mat.shape == () and dimension == 1:
+            mat = mat.reshape(1, 1)
+        if mat.shape != (dimension, dimension):
+            raise DimensionMismatch(
+                f"coefficient shape {mat.shape} does not match dimension {dimension}"
+            )
+        if not np.all(np.isfinite(mat.view(float))):
+            raise InvalidInput("non-finite coefficient matrix")
+        acc[key] = acc[key] + mat if key in acc else mat
+    return {key: m for key, m in sorted(acc.items()) if np.any(m != 0)}
+
+
+def per_term_scalar_coefficients(terms: dict, dimension: int):
+    out = {}
+    for key, mat in terms.items():
+        if not np.array_equal(mat, mat[0, 0] * np.eye(dimension)):
+            return None
+        out[key] = mat[0, 0]
+    return out
+
+
+def per_term_convolve(left: dict, right: dict):
+    for (xa, ka), ma in left.items():
+        for (xb, kb), mb in right.items():
+            x_exp = tuple(i + j for i, j in zip(xa, xb))
+            k_exp = tuple(i + j for i, j in zip(ka, kb))
+            yield (x_exp, k_exp, ma * mb if ma.shape == (1, 1) else ma @ mb)
+
+
+def per_term_derivative(terms: dict, slot: int):
+    for (xe, ke), mat in terms.items():
+        e = (xe + ke)[slot]
+        if e > 0:
+            expo = list(xe + ke)
+            expo[slot] -= 1
+            yield (expo[:4], expo[4:], mat * e)
+
+
+def compiled_rows(sym: MatrixSymbol) -> np.ndarray:
+    """The distinct exponent rows over (x, k) of a symbol's compiled outputs, sorted."""
+    rows = {xe + ke for xe, ke in sym.lower}
+    for xe, ke in sym.principal:
+        e = xe + ke
+        rows.add(e)
+        rows |= {e[:s] + (e[s] - 1,) + e[s + 1 :] for s in range(8) if e[s]}
+        for mu in range(4):
+            if e[mu] and e[4 + mu]:
+                mixed = list(e)
+                mixed[mu] -= 1
+                mixed[4 + mu] -= 1
+                rows.add(tuple(mixed))
+    return np.array(sorted(rows), dtype=int).reshape(-1, 8)
+
+
+def per_term_factors(expo: np.ndarray) -> np.ndarray:
+    degree = expo.sum(axis=1)
+    factors = np.full((len(expo), int(degree.max(initial=0))), 8)
+    for t, row in enumerate(expo):
+        factors[t, : degree[t]] = np.repeat(np.arange(8), row)
+    return factors
+
+
+def assert_same_bits(got: dict, expected: dict):
+    assert list(got) == list(expected)
+    for key in got:
+        assert got[key].shape == expected[key].shape and got[key].dtype == expected[key].dtype
+        assert got[key].tobytes() == expected[key].tobytes(), key
+
+
+Z4 = (0, 0, 0, 0)
+# signed zeros, values that round when summed, and a tiny one that is not zero
+PARTS = [0.0, -0.0, 1.0, -1.0, 0.1, -1 / 3, 2.5, 7.0, 1e16, -1e16, 3e-300]
+ENTRIES = st.sampled_from([complex(re, im) for re in PARTS for im in PARTS])
+
+
+@st.composite
+def term_lists(draw, dimension: int, k_degree: int):
+    """Terms drawn from a few exponent pairs, so duplicates are common; coefficients
+    are full matrices, multiples of the identity (exact or off by one tiny entry),
+    bare scalars (N = 1) or the negation of an earlier one, which cancels it."""
+    xs = st.tuples(*[st.integers(0, 2)] * 4)
+    ks = st.sampled_from([(k_degree, 0, 0, 0), (0, k_degree, 0, 0), (0, 0, 0, k_degree)])
+    pool = draw(st.lists(st.tuples(xs, ks), min_size=1, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        x_exp, k_exp = draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(["matrix", "identity", "nudged", "scalar", "negated"]))
+        if kind == "negated" and terms:
+            x_exp, k_exp, coeff = terms[draw(st.integers(0, len(terms) - 1))]
+            coeff = -np.asarray(coeff)
+        elif kind == "matrix":
+            coeff = np.array(draw(st.lists(ENTRIES, min_size=dimension**2, max_size=dimension**2)))
+            coeff = coeff.reshape(dimension, dimension)
+        else:
+            coeff = draw(ENTRIES)
+            if kind != "scalar" or dimension > 1:
+                coeff = coeff * np.eye(dimension)
+            if kind == "nudged":  # c * I but for one tiny entry, which is not a multiple
+                coeff[draw(st.integers(0, dimension - 1)), 0] += 3e-300
+        terms.append((x_exp, k_exp, coeff))
+    return terms
+
+
+@st.composite
+def symbol_pairs(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4]))
+    parts = [draw(term_lists(n, degree)) for degree in (2, 1, 1, 0)]
+    return n, parts
+
+
+# the lower part of a product sums (a.principal)(b.lower) before (a.lower)(b.principal):
+# at x1 k0^2 that is (1e17 + 1) - 1e17 = 0, where the other order would give 1
+CROSS_TERMS_IN_ORDER = (
+    1,
+    [
+        [(Z4, (2, 0, 0, 0), 1.0), ((1, 0, 0, 0), (2, 0, 0, 0), 1.0)],
+        [(Z4, (1, 0, 0, 0), 1.0)],
+        [((1, 0, 0, 0), (1, 0, 0, 0), -1e17)],
+        [(Z4, Z4, 1.0), ((1, 0, 0, 0), Z4, 1e17)],
+    ],
+)
+
+
+@given(symbol_pairs())
+@example(CROSS_TERMS_IN_ORDER)
+def test_stacked_terms_match_the_per_term_oracles(case):
+    n, (p_a, l_a, p_b, l_b) = case
+    a, b = MatrixSymbol(n, 2, p_a, l_a), MatrixSymbol(n, 1, p_b, l_b)
+    for sym, principal, lower in ((a, p_a, l_a), (b, p_b, l_b)):
+        assert_same_bits(sym.principal, per_term_normalize(principal, n))
+        assert_same_bits(sym.lower, per_term_normalize(lower, n))
+        scalars = scalar_coefficients(sym)
+        expected = per_term_scalar_coefficients(sym.principal, n)
+        assert (scalars is None) == (expected is None)
+        if scalars is not None:
+            assert_same_bits(
+                {k: np.array(v) for k, v in scalars.items()},
+                {k: np.array(v) for k, v in expected.items()},
+            )
+        for slot in range(8):
+            derived = sym.diff_x(slot) if slot < 4 else sym.diff_k(slot - 4)
+            for part in ("principal", "lower"):
+                oracle = per_term_normalize(per_term_derivative(getattr(sym, part), slot), n)
+                assert_same_bits(getattr(derived, part), oracle)
+        factors, expected = sym.compiled.factors, per_term_factors(compiled_rows(sym))
+        assert factors.dtype == expected.dtype and np.array_equal(factors, expected)
+    product = a.matmul(b)
+    oracle = per_term_normalize(per_term_convolve(a.principal, b.principal), n)
+    assert_same_bits(product.principal, oracle)
+    lower = [*per_term_convolve(a.principal, b.lower), *per_term_convolve(a.lower, b.principal)]
+    assert_same_bits(product.lower, per_term_normalize(lower, n))
+
+
+GOOD = (Z4, (2, 0, 0, 0), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        ((0, 0, -1, 0), (2, 0, 0, 0), np.eye(2)),
+        ((0, 0, 0), (2, 0, 0, 0), np.eye(2)),
+        (Z4, (2.5, 0, 0, 0), np.eye(2)),
+        (Z4, ("a", 0, 0, 0), np.eye(2)),
+        (Z4, (2, 0, 0, math.nan), np.eye(2)),
+        (Z4, (2, 0, 0, 2**63), np.eye(2)),
+        ((40, 0, 0, 0), (2, 0, 0, 30), np.eye(2)),
+        (Z4, (2, 0, 0, 0), 1.0),
+        (Z4, (2, 0, 0, 0), np.eye(3)),
+        (Z4, (2, 0, 0, 0), [1.0, 0.0, 0.0, 1.0]),
+        (Z4, (2, 0, 0, 0), [[1.0, 0.0], [0.0]]),
+        (Z4, (2, 0, 0, 0), [[1.0, None], [0.0, 1.0]]),
+        (Z4, (2, 0, 0, 0), [[1.0, "x"], [0.0, 1.0]]),
+        (Z4, (2, 0, 0, 0), [[1.0, math.nan], [0.0, 1.0]]),
+        (Z4, (2, 0, 0, 0), [[1.0, 0.0], [complex(0, math.inf), 1.0]]),
+    ],
+)
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_a_single_fault_raises_what_the_per_term_oracle_raises(fault, at):
+    terms = [GOOD, GOOD]
+    terms.insert(at, fault)
+    with pytest.raises(Exception) as expected:
+        per_term_normalize(terms, 2)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        MatrixSymbol(2, 2, terms)
+
+
+def test_a_scalar_fault_in_dimension_one_raises_what_the_oracle_raises():
+    terms = [(Z4, (2, 0, 0, 0), 1.0), (Z4, (2, 0, 0, 0), [1.0]), (Z4, (0, 2, 0, 0), [[2.0]])]
+    with pytest.raises(DimensionMismatch, match=r"^coefficient shape \(1,\) does not match"):
+        per_term_normalize(terms, 1)
+    with pytest.raises(DimensionMismatch, match=r"^coefficient shape \(1,\) does not match"):
+        MatrixSymbol(1, 2, terms)
+    # scalars and 1 x 1 matrices mixed are valid and sum in input order
+    mixed = [(Z4, (2, 0, 0, 0), 1.0), (Z4, (2, 0, 0, 0), [[-0.5]]), (Z4, (0, 2, 0, 0), -0.0)]
+    assert_same_bits(MatrixSymbol(1, 2, mixed).principal, per_term_normalize(mixed, 1))

@@ -165,6 +165,10 @@ class TestFiberScale:
             PolarizationSample(pt=ray.point(i), omega=orbit.omega[i]) for i in range(len(ray))
         ]
         assert project_wavefront(samples) == []
+        # a hinted p takes its residuals from kernel_residual, which is 0 for a zero fiber
+        d, ray = hinted_graded_ray()
+        orbit = transport(d, ray, np.zeros(2, complex))
+        assert np.all(orbit.omega == 0) and np.all(orbit.residuals == 0)
 
     def test_imaginary_scale_keeps_constraint(self, maxwell_decomposition):
         ray = trace_ray(maxwell_decomposition.q, [0] * 4, [1, 0, 0, -1], (0, 1), 0.1)

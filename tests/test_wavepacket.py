@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -744,6 +745,11 @@ class TestCompare:
         report = compare(estimates, rotated, CompareTolerances(max_distance=1.0))
         assert not report.passed
         assert all(e.overlap <= 0.1 for e in report.entries)
+        # a purely time-like estimate has no transverse part: an infinite sideband level
+        timelike = [dataclasses.replace(e, omega_hat=[1, 0, 0, 0]) for e in estimates]
+        report = compare(timelike, orbit, CompareTolerances(max_distance=1.0))
+        assert not report.passed
+        assert all(e.timelike_db == math.inf for e in report.entries)
 
     @pytest.mark.parametrize(
         "bad",
