@@ -62,8 +62,8 @@ def _exponent(v) -> int:
 def scaled_covector(k) -> np.ndarray:
     """k times the power of two that puts max |k_mu| in [1, 2) (zero stays zero).
 
-    The scaling is exact, so k and every power-of-two multiple of it scale to the same
-    bits, and no square of it over- or underflows; a k with max |k_mu| = 1 is unchanged.
+    The scaling is exact in the normal range, so k and its power-of-two multiples scale to
+    the same bits, and no square of it over- or underflows; max |k_mu| = 1 leaves k as is.
     """
     return np.ldexp(k, _exponent(k))
 
