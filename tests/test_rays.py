@@ -36,6 +36,7 @@ from oracles import geodesic_residual, line_deviation, null_curve_residual
 class TestNullProject:
     def test_unit_spatial(self):
         assert np.array_equal(null_project([0.7, 0, 0, -1], "+"), [1, 0, 0, -1])
+        assert np.array_equal(null_project([0, 0, 0, -1e-170], "+"), [1e-170, 0, 0, -1e-170])
 
     def test_three_four_five(self):
         assert np.array_equal(null_project([0, 3, 4, 0], "+"), [5, 3, 4, 0])
