@@ -118,3 +118,10 @@ class PhaseSpacePoint:
         object.__setattr__(self, "k", as_point4(self.k, "k"))
         if not np.any(self.k != 0.0):
             raise InvalidPoint("phase-space fiber point k must be nonzero")
+
+    @classmethod
+    def _checked(cls, x: np.ndarray, k: np.ndarray) -> "PhaseSpacePoint":
+        """The point of x and k known to be finite float (4,) arrays, k nonzero: no checks."""
+        pt = object.__new__(cls)
+        pt.__dict__.update(x=x, k=k)
+        return pt

@@ -11,6 +11,7 @@ with ``tol`` (default ``ZERO_TOL``): no verdict changes when p, q or k is scaled
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,7 +140,13 @@ def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = ZERO_TOL) ->
 def kernel_residual(p: MatrixSymbol, pt: PhaseSpacePoint, omega: np.ndarray) -> float:
     """|p(x,k) w| / |w|, the fiber-membership residual of a vector."""
     omega = np.asarray(omega, dtype=complex)
-    norm = float(np.linalg.norm(omega))
+    norm = _fiber_norm(omega)
     if norm == 0.0:
         return 0.0
-    return float(np.linalg.norm(p.eval(pt) @ omega)) / norm
+    return _fiber_norm(p.eval(pt) @ omega) / norm
+
+
+def _fiber_norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex array by that function's own sum, sqrt(re.re + im.im)."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))

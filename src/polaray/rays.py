@@ -73,7 +73,8 @@ class Ray:
         return self.tau.shape[0]
 
     def point(self, i: int) -> PhaseSpacePoint:
-        return PhaseSpacePoint(self.x[i], self.k[i])
+        """Sample i as a point; its rows were checked when the ray was built."""
+        return PhaseSpacePoint._checked(self.x[i], self.k[i])
 
 
 def null_project(k, branch: str = "+") -> np.ndarray:
@@ -192,22 +193,26 @@ def trace_ray(
         ys = np.empty((n + 1, 9))
         qs = np.empty(n + 1)
         ys[0], qs[0] = y, q0
+        # stage j's (q, dy/dtau) in row j, formed in place in the order of the textbook formula
+        stages = np.empty((4, 10))
+        stages[0, 0], stages[0, 1:] = q0, f
+        f1, f2, f3, f4 = stages[:, 1:]
+        yi, acc = np.empty(9), np.empty(9)
+        half, sixth = 0.5 * h, h / 6.0
         for i in range(n):
-            y = _rk4_step(system, y, f, h)
+            system.into(np.add(y, np.multiply(half, f1, out=yi), out=yi), stages[1])
+            system.into(np.add(y, np.multiply(half, f2, out=yi), out=yi), stages[2])
+            system.into(np.add(y, np.multiply(h, f3, out=yi), out=yi), stages[3])
+            np.add(f1, np.multiply(2, f2, out=acc), out=acc)
+            np.add(np.add(acc, np.multiply(2, f3, out=yi), out=acc), f4, out=acc)
+            y = np.add(y, np.multiply(sixth, acc, out=acc), out=ys[i + 1])
             # the next step's first stage also gives q for the drift check
-            qi, f = system(y)
-            _check_drift(qi, drift_tol, i + 1, tau[i + 1], y)
-            ys[i + 1], qs[i + 1] = y, qi
+            system.into(y, stages[0])
+            qs[i + 1] = stages[0, 0]
+            _check_drift(qs[i + 1], drift_tol, i + 1, tau[i + 1], y)
         return _ray(tau, ys, qs, "rk4", h)
 
     return _trace_adaptive(system, y, q0, f, tau0, tau1, step, drift_tol, rtol, atol)
-
-
-def _rk4_step(system: HamiltonSystem, y, f1, h):
-    f2 = system(y + 0.5 * h * f1)[1]
-    f3 = system(y + 0.5 * h * f2)[1]
-    f4 = system(y + h * f3)[1]
-    return y + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
 
 
 # Dormand-Prince 5(4) tableau, A zero-padded to 7 x 7: stage i is
@@ -226,15 +231,17 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 _DP_E = _DP_A[6] - _DP_B4
 
 
-def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
+def _trace_adaptive(system: HamiltonSystem, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
     taus = [tau0]
     ys = [y]
     qs = [q0]
     tau = tau0
     h = min(h0, tau1 - tau0)
     h_min = 16 * np.finfo(float).eps * max(abs(tau0), abs(tau1), 1.0)
-    stages = np.empty((7, y.shape[0]))
-    stages[0] = f
+    # stage i's (q, dy/dtau) in row i; a rejected attempt leaves row 0, the flow at y, as is
+    out = np.empty((7, 10))
+    out[0, 0], out[0, 1:] = q0, f
+    stages, yi = out[:, 1:], np.empty(9)
     for _ in range(_MAX_STEPS):
         if tau >= tau1:
             break
@@ -244,14 +251,15 @@ def _trace_adaptive(system, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
                 f"adaptive step underflowed to {h:.3e} "
                 + failure_site(y[:4], y[4:8], "step", len(taus) - 1, tau)
             )
+        ha = h * _DP_A
         for i in range(1, 7):
-            yi = y + (h * _DP_A[i, :i]) @ stages[:i]
-            qi, stages[i] = system(yi)
+            system.into(np.add(y, np.matmul(ha[i, :i], stages[:i], out=yi), out=yi), out[i])
         err_y = h * (_DP_E @ stages)
         err = np.max(np.abs(err_y) / (atol + rtol * np.maximum(np.abs(y), np.abs(yi))))
         if err <= 1.0:
             tau += h
-            y, stages[0] = yi, stages[6]
+            y, out[0] = yi.copy(), out[6]
+            qi = out[6, 0]
             _check_drift(qi, drift_tol, len(taus), tau, y)
             taus.append(tau)
             ys.append(y)

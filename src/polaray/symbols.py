@@ -178,7 +178,7 @@ def _state(x, k) -> np.ndarray:
 def _products(z: np.ndarray, factors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """The monomials of z (..., 9), one product per row of ``factors``, times a (T, C) matrix."""
     # (..., 1, T) @ (T, C) makes the same product for every batch row
-    return (z[..., factors].prod(axis=-1)[..., None, :] @ matrix)[..., 0, :]
+    return (np.multiply.reduce(z[..., factors], axis=-1)[..., None, :] @ matrix)[..., 0, :]
 
 
 class HamiltonSystem:
@@ -211,6 +211,11 @@ class HamiltonSystem:
         """q and dy/dtau at states of shape (..., 9)."""
         out = _products(y, self.factors, self.matrix)
         return out[..., 0], out[..., 1:]
+
+    def into(self, y: np.ndarray, out: np.ndarray) -> None:
+        """q and dy/dtau at one state y (9,) written into out (10,): the bits of
+        :meth:`__call__` at that state, without temporaries."""
+        np.matmul(np.multiply.reduce(y[self.factors], axis=1), self.matrix, out=out)
 
 
 class MatrixSymbol:
@@ -431,13 +436,15 @@ def connection_matrices(p_tilde: MatrixSymbol, p: MatrixSymbol, x, k) -> np.ndar
 
     The bracket is taken in the same left-to-right order as
     :func:`poisson_bracket`; one compiled call per symbol evaluates every
-    ingredient at all points.
+    ingredient at all points.  A constant p~ has a zero bracket, which is not formed:
+    adding 0.0 in its place gives the same bits wherever p's gradient is finite.
     """
     _same_dimension(p_tilde, p, "connection_matrices")
     a, b = p_tilde.compiled(x, k), p.compiled(x, k)
-    return 0.5 * _bracket(a[..., GRAD, :, :], b[..., GRAD, :, :]) + 1j * _product(
-        a[..., VALUE, :, :], _subprincipal(b)
-    )
+    bracket = 0.0
+    if not p_tilde.compiled.constant:
+        bracket = 0.5 * _bracket(a[..., GRAD, :, :], b[..., GRAD, :, :])
+    return bracket + 1j * _product(a[..., VALUE, :, :], _subprincipal(b))
 
 
 # -- built-in symbols ---------------------------------------------------

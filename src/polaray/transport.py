@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .minkowski import PhaseSpacePoint, check_tolerances, failure_site
-from .principal_type import PrincipalTypeDecomposition, kernel_basis, kernel_residual
+from .principal_type import PrincipalTypeDecomposition, _fiber_norm, kernel_basis, kernel_residual
 from .rays import Ray
 from .symbols import connection_matrices
 
@@ -175,7 +175,7 @@ def project_wavefront(samples):
     """
     points = []
     for i, s in enumerate(samples):
-        norm = float(np.linalg.norm(s.omega))
+        norm = _fiber_norm(s.omega)
         if math.isnan(norm):
             raise InvalidInput(f"polarization sample {i} has a NaN fiber vector")
         if norm > ZERO_FIBER:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from polaray.minkowski import SIGNATURE, PhaseSpacePoint
 from polaray.principal_type import (
     ComplexSymbol,
     NoDecomposition,
+    _fiber_norm,
     char_membership,
     decompose_principal_type,
     is_real_principal_type,
@@ -225,6 +227,21 @@ class TestCharKernelConsistency:
             )
             assert (
                 len(kernel_basis(maxwell, pt)[0]) == len(kernel_basis(maxwell, scaled)[0])
+            )
+
+    def test_norms_have_the_bits_of_np_linalg_norm(self, maxwell, rng):
+        specials = [0.0, 1e-200, 1e200, math.nan, complex(0.0, math.nan), -0.0]
+        pt = PhaseSpacePoint(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
+        for n in range(300):
+            v = (rng.normal(size=4) + 1j * rng.normal(size=4)) * 10.0 ** rng.integers(-150, 150)
+            if n % 2:  # put a few special entries in at random places
+                v[rng.integers(4, size=2)] = rng.choice(specials, size=2)
+            with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e200 overflow
+                want = float(np.linalg.norm(v))
+                residual = float(np.linalg.norm(maxwell.eval(pt) @ v)) / want if want else 0.0
+                got = [_fiber_norm(v), kernel_residual(maxwell, pt, v)]
+            assert np.array(got).view(np.uint64).tolist() == (
+                np.array([want, residual]).view(np.uint64).tolist()
             )
 
     def test_fiber_linearity(self, maxwell, rng):

@@ -5,7 +5,7 @@ import pytest
 
 from polaray import rays
 from polaray.errors import DimensionMismatch, InvalidInput
-from polaray.minkowski import PhaseSpacePoint
+from polaray.minkowski import PhaseSpacePoint, failure_site
 from polaray.principal_type import decompose_principal_type
 from polaray.rays import (
     ConstraintDrift,
@@ -29,7 +29,14 @@ from polaray.symbols import (
     scaled_wave,
 )
 
-from conftest import graded_index_symbol, graded_null_start, observed_orders, random_null_covector
+from conftest import (
+    graded_index_symbol,
+    graded_null_start,
+    observed_orders,
+    random_null_covector,
+    weyl_decomposition,
+    weyl_start,
+)
 from oracles import geodesic_residual, line_deviation, null_curve_residual
 
 
@@ -202,6 +209,24 @@ class TestRayValidation:
             )
 
 
+class TestRayPoint:
+    def test_points_are_the_checked_rows(self):
+        q = decompose_principal_type(graded_index_symbol(2)).q
+        ray = trace_ray(q, *graded_null_start(), (0.0, 1.0), 0.1)
+        for i in [*range(len(ray)), -1]:
+            got, want = ray.point(i), PhaseSpacePoint(ray.x[i], ray.k[i])
+            assert type(got) is PhaseSpacePoint
+            assert bits(got.x, want.x) and bits(got.k, want.k)
+        with pytest.raises(IndexError):
+            ray.point(len(ray))
+
+
+def bits(a, b) -> bool:
+    """Whether two float or complex arrays hold the same bits, signed zeros and NaNs included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def bundle_q():
     """q of the non-scalar diag(1, 2) graded symbol decomposed with the hint diag(2, 1)."""
     hint = MatrixSymbol(2, 0, [((0, 0, 0, 0), (0, 0, 0, 0), np.diag([2.0, 1.0]))])
@@ -235,6 +260,16 @@ class TestHamiltonSystem:
             value, flow = system(y[index])
             assert value == values[index]
             assert np.array_equal(flow, flows[index])
+
+    @pytest.mark.parametrize("which", ["graded", "bundle", "weyl"])
+    def test_into_equals_call(self, rng, which):
+        system = STAGE_QS[which]().hamilton
+        out = np.empty(10)
+        for _ in range(500):
+            y = np.concatenate([rng.uniform(-2, 2, 8) * 10.0 ** rng.integers(-3, 4), [1.0]])
+            value, flow = system(y)
+            system.into(y, out)
+            assert bits(out, np.concatenate([[value], flow]))
 
     def test_complex_symbol_refused(self):
         # q = k0 + 0.5i k1: hamilton_field refuses it, so ray tracing must too
@@ -361,6 +396,135 @@ class TestAdaptive:
         # relative to its largest entry.
         for got, want in ((ray.tau, taus), (ray.x, ys[:, :4]), (ray.k, ys[:, 4:])):
             assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+# -- textbook integrator loops -------------------------------------------
+#
+# trace_ray evaluates its stages into preallocated buffers.  These loops
+# form every stage as a fresh array with the textbook expressions and must
+# give the same bits, drift failures included.
+
+STAGE_QS = {
+    "graded": lambda: decompose_principal_type(graded_index_symbol(2)).q,
+    "bundle": bundle_q,
+    "weyl": lambda: weyl_decomposition().q,
+}
+
+_A = np.zeros((7, 7))
+_A[np.tril_indices(7, -1)] = [a for row in DP_A for a in row]
+_E = _A[6] - np.array(DP_B4)
+
+
+def _drift(q, drift_tol, j, tau, y):
+    if not abs(q) <= drift_tol:
+        raise ConstraintDrift(
+            f"|q| = {abs(q):.3e} exceeded drift bound {drift_tol:.1e} "
+            + failure_site(y[:4], y[4:8], "step", j, tau)
+        )
+
+
+def textbook_rk4(q, x0, k0, tau_span, step, drift_tol):
+    """RK4 with trace_ray's grid and drift check, one stage expression at a time."""
+    system = q.hamilton
+    tau0, tau1 = tau_span
+    n = max(1, math.ceil((tau1 - tau0) / step - 1e-9))
+    h = (tau1 - tau0) / n
+    tau = tau0 + np.arange(n + 1) * h
+    y = np.concatenate([x0, k0, [1.0]])
+    q0, f1 = system(y)
+    ys, qs = [y], [q0]
+    for i in range(n):
+        f2 = system(y + 0.5 * h * f1)[1]
+        f3 = system(y + 0.5 * h * f2)[1]
+        f4 = system(y + h * f3)[1]
+        y = y + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
+        qi, f1 = system(y)
+        _drift(qi, drift_tol, i + 1, tau[i + 1], y)
+        ys.append(y)
+        qs.append(qi)
+    return tau, np.array(ys), np.array(qs)
+
+
+def textbook_dormand_prince(q, x0, k0, tau_span, h0, drift_tol, rtol=1e-10, atol=1e-12):
+    """Dormand-Prince 5(4) with trace_ray's controller, stage i formed as
+    y + (h * A[i, :i]) @ K[:i]; also returns whether each attempt was accepted."""
+    system = q.hamilton
+    tau, tau1 = tau_span
+    y = np.concatenate([x0, k0, [1.0]])
+    q0, f = system(y)
+    taus, ys, qs, accepted = [tau], [y], [q0], []
+    stages = np.empty((7, 9))
+    stages[0] = f
+    h = min(h0, tau1 - tau)
+    while tau < tau1:
+        h = min(h, tau1 - tau)
+        for i in range(1, 7):
+            yi = y + (h * _A[i, :i]) @ stages[:i]
+            qi, stages[i] = system(yi)
+        err_y = h * (_E @ stages)
+        err = np.max(np.abs(err_y) / (atol + rtol * np.maximum(np.abs(y), np.abs(yi))))
+        accepted.append(bool(err <= 1.0))
+        if err <= 1.0:
+            tau += h
+            y, stages[0] = yi, stages[6]
+            _drift(qi, drift_tol, len(taus), tau, y)
+            taus.append(tau)
+            ys.append(y)
+            qs.append(qi)
+        h *= min(5.0, max(0.2, 0.9 * err ** (-0.2) if err != 0 else 5.0))
+    return np.array(taus), np.array(ys), np.array(qs), accepted
+
+
+def stage_start(which):
+    """q and a start on its cone."""
+    x0, k0 = weyl_start()[:2] if which == "weyl" else graded_null_start()
+    return STAGE_QS[which](), x0, k0
+
+
+def traced_and_textbook(method, q, x0, k0, span, step, drift_tol=1e-3):
+    """(tau, states, q) from trace_ray and from the textbook loop, or each one's drift message."""
+    textbook = textbook_rk4 if method == "rk4" else textbook_dormand_prince
+
+    def traced():
+        ray = trace_ray(q, x0, k0, span, step, method=method, drift_tol=drift_tol)
+        return ray.tau, np.column_stack([ray.x, ray.k, np.ones(len(ray))]), ray.q
+
+    outcomes = []
+    for run in (traced, lambda: textbook(q, x0, k0, span, step, drift_tol)):
+        try:
+            outcomes.append(run())
+        except ConstraintDrift as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestBufferedStages:
+    @pytest.mark.parametrize("which", ["graded", "bundle", "weyl"])
+    @pytest.mark.parametrize("method, step", [("rk4", 0.05), ("rk4", 0.2), ("adaptive", 0.05)])
+    def test_same_bits_as_the_textbook_loop(self, which, method, step):
+        traced, textbook = traced_and_textbook(method, *stage_start(which), (0.0, 3.0), step)
+        assert len(traced[0]) == len(textbook[0]) > 10
+        for got, want in zip(traced, textbook):
+            assert bits(got, want)
+
+    @pytest.mark.parametrize("which", ["graded", "bundle", "weyl"])
+    def test_rejected_attempts_leave_no_buffer_state(self, which):
+        q, x0, k0 = stage_start(which)
+        *_, accepted = textbook_dormand_prince(q, x0, k0, (0.0, 3.0), 2.0, 1e-3)
+        assert not accepted[0] and accepted.count(False) >= 2
+        traced, textbook = traced_and_textbook("adaptive", q, x0, k0, (0.0, 3.0), 2.0)
+        assert len(traced[0]) == len(textbook[0]) > 10
+        for got, want in zip(traced, textbook):
+            assert bits(got, want)
+
+    @pytest.mark.parametrize("which", ["graded", "bundle", "weyl"])
+    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
+    def test_drift_fires_at_the_same_step(self, which, method):
+        traced, textbook = traced_and_textbook(
+            method, *stage_start(which), (0.0, 3.0), 0.1, drift_tol=1e-14
+        )
+        assert traced.startswith("|q| = ") and " at step " in traced
+        assert traced == textbook
 
 
 class TestNanQ:

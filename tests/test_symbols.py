@@ -11,8 +11,13 @@ import polaray
 from polaray.errors import DimensionMismatch, InvalidInput, ParseError
 from polaray.minkowski import PhaseSpacePoint
 from polaray.symbols import (
+    GRAD,
     MAX_DEGREE,
+    VALUE,
     _as_expo,
+    _bracket,
+    _product,
+    _subprincipal,
     MatrixSymbol,
     builtin_symbol,
     check_homogeneity,
@@ -31,6 +36,7 @@ from polaray.symbols import (
 
 from conftest import (
     fd_hamilton_field,
+    graded_index_symbol,
     fd_poisson_bracket,
     fd_subprincipal,
     random_matrix_symbol,
@@ -138,6 +144,33 @@ class TestPoissonBracket:
         out = poisson_bracket(a, b, NULL_PT)
         assert np.array_equal(out, -(e01 @ e10))
         assert not np.array_equal(out, -(e10 @ e01))
+
+
+    @pytest.mark.parametrize("hint", [None, np.diag([2.0, 1.0])], ids=["identity", "diag-2-1"])
+    @pytest.mark.parametrize("p", ["graded", "bundle", "random", "real-lower"])
+    def test_constant_p_tilde_gives_the_bits_of_the_bracket_expression(self, rng, hint, p):
+        z = (0, 0, 0, 0)
+        p = {
+            "graded": lambda: graded_index_symbol(2),
+            "bundle": lambda: graded_index_symbol(2, scale=np.diag([1.0, 2.0])),
+            "random": lambda: random_matrix_symbol(rng),
+            # a real p^s: i p~ p^s has -0.0 real parts that the zero bracket turns to +0.0
+            "real-lower": lambda: MatrixSymbol(
+                2,
+                2,
+                scaled_wave({z: 1.0}, 2).terms(),
+                [((0, 0, 0, 1), (1, 0, 0, 0), [[-1, 0.5], [0, 2]])],
+            ),
+        }[p]()
+        p_tilde = MatrixSymbol.identity(2) if hint is None else MatrixSymbol(2, 0, [(z, z, hint)])
+        x, k = rng.uniform(-2, 2, (2, 60, 4))
+        x[:20] = 0.0  # zero bracket terms meet zero subprincipal terms here
+        a, b = p_tilde.compiled(x, k), p.compiled(x, k)
+        expected = 0.5 * _bracket(a[..., GRAD, :, :], b[..., GRAD, :, :]) + 1j * _product(
+            a[..., VALUE, :, :], _subprincipal(b)
+        )
+        got = connection_matrices(p_tilde, p, x, k)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestSubprincipal:

@@ -187,9 +187,10 @@ class TestProjectWavefront:
         out = project_wavefront([PolarizationSample(pt=NULL_PT, omega=np.zeros(4))])
         assert out == []
 
-    def test_nan_fiber_is_invalid_input(self):
+    @pytest.mark.parametrize("omega", [[math.nan, 0], [0.5, complex(0.0, math.nan)]])
+    def test_nan_fiber_is_invalid_input(self, omega):
         good = PolarizationSample(pt=NULL_PT, omega=np.array([0, 1, 0, 0]))
-        bad = PolarizationSample(pt=NULL_PT, omega=np.array([math.nan, 0]))
+        bad = PolarizationSample(pt=NULL_PT, omega=np.array(omega))
         with pytest.raises(InvalidInput, match="sample 1 has a NaN fiber"):
             project_wavefront([good, bad])
 
