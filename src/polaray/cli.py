@@ -262,8 +262,7 @@ def _cmd_estimate(args) -> int:
         window_width=args.window,
         threshold=args.threshold,
     )
-    text = ser.estimates_json_text if args.format == "json" else ser.estimates_csv_text
-    _emit(text(estimates), args.output)
+    _emit(ser.estimates_json_text(estimates), args.output)
     return EXIT_OK
 
 
@@ -274,7 +273,7 @@ def _cmd_compare(args) -> int:
         min_overlap=args.min_overlap,
         max_sideband_db=args.max_sideband_db,
     )
-    estimates = ser.read_estimates(args.estimates)
+    estimates = ser.read_estimates_json(args.estimates)
     orbit = ser.read_orbit_csv(args.orbit)
     report = compare(estimates, orbit, tol)
     _emit(ser._json_text(report.to_dict()), args.output)
@@ -359,16 +358,15 @@ def build_parser() -> _Parser:
     sub.add_argument("--tstep", type=float, default=0.1)
     sub.add_argument("-o", "--output", required=True, help="grid field output path")
 
-    sub = command("estimate", _cmd_estimate, "estimate oscillation directions from a field")
+    sub = command("estimate", _cmd_estimate, "estimate oscillation directions, emit JSON")
     sub.add_argument("--field", required=True, help="grid field file")
     sub.add_argument("--centers", required=True, help="semicolon-separated t,x1,x2,x3 windows")
     sub.add_argument("--window", type=float, required=True, help="window width")
     sub.add_argument("--threshold", type=float, default=0.2)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("-o", "--output")
 
     sub = command("compare", _cmd_compare, "check estimates against a transported orbit")
-    sub.add_argument("--estimates", required=True, help="estimates CSV or JSON")
+    sub.add_argument("--estimates", required=True, help="estimates JSON")
     sub.add_argument("--orbit", required=True, help="orbit CSV")
     sub.add_argument("--max-distance", type=float, default=1.0)
     sub.add_argument("--max-angle", type=float, default=3.0)

@@ -1,4 +1,4 @@
-"""File formats: ray/orbit CSV, estimate CSV/JSON, grid-field binary.
+"""File formats: ray/orbit CSV, estimates JSON, grid-field binary.
 
 All numbers are serialized with shortest round-trip decimal formatting
 (Python repr), so re-reading any emitted file reproduces the in-memory
@@ -25,7 +25,6 @@ from .wavepacket import GridField, GridSpec, PolarizationEstimate
 GRIDFIELD_MAGIC = b"polaray-gridfield v1\n"
 RAY_MAGIC = "# polaray ray v1"
 ORBIT_MAGIC = "# polaray orbit v1"
-ESTIMATES_MAGIC = "# polaray estimates v1"
 
 
 def fmt(value: float) -> str:
@@ -83,7 +82,8 @@ def _read_table(path: str, kind: str, expected_header) -> tuple[dict[str, str], 
 
     Metadata are the ``key=value`` tokens of the comment lines before the
     header line; ``expected_header`` is the header text, or a function of
-    that metadata.  Every data row has as many fields as the header.
+    that metadata.  Every data row has as many fields as the header, all
+    finite.
     """
     meta: dict[str, str] = {}
     header = None
@@ -117,7 +117,7 @@ def _read_table(path: str, kind: str, expected_header) -> tuple[dict[str, str], 
     if header is None:
         raise ParseError(f"{kind}: missing header line")
     try:  # numpy converts str with float()'s grammar, bit for bit
-        return meta, np.array(tokens, dtype=float).reshape(len(linenos), width)
+        table = np.array(tokens, dtype=float).reshape(len(linenos), width)
     except ValueError:  # find the bad line to name it
         for i, lineno in enumerate(linenos):
             try:
@@ -125,6 +125,10 @@ def _read_table(path: str, kind: str, expected_header) -> tuple[dict[str, str], 
             except ValueError as exc:
                 raise ParseError(f"{kind} line {lineno}: {exc}") from exc
         raise
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{kind} line {linenos[np.argmin(finite)]}: non-finite value")
+    return meta, table
 
 
 def _ray_from_columns(data: np.ndarray, meta: dict[str, str], kind: str) -> Ray:
@@ -213,45 +217,6 @@ def read_orbit_csv(path: str) -> HamiltonOrbit:
 
 # -- estimates -----------------------------------------------------------
 
-ESTIMATES_HEADER = (
-    "x0,x1,x2,x3,khat1,khat2,khat3,freq,"
-    + ",".join(f"omega{i}_re,omega{i}_im" for i in range(4))
-    + ",strength"
-)
-
-
-def estimates_csv_text(estimates) -> str:
-    count = len(estimates)
-    return _table_text(
-        ESTIMATES_MAGIC,
-        ESTIMATES_HEADER,
-        [
-            np.reshape([est.x for est in estimates], (count, 4)),
-            np.reshape([est.k_hat for est in estimates], (count, 3)),
-            [est.freq for est in estimates],
-            _re_im(np.reshape([est.omega_hat for est in estimates], (count, 4))),
-            [est.strength for est in estimates],
-        ],
-    )
-
-
-def read_estimates_csv(path: str) -> list[PolarizationEstimate]:
-    _, data = _read_table(path, "estimates csv", ESTIMATES_HEADER)
-    try:
-        return [
-            PolarizationEstimate(
-                x=row[0:4],
-                k_hat=row[4:7],
-                freq=float(row[7]),
-                omega_hat=_complex(row[8:16:2], row[9:16:2]),
-                strength=float(row[16]),
-            )
-            for row in data
-        ]
-    except ValueError as exc:
-        raise ParseError(f"estimates csv: {exc}") from exc
-
-
 def estimates_json_text(estimates) -> str:
     payload = {
         "format": "polaray-estimates",
@@ -301,6 +266,9 @@ def read_estimates_json(path: str) -> list[PolarizationEstimate]:
             raise ParseError(f"estimates json: entry {i}: {exc}") from exc
         if est.k_hat.shape != (3,) or est.omega_hat.shape != (4,):
             raise ParseError(f"estimates json: entry {i}: k_hat needs 3 and omega_hat 4 components")
+        # json reads NaN, Infinity and 1e999; x was checked finite when the estimate was built
+        if not all(np.isfinite(v).all() for v in (est.k_hat, est.freq, est.omega_hat, est.strength)):
+            raise ParseError(f"estimates json: entry {i}: non-finite value")
         out.append(est)
     return out
 
@@ -380,21 +348,8 @@ def read_gridfield(path: str) -> GridField:
 FILE_KINDS = (
     (RAY_MAGIC.encode(), read_ray_csv, ray_csv_text),
     (ORBIT_MAGIC.encode(), read_orbit_csv, orbit_csv_text),
-    (ESTIMATES_MAGIC.encode(), read_estimates_csv, estimates_csv_text),
     (b"{", read_estimates_json, estimates_json_text),
 )
-
-
-def _kind(head: bytes):
-    """The row of :data:`FILE_KINDS` whose leading bytes ``head`` starts with (Nones if none)."""
-    return next((row for row in FILE_KINDS if head.startswith(row[0])), (None, None, None))
-
-
-def read_estimates(path: str) -> list[PolarizationEstimate]:
-    """Read estimates JSON, or else CSV, told apart by their leading bytes."""
-    with open(path, "rb") as handle:
-        json_file = _kind(handle.read(len(ESTIMATES_MAGIC)))[1] is read_estimates_json
-    return read_estimates_json(path) if json_file else read_estimates_csv(path)
 
 
 def roundtrip(path: str) -> bool:
@@ -411,7 +366,7 @@ def roundtrip(path: str) -> bool:
         head, _ = _gridfield_bytes(read_gridfield(path))
         with open(path, "rb") as handle:
             return handle.read(len(head)) == head
-    _, read, text = _kind(original)
-    if read is None:
-        raise ParseError(f"unrecognized file format: {path}")
-    return text(read(path)).encode() == original
+    for magic, read, text in FILE_KINDS:
+        if original.startswith(magic):
+            return text(read(path)).encode() == original
+    raise ParseError(f"unrecognized file format: {path}")

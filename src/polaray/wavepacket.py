@@ -26,9 +26,6 @@ from .gauge import FourierMode, ZeroFrequency, standard_basis
 from .minkowski import as_point4, spatial_momentum, unit_momentum
 from .transport import HamiltonOrbit
 
-# slice energy at or below which straightness_track finds no centroid
-ENERGY_FLOOR = 1e-30
-
 
 class WindowOutOfBounds(InvalidInput):
     """The analysis window does not fit inside the sampled domain."""
@@ -451,7 +448,7 @@ def straightness_track(field: GridField) -> LineTrack:
     for j in range(grid.time_slices):
         _component_energy(field.data[j], weight, scratch)
         total = float(weight.sum())
-        if total <= ENERGY_FLOOR:
+        if total == 0.0:
             raise DegenerateField(f"time slice {j} carries no energy")
         for i in range(3):
             centroids[j, i] = float(np.multiply(weight, coords[i], out=scratch).sum()) / total

@@ -299,8 +299,7 @@ def test_criterion_8_cli_determinism_and_roundtrip(tmp_path):
                 "--sigma", "2.0", "--extent", "16,16,16", "--samples", "32,32,32",
                 "--tslices", "2", "--tstep", "0.4", "-o", str(gf_p)])
             do(["estimate", "--field", str(gf_p), "--centers", "0,0,0,0",
-                "--window", "2.0", "--threshold", "0.2", "--format", "json",
-                "-o", str(est_p)])
+                "--window", "2.0", "--threshold", "0.2", "-o", str(est_p)])
             do(["gauge", "--k", "1,0,0,-1", "--eps", "1,1,0,-1",
                 "--eps-imag", "0,0.25,0,0", "-o", str(gauge_p)])
             do(["check-type", "--symbol", "flat-maxwell", "--point", "0,0,0,0",

@@ -700,7 +700,7 @@ class TestPipeline:
         code, _, _ = run_cli(
             capsys,
             "estimate", "--field", str(field_path), "--centers", "0,0,0,0;0.4,0,0,0.4",
-            "--window", "2.0", "--threshold", "0.2", "--format", "json", "-o", str(est_path),
+            "--window", "2.0", "--threshold", "0.2", "-o", str(est_path),
         )
         assert code == 0
         assert len(read_estimates_json(str(est_path))) == 2
@@ -728,7 +728,7 @@ class TestPipeline:
             "synth", "--k", K_PI, "--eps", "0,0,1,0", "--center", "0,0,0,0", "--sigma", "2.0",
             "--extent", "16,16,16", "--samples", "32,32,32", "-o", str(field_path),
         )
-        est_path = tmp_path / "est.csv"
+        est_path = tmp_path / "est.json"
         run_cli(
             capsys,
             "estimate", "--field", str(field_path), "--centers", "0,0,0,0",
@@ -745,6 +745,41 @@ class TestPipeline:
         )
         assert code == 3
         assert json.loads(out)["passed"] is False
+
+
+class TestEstimateWritesJson:
+    @pytest.fixture
+    def field_path(self, capsys, tmp_path):
+        path = tmp_path / "f.gf"
+        code, _, _ = run_cli(
+            capsys,
+            "synth", "--k", K_PI, "--eps", "0,1,0,0", "--center", "0,0,0,0", "--sigma", "2.0",
+            "--extent", "16,16,16", "--samples", "32,32,32", "-o", str(path),
+        )
+        assert code == 0
+        return path
+
+    def test_stdout_reads_back_and_round_trips(self, capsys, tmp_path, field_path):
+        argv = ("estimate", "--field", str(field_path), "--centers", "0,0,0,0", "--window", "2.0")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and not err
+        path = tmp_path / "est.out"
+        path.write_text(out)
+        estimates = read_estimates_json(str(path))
+        assert estimates and roundtrip(str(path))
+        assert run_cli(capsys, *argv, "-o", str(tmp_path / "est.json"))[0] == 0
+        assert (tmp_path / "est.json").read_text() == out
+
+    @pytest.mark.parametrize("config", [None, '{"format": "json"}'], ids=["flag", "config"])
+    def test_format_option_is_gone(self, capsys, tmp_path, field_path, config):
+        argv = ["estimate", "--field", str(field_path), "--centers", "0,0,0,0", "--window", "2.0"]
+        if config is None:
+            argv += ["--format", "json"]
+        else:
+            (tmp_path / "c.json").write_text(config)
+            argv[1:1] = ["--config", str(tmp_path / "c.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out and "format" in err
 
 
 class TestRoundtripCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pickle
@@ -17,10 +18,8 @@ from polaray.errors import ParseError
 from polaray.gauge import FourierMode
 from polaray.rays import Ray, trace_ray
 from polaray.serialization import (
-    estimates_csv_text,
     orbit_csv_text,
     ray_csv_text,
-    read_estimates_csv,
     read_estimates_json,
     read_gridfield,
     read_orbit_csv,
@@ -145,18 +144,6 @@ class TestOrbitCsv:
 
 
 class TestEstimates:
-    def test_csv_roundtrip(self, tmp_path, estimates):
-        path = str(tmp_path / "est.csv")
-        write_text(path, estimates_csv_text(estimates))
-        back = read_estimates_csv(path)
-        assert len(back) == len(estimates)
-        for a, b in zip(back, estimates):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.k_hat, b.k_hat)
-            assert np.array_equal(a.omega_hat, b.omega_hat)
-            assert a.freq == b.freq and a.strength == b.strength
-        assert roundtrip(path)
-
     def test_json_roundtrip(self, tmp_path, estimates):
         path = str(tmp_path / "est.json")
         write_estimates_json(path, estimates)
@@ -166,20 +153,15 @@ class TestEstimates:
             assert a.freq == b.freq
         assert roundtrip(path)
 
-    @pytest.mark.parametrize("suffix", ["csv", "json"])
-    def test_negative_zero_imaginary_part_roundtrips(self, tmp_path, suffix):
+    def test_negative_zero_imaginary_part_roundtrips(self, tmp_path):
         # re + 1j * im turns a -0.0 imaginary part into +0.0
         omega = complex_from_parts([0.6, 0.0, -0.0, 0.8], [-0.0, 0.0, -0.0, 0.5])
         est = PolarizationEstimate(
             x=np.zeros(4), k_hat=[0.6, 0.0, 0.8], freq=2.0, omega_hat=omega, strength=1.0
         )
-        path = str(tmp_path / f"est.{suffix}")
-        write, read = {
-            "csv": (lambda p, e: write_text(p, estimates_csv_text(e)), read_estimates_csv),
-            "json": (write_estimates_json, read_estimates_json),
-        }[suffix]
-        write(path, [est])
-        back = read(path)[0].omega_hat
+        path = str(tmp_path / "est.json")
+        write_estimates_json(path, [est])
+        back = read_estimates_json(path)[0].omega_hat
         assert np.array_equal(np.signbit(back.view(float)), np.signbit(omega.view(float)))
         assert roundtrip(path)
 
@@ -292,11 +274,21 @@ class TestGridField:
         assert peak <= 1.5 * size
 
 
+# an estimates file in the CSV encoding that earlier versions wrote; estimates are JSON only
+ESTIMATES_CSV = (
+    "# polaray estimates v1\n"
+    "x0,x1,x2,x3,khat1,khat2,khat3,freq,omega0_re,omega0_im,omega1_re,omega1_im,"
+    "omega2_re,omega2_im,omega3_re,omega3_im,strength\n"
+    "0.0,0.0,0.0,0.0,0.0,0.0,1.0,3.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0,1.0\n"
+)
+
+
 class TestRoundtripDispatch:
-    def test_unknown_format(self, tmp_path):
+    @pytest.mark.parametrize("text", ["hello\n", ESTIMATES_CSV], ids=["text", "estimates csv"])
+    def test_unknown_format(self, tmp_path, text):
         path = tmp_path / "mystery.txt"
-        path.write_text("hello\n")
-        with pytest.raises(ParseError):
+        path.write_text(text)
+        with pytest.raises(ParseError, match="unrecognized file format"):
             roundtrip(str(path))
 
     def test_missing_file(self, tmp_path):
@@ -320,9 +312,6 @@ class TestOverwrite:
         return {
             "ray csv": lambda path: serialization._write(path, [ray_csv_text(ray).encode()]),
             "orbit csv": lambda path: write_orbit_csv(path, orbit),
-            "estimates csv": lambda path: serialization._write(
-                path, [estimates_csv_text(estimates).encode()]
-            ),
             "estimates json": lambda path: write_estimates_json(path, estimates),
             "grid field": lambda path: write_gridfield(path, field),
             "cli output": cli_output,
@@ -330,7 +319,7 @@ class TestOverwrite:
 
     @pytest.mark.parametrize(
         "kind",
-        ["ray csv", "orbit csv", "estimates csv", "estimates json", "grid field", "cli output"],
+        ["ray csv", "orbit csv", "estimates json", "grid field", "cli output"],
     )
     def test_short_output_over_a_longer_file_leaves_only_the_new_bytes(
         self, tmp_path, writers, kind
@@ -490,18 +479,6 @@ class TestWritersMatchPerValueFormatting:
         assert orbit_csv_text(orbit) == "\n".join(lines) + "\n"
         assert any(",-0.0," in line for line in lines[2:])
 
-    @pytest.mark.parametrize("count", [0, 1, 3])
-    def test_estimates(self, count):
-        estimates = special_estimates()[:count]
-        lines = ["# polaray estimates v1", serialization.ESTIMATES_HEADER]
-        for est in estimates:
-            row = [*est.x, *est.k_hat, est.freq]
-            for z in est.omega_hat:
-                row.extend([z.real, z.imag])
-            row.append(est.strength)
-            lines.append(reference_row(row))
-        assert estimates_csv_text(estimates) == "\n".join(lines) + "\n"
-
 
 # -- corrupt files raise ParseError ---------------------------------------------
 
@@ -519,6 +496,30 @@ def _data_row(index: int, edit):
         lines = raw.split(b"\n")
         lines[2 + index] = edit(lines[2 + index])
         return b"\n".join(lines)
+
+    return corrupt
+
+
+def _field(index: int, value: bytes):
+    def edit(line: bytes) -> bytes:
+        fields = line.split(b",")
+        fields[index] = value
+        return b",".join(fields)
+
+    return edit
+
+
+def _estimate_entry(key: str, index, value: float):
+    """Set ``key`` of the second estimate (its element ``index`` unless None) to ``value``."""
+
+    def corrupt(raw: bytes) -> bytes:
+        payload = json.loads(raw)
+        entry = payload["estimates"][1]
+        if index is None:
+            entry[key] = value
+        else:
+            entry[key][index] = value
+        return json.dumps(payload).encode()
 
     return corrupt
 
@@ -544,12 +545,14 @@ CORRUPTIONS = {
         _data_row(1, lambda line: b"abc" + line[line.index(b","):]),
         "line 4: could not convert string to float: 'abc'",
     ),
-    "ray nan q": ("ray", _data_row(2, lambda line: line[: line.rindex(b",") + 1] + b"nan"), "non-finite"),
+    "ray nan q": ("ray", _data_row(2, _field(-1, b"nan")), "line 5: non-finite"),
     "ray decreasing tau": ("ray", _swap_rows, "increasing"),
-    "estimates csv infinite x": (
-        "estimates.csv",
-        _data_row(0, lambda line: b"inf" + line[line.index(b","):]),
-        "x has non-finite",
+    "orbit nan residual": ("orbit", _data_row(0, _field(-1, b"nan")), "line 3: non-finite"),
+    "orbit nan omega imaginary part": (
+        "orbit", _data_row(1, _field(11, b"nan")), "line 4: non-finite"
+    ),
+    "orbit infinite omega real part": (
+        "orbit", _data_row(2, _field(12, b"-inf")), "line 5: non-finite"
     ),
     "estimates json list": ("estimates.json", lambda raw: b"[1]\n", "not a polaray"),
     "estimates json estimates not a list": (
@@ -569,6 +572,27 @@ CORRUPTIONS = {
         b'"omega_hat_im": [0, 0, 0, 0], "strength": 1}]}\n',
         "k_hat",
     ),
+    "estimates json infinite x": (
+        "estimates.json", _estimate_entry("x", 0, math.inf), "entry 1: x has non-finite"
+    ),
+    "estimates json infinite k_hat": (
+        "estimates.json", _estimate_entry("k_hat", 1, -math.inf), "entry 1: non-finite"
+    ),
+    "estimates json nan freq": (
+        "estimates.json", _estimate_entry("freq", None, math.nan), "entry 1: non-finite"
+    ),
+    "estimates json overflowing freq": (
+        "estimates.json", _replace(b'"freq": 3.0', b'"freq": 1e999'), "entry 0: non-finite"
+    ),
+    "estimates json nan omega_hat_re": (
+        "estimates.json", _estimate_entry("omega_hat_re", 2, math.nan), "entry 1: non-finite"
+    ),
+    "estimates json infinite omega_hat_im": (
+        "estimates.json", _estimate_entry("omega_hat_im", 0, math.inf), "entry 1: non-finite"
+    ),
+    "estimates json nan strength": (
+        "estimates.json", _estimate_entry("strength", None, math.nan), "entry 1: non-finite"
+    ),
     "gridfield samples type": ("field", _replace(b'"samples": [8', b'"samples": ["a"'), "samples.*'a'"),
     "gridfield samples < 8": ("field", _replace(b'"samples": [8', b'"samples": [4'), "8 samples"),
     "gridfield time_slices type": ("field", _replace(b'"time_slices": 1', b'"time_slices": 1.5'), "float"),
@@ -587,7 +611,6 @@ CORRUPTIONS = {
 READERS = {
     "ray": read_ray_csv,
     "orbit": read_orbit_csv,
-    "estimates.csv": read_estimates_csv,
     "estimates.json": read_estimates_json,
     "field": read_gridfield,
 }
@@ -613,7 +636,6 @@ def valid_files(tmp_path_factory, maxwell_decomposition) -> dict[str, bytes]:
     writers = {
         "ray": lambda p: write_text(p, ray_csv_text(ray)),
         "orbit": lambda p: write_orbit_csv(p, orbit),
-        "estimates.csv": lambda p: write_text(p, estimates_csv_text(estimates)),
         "estimates.json": lambda p: write_estimates_json(p, estimates),
         "field": lambda p: write_gridfield(p, small_field(rng)),
     }
@@ -638,9 +660,14 @@ def test_corrupt_file_raises_parse_error(tmp_path, valid_files, case):
         roundtrip(path)
 
 
-def test_compare_rejects_a_corrupt_estimates_file(tmp_path, valid_files, capsys):
+@pytest.mark.parametrize("case", ["not estimates", "csv", "nan omega_hat_re"])
+def test_compare_rejects_a_corrupt_estimates_file(tmp_path, valid_files, capsys, case):
     estimates = tmp_path / "est.json"
-    estimates.write_bytes(b"[1]\n")
+    estimates.write_bytes({
+        "not estimates": b"[1]\n",
+        "csv": ESTIMATES_CSV.encode(),
+        "nan omega_hat_re": _estimate_entry("omega_hat_re", 2, math.nan)(valid_files["estimates.json"]),
+    }[case])
     orbit = tmp_path / "orbit.csv"
     orbit.write_bytes(valid_files["orbit"])
     assert run(["compare", "--estimates", str(estimates), "--orbit", str(orbit)]) == 1

@@ -658,6 +658,22 @@ class TestStraightnessTrack:
         assert angle_deg(track.direction, [0.6, 0.8, 0.0]) <= 3.0
         assert abs(track.speed - 1.0) <= 0.02
 
+    def test_speed_and_direction_do_not_depend_on_the_amplitude(self):
+        kcov, _, _ = carrier([0, 0, 8])
+        field = synthesize(
+            WavePacketSpec(FourierMode(kcov, [0, 1, 0, 0]), np.array([0, 0, 0, -1.0]), 2.0),
+            small_grid(n=32, nt=3, dt=0.4),
+        )
+        unit = straightness_track(field)
+        for scale in (2.0**-60, 2.0**-300):
+            track = straightness_track(GridField(field.grid, field.data * scale))
+            assert track.speed == pytest.approx(unit.speed, rel=1e-12, abs=0)
+            np.testing.assert_allclose(track.direction, unit.direction, rtol=1e-12, atol=1e-300)
+        data = field.data.copy()
+        data[1] = 0.0
+        with pytest.raises(DegenerateField, match="time slice 1 carries no energy"):
+            straightness_track(GridField(field.grid, data))
+
     def test_needs_three_slices(self):
         kcov, _, _ = carrier([0, 0, 8])
         field = synthesize(
