@@ -2,22 +2,16 @@
 
 Subcommands: check-type, trace, transport, gauge, synth, estimate,
 compare, roundtrip.  Exit codes: 0 success (or comparison pass), 1
-invalid input or configuration, 2 numerical failure, 3 comparison
-failure.  Identical arguments and inputs produce byte-identical
-outputs: fixed field order, shortest round-trip float formatting, no
-timestamps.  ``--config PATH`` reads a JSON object whose keys name the
-subcommand's long options with dashes replaced by underscores; a value
-is a string or number for an option that takes one, true or false for
-an on/off flag.  Each key acts as ``--opt=value`` given right after the
-subcommand, so explicit flags override the file.  Environment variables
-are never consulted.
+invalid input, 2 numerical failure, 3 comparison failure.  Identical
+arguments and inputs produce byte-identical outputs: fixed field order,
+shortest round-trip float formatting, no timestamps.  Options are set
+by flags only; environment variables are never consulted.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
@@ -60,20 +54,17 @@ EXIT_COMPARE_FAIL = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser recording, per config key (long option, dashes as underscores),
-    whether the option takes a value, and each subcommand's parser."""
+    """Parser recording its long options that take a value, and each subcommand's parser."""
 
     def __init__(self, **kwargs):
-        self.options: dict[str, bool] = {}
+        self.takes_value: set[str] = set()
         self.commands: dict[str, _Parser] = {}
         super().__init__(**kwargs)
 
     def add_argument(self, *names, **kwargs):
         action = super().add_argument(*names, **kwargs)
-        if kwargs.get("action") != "help":
-            for name in action.option_strings:
-                if name.startswith("--"):
-                    self.options[name[2:].replace("-", "_")] = action.nargs != 0
+        if action.nargs != 0:
+            self.takes_value.update(n for n in action.option_strings if n.startswith("--"))
         return action
 
     # argparse exits with code 2 on usage errors; the contract here is 1
@@ -244,11 +235,7 @@ def _cmd_synth(args) -> int:
 
 
 def _parse_centers(text: str) -> list[np.ndarray]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(_parse_reals(chunk, 4, "window center"))
+    out = [_parse_reals(chunk, 4, "window center") for chunk in text.split(";") if chunk.strip()]
     if not out:
         raise InvalidInput("no window centers given")
     return out
@@ -380,38 +367,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_arguments(sub: _Parser, path: str) -> list[str]:
-    """The arguments a JSON config file stands for, one ``--opt=value`` per key."""
-    try:
-        with open(path, "rb") as handle:
-            config = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise InvalidInput(f"bad config file {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise InvalidInput("config file must hold a JSON object")
-    out = []
-    for key, value in config.items():
-        flag = "--" + key.replace("_", "-")
-        takes_value = sub.options.get(key)
-        if takes_value is None:
-            raise InvalidInput(f"config file has unknown key {key!r}")
-        if not isinstance(value, (str, int, float)) or isinstance(value, bool) == takes_value:
-            kind = "a string or a number" if takes_value else "true or false"
-            raise InvalidInput(f"config key {key!r} needs {kind}, got {json.dumps(value)}")
-        if takes_value:
-            out.append(f"{flag}={value}")  # a number formats as its exact repr
-        elif value:
-            out.append(flag)
-    return out
-
-
 def _attach_negative_values(sub: _Parser, argv: list[str]) -> list[str]:
     """``--opt -1,2`` as ``--opt=-1,2`` where ``--opt`` takes a value: argparse reads
     a token such as ``-1,2`` or ``-.5`` as an option and leaves ``--opt`` without one."""
-    takes_value = {"--" + key.replace("_", "-") for key, value in sub.options.items() if value}
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in takes_value and re.match(r"-\.?\d", token):
+        if out and out[-1] in sub.takes_value and re.match(r"-\.?\d", token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -420,19 +381,12 @@ def _attach_negative_values(sub: _Parser, argv: list[str]) -> list[str]:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     parser = build_parser()
-    path = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            raise InvalidInput("--config needs a file path")
-        path = argv[idx + 1]
-        argv = argv[:idx] + argv[idx + 2 :]
-        if not argv:
-            raise InvalidInput("config file cannot choose the subcommand")
     sub = parser.commands.get(argv[0]) if argv else None
     if sub is not None:
-        config = [] if path is None else _config_arguments(sub, path)
-        argv = [argv[0], *config, *_attach_negative_values(sub, argv[1:])]
+        argv = [argv[0], *_attach_negative_values(sub, argv[1:])]
+    elif argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        # the top level has no other option; argparse would take its value for the subcommand
+        raise InvalidInput(f"unrecognized arguments: {argv[0]}")
     return parser.parse_args(argv)
 
 
@@ -440,12 +394,9 @@ def run(argv: list[str]) -> int:
     try:
         args = _parse(list(argv))
         return args.func(args)
-    except NumericalFailure as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (PolarayError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_NUMERICAL if isinstance(exc, NumericalFailure) else EXIT_INVALID
 
 
 def main() -> None:

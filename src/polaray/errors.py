@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Two families matter for the CLI exit-code contract: bad input or
-configuration (exit 1) versus a numerical failure during an otherwise
-valid computation (exit 2). Concrete exceptions live next to the code
-that raises them and inherit from one of the two bases below.
+Two families matter for the CLI exit-code contract: bad input (exit 1)
+versus a numerical failure during an otherwise valid computation
+(exit 2). Concrete exceptions live next to the code that raises them
+and inherit from one of the two bases below.
 """
 
 
@@ -12,7 +12,7 @@ class PolarayError(Exception):
 
 
 class InvalidInput(PolarayError):
-    """Malformed input, configuration, or precondition violation."""
+    """Malformed input or a precondition violation."""
 
 
 class NumericalFailure(PolarayError):

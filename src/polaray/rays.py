@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .minkowski import (
-    ZERO_TOL, PhaseSpacePoint, ZeroSpatialPart, _norm, as_point4, check_tolerances, failure_site
+    ZERO_TOL, PhaseSpacePoint, ZeroSpatialPart, _norm, as_point4, check_tolerances, failure_site,
+    scaled_covector,
 )
 from .principal_type import _pointwise
 from .symbols import HamiltonSystem, MatrixSymbol
@@ -128,14 +129,14 @@ def trace_ray(
 
     ``step`` is the fixed step for rk4 (shrunk uniformly so the span is
     an integer number of steps, at most ``_MAX_STEPS``) and the initial
-    step for the adaptive embedded pair.  At (x0, k0) q must vanish and
-    dq/dk must not, by the rule of ``is_real_principal_type`` with tolerance
-    ``start_tol`` (callers project to the cone first); otherwise it raises
+    step for the adaptive embedded pair.  At ``scaled_covector(k0)`` q must
+    vanish and dq/dk must not, by the rule of ``is_real_principal_type`` with
+    tolerance ``start_tol`` (callers project to the cone first); otherwise it raises
     :class:`NonNullStart` or :class:`StationaryStart`, and :class:`InvalidInput`
-    where q or its term size is not finite.  A drift monitor aborts if
-    |q| ever exceeds the absolute bound drift_tol or is NaN, since q is
-    conserved by the exact flow and silent drift would poison downstream
-    transport.  The four tolerances must be finite and positive.
+    where q or its term size there, or q or its flow at the raw k0, is not finite.
+    A drift monitor aborts if |q| ever exceeds the absolute bound drift_tol or is
+    NaN, since q is conserved by the exact flow and silent drift would poison
+    downstream transport.  The four tolerances must be finite and positive.
     """
     x0 = as_point4(x0, "x0")
     k0 = as_point4(k0, "k0")
@@ -154,8 +155,9 @@ def trace_ray(
             f"step {step} needs {count:.3g} rk4 steps, more than the budget of {_MAX_STEPS}"
         )
 
-    # the start's verdicts, and its q and flow as the first integrator stage
-    q0, f, size, on_cone, stationary = _pointwise(q, x0, k0, start_tol)
+    # the start's verdicts at scaled_covector(k0); the first stage is at the raw k0
+    k_scaled = scaled_covector(k0)
+    q0, f, size, on_cone, stationary = _pointwise(q, x0, k_scaled, start_tol)
     if not on_cone:
         raise NonNullStart(
             f"|q| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e} times the term size "
@@ -169,6 +171,10 @@ def trace_ray(
 
     system = q.hamilton
     y = np.concatenate([x0, k0, [1.0]])
+    if not np.array_equal(k_scaled, k0):
+        q0, f = system(y)
+        if not (np.isfinite(q0) and np.isfinite(f).all()):
+            raise InvalidInput(f"q(x, k) or its flow is not finite at {failure_site(x0, k0)}")
     if span == 0.0:
         return _ray([tau0], [y], [q0], method, step)
 

@@ -293,14 +293,26 @@ def _gridfield_header(grid: GridSpec, metadata: dict) -> dict:
 def _gridfield_bytes(field: GridField) -> tuple[bytes, np.ndarray]:
     """The grid-field file as two parts: magic plus JSON header line, then the body
     as a contiguous little-endian complex128 array (no copy when the data is one)."""
-    header = json.dumps(_gridfield_header(field.grid, field.metadata), sort_keys=True)
+    try:
+        header = json.dumps(_gridfield_header(field.grid, field.metadata), sort_keys=True,
+                            allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"gridfield: metadata must hold finite JSON values: {exc}") from exc
     head = GRIDFIELD_MAGIC + header.encode() + b"\n"
     return head, np.ascontiguousarray(field.data, dtype="<c16")
 
 
 def write_gridfield(path: str, field: GridField) -> None:
-    """Self-describing binary: magic, JSON header line, raw complex128."""
+    """Self-describing binary: magic, JSON header line, raw complex128.  Metadata JSON
+    cannot hold, or that is not finite, raises :class:`InvalidInput` before the file opens."""
     _write(path, _gridfield_bytes(field))
+
+
+def _finite_float(text: str) -> float:
+    """A JSON number or constant as a float; NaN, Infinity and 1e999 raise ValueError."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def read_gridfield(path: str) -> GridField:
@@ -309,8 +321,9 @@ def read_gridfield(path: str) -> GridField:
         if handle.read(len(GRIDFIELD_MAGIC)) != GRIDFIELD_MAGIC:
             raise ParseError("gridfield: bad magic line")
         try:
-            header = json.loads(handle.readline().decode())
-        except ValueError as exc:  # bad JSON or bad UTF-8
+            line = handle.readline().decode()
+            header = json.loads(line, parse_float=_finite_float, parse_constant=_finite_float)
+        except ValueError as exc:  # bad JSON, bad UTF-8 or a non-finite number
             raise ParseError(f"gridfield: bad header: {exc}") from exc
         try:
             grid = GridSpec(extents=tuple(header["extents"]), samples=tuple(header["samples"]),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import polaray
-from polaray.cli import run
+from polaray.cli import build_parser, run
 from polaray.serialization import read_estimates_json, read_orbit_csv, read_ray_csv, roundtrip
 from polaray.symbols import MatrixSymbol, flat_maxwell, format_symbol_file, scalar_wave
 
@@ -166,6 +166,22 @@ class TestCheckTypeAgreesWithTrace:
         assert principal or err.startswith("StationaryStart:")
         if eps != 2e-10:  # exactly at the tolerance only the agreement is pinned
             assert principal is (eps > 2e-10)
+
+    def test_at_a_tiny_covector(self, capsys):
+        # both take their verdicts at scaled_covector(k); the ray moves from the raw k
+        code, out, err = run_cli(
+            capsys, "trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0",
+            "--k", "1,1e-170,1e-170,0", "--project-null", "--tau", "0:1", "--step", "0.5",
+        )
+        assert code == 0 and not err
+        k = out.splitlines()[2].split(",")[5:9]
+        assert k == ["1.4142135623730951e-170", "1e-170", "1e-170", "0.0"]
+        assert out.splitlines()[-1].startswith("1.0,2.8284271247461902e-170,-2e-170,-2e-170,")
+        code, out, _ = run_cli(
+            capsys, "check-type", "--symbol", "flat-maxwell", "--point", "0,0,0,0",
+            "--k", ",".join(k),
+        )
+        assert code == 0 and json.loads(out)["real_principal_type"] is True
 
 
 class TestTrace:
@@ -367,21 +383,16 @@ class TestErrorContract:
               *CHECK_AT), MAXWELL_FILE,
              "InvalidInput: --scale and --dimension apply only to --symbol scaled-wave"),
             (("check-type", *CHECK_AT), None, "InvalidInput: give exactly one of --symbol NAME"),
-            (("check-type", "--config", "p.txt", "--symbol-file", "p.txt", *CHECK_AT),
-             '{"symbol": "flat-maxwell"}', "InvalidInput: give exactly one of --symbol NAME"),
             (("trace", *TRACE_FLAT, "--step", "0.5", "--tau", "01"), None,
              "InvalidInput: tau span must look like '0:1'"),
             (("trace", *TRACE_FLAT, "--step", "0.5", "--tau", "a:1"), None,
              "InvalidInput: bad tau span: could not convert string to float: 'a'"),
             (("estimate", "--field", "f.gf", "--centers", " ; ", "--window", "1"), None,
              "InvalidInput: no window centers given"),
-            (("trace", "--config", "p.txt", *TRACE_FLAT, "--step", "0.5"), "{",
-             "InvalidInput: bad config file p.txt: "),
-            (("trace", "--config", "p.txt", *TRACE_FLAT, "--step", "0.5"), "[1]",
-             "InvalidInput: config file must hold a JSON object"),
-            (("trace", *TRACE_FLAT, "--step", "0.5", "--config"), None,
-             "InvalidInput: --config needs a file path"),
-            (("--config", "p.txt"), "{}", "InvalidInput: config file cannot choose the subcommand"),
+            (("trace", "--config", "p.txt", *TRACE_FLAT, "--step", "0.5"), None,
+             "InvalidInput: unrecognized arguments: --config p.txt"),
+            (("--config", "p.txt", "trace", *TRACE_FLAT, "--step", "0.5"), None,
+             "InvalidInput: unrecognized arguments: --config"),
             (("gauge", "--k", "1,0,0,-1", "--eps", "nan,0,0,0"), None,
              "InvalidInput: eps has non-finite components"),
             (("synth", "--k=-1e-16,1e-16,0,0", *SYNTH[3:], "--extent", "16,16,16"), None,
@@ -407,9 +418,9 @@ class TestErrorContract:
             "fractional-tslices", "nan-drift", "nan-drift-adaptive", "nan-start", "nan-tstep",
             "nan-extent", "nan-sideband", "degree-cap-scale", "degree-cap-file", "overflowing-p",
             "scalar-hint", "x-free-position-overflow", "maxwell-scale", "scalar-wave-dimension",
-            "symbol-and-file", "file-scale-dimension", "no-source", "config-symbol-and-file",
-            "tau-no-colon", "tau-not-a-number", "no-centers", "config-not-json",
-            "config-not-object", "config-no-path", "config-only", "nan-eps", "tiny-k0",
+            "symbol-and-file", "file-scale-dimension", "no-source", "tau-no-colon",
+            "tau-not-a-number", "no-centers", "config-is-gone", "config-before-subcommand",
+            "nan-eps", "tiny-k0",
             "mixed-degree-hint", "dangling-sign", "empty-factor", "zero-tslices", "zero-sigma",
             "stationary-trace", "stationary-transport",
         ],
@@ -452,16 +463,11 @@ class TestTransport:
             assert f"reprojected={flag}" in header.split()
             assert read_orbit_csv(str(path)).reprojected == bool(flag)
 
-    @pytest.mark.parametrize("config", [None, '{"reproject": true}'], ids=["flag", "config"])
-    def test_reproject_option_is_gone(self, capsys, tmp_path, config):
-        argv = ["transport", *TRACE_FLAT, "--step", "0.5", "--omega0", "1,0,0,0"]
-        if config is None:
-            argv.append("--reproject")
-        else:
-            (tmp_path / "c.json").write_text(config)
-            argv[1:1] = ["--config", str(tmp_path / "c.json")]
+    def test_reproject_option_is_gone(self, capsys):
+        argv = ("transport", *TRACE_FLAT, "--step", "0.5", "--omega0", "1,0,0,0", "--reproject")
         code, out, err = run_cli(capsys, *argv)
-        assert code == 1 and not out and "reproject" in err
+        assert code == 1 and not out
+        assert err == "InvalidInput: unrecognized arguments: --reproject\n"
 
     def test_output_to_dev_null(self, capsys):
         argv = ("transport", *TRACE_FLAT, "--step", "0.5", "--omega0", "0,1,0,0")
@@ -564,91 +570,30 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-class TestConfigFile:
-    def test_config_supplies_and_flags_override(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tau": "0:1", "step": 0.5, "x0": "0,0,0,0"}))
-        out_a = tmp_path / "a.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "trace", "--config", str(cfg), "--symbol", "flat-maxwell", "--k", "1,0,0,-1",
-            "--step", "0.01", "-o", str(out_a),
-        )
-        assert code == 0
-        assert len(read_ray_csv(str(out_a))) == 101  # flag step 0.01 wins
+SUBCOMMANDS = (
+    "check-type", "trace", "transport", "gauge", "synth", "estimate", "compare", "roundtrip"
+)
 
-    def test_unknown_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code, _, err = run_cli(
-            capsys,
-            "trace", "--config", str(cfg), "--symbol", "flat-maxwell", "--x0", "0,0,0,0",
-            "--k", "1,0,0,-1", "--tau", "0:1", "--step", "0.01",
-        )
-        assert code == 1
-        assert "bogus" in err
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            {"x0": "0,0,0,0", "step": [1]},
-            {"step": 0.1, "x0": 5},
-            {"x0": "0,0,0,0", "step": 0.1, "project_null": "false"},
-            {"x0": "0,0,0,0", "step": 0.1, "tau": True},
-            {"x0": "0,0,0,0", "ste": 0.1},
-            {"x0": "0,0,0,0", "step": 0.1, "help": True},
-            {"x0": "0,0,0,0", "step": 0.1, "config": "other.json"},
-        ],
-        ids=["list", "number-for-text", "text-for-flag", "flag-for-value", "prefix", "help", "config"],
-    )
-    def test_bad_config_entries_exit_one(self, capsys, tmp_path, config):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        code, out, err = run_cli(
-            capsys,
-            "trace", "--config", str(cfg), "--symbol", "flat-maxwell", "--k", "1,0,0,-1",
-            "--tau", "0:1",
-        )
-        assert code == 1 and not out
-        assert list(config)[-1] in err
+class TestHelp:
+    def test_top_level_help_names_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["--help"])
+        out = capsys.readouterr().out
+        assert exit_.value.code == 0 and out.startswith("usage: polaray")
+        assert all(name in out for name in SUBCOMMANDS)
 
-    def test_bad_config_entry_in_a_subprocess(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"x0": 5, "step": 0.1}))
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "polaray.cli", "trace", "--config", str(cfg),
-                "--symbol", "flat-maxwell", "--k", "1,0,0,-1", "--tau", "0:1",
-            ],
-            capture_output=True, text=True, env=subprocess_env(), timeout=60,
-        )
-        assert proc.returncode == 1
-        assert "x0" in proc.stderr and "Traceback" not in proc.stderr
-
-    def test_config_flags_act_as_the_flag(self, capsys, tmp_path):
-        argv = ("trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0", "--k", "2,0,0,-1")
-        runs = {}
-        for name, setting in (("true", True), ("false", False)):
-            cfg = tmp_path / f"{name}.json"
-            cfg.write_text(json.dumps({"tau": "0:1", "step": 0.01, "project_null": setting}))
-            runs[name] = run_cli(capsys, argv[0], "--config", str(cfg), *argv[1:])
-        flagged = run_cli(capsys, *argv, "--tau", "0:1", "--step", "0.01", "--project-null")
-        plain = run_cli(capsys, *argv, "--tau", "0:1", "--step", "0.01")
-        assert runs["true"] == flagged and flagged[0] == 0
-        # without projection the off-cone start is refused
-        assert runs["false"] == plain and plain[0] == 2 and plain[2].startswith("NonNullStart")
-
-    def test_config_does_not_leak_into_the_next_run(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"x0": "-1,0,0,0", "tau": "0:1", "step": 0.5}))
-        argv = ("trace", "--symbol", "flat-maxwell", "--k", "1,0,0,-1")
-        out_path = tmp_path / "ray.csv"
-        code, _, _ = run_cli(capsys, argv[0], "--config", str(cfg), *argv[1:], "-o", str(out_path))
-        assert code == 0
-        assert read_ray_csv(str(out_path)).x[0].tolist() == [-1, 0, 0, 0]
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert "--x0" in err and "--step" in err
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help_lists_its_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            run([command, "--help"])
+        out = capsys.readouterr().out
+        assert exit_.value.code == 0 and out.startswith(f"usage: polaray {command}")
+        sub = build_parser().commands[command]
+        options = [name for action in sub._actions for name in action.option_strings]
+        assert "--help" in options and "--config" not in out
+        assert all(name in out for name in options)
+        assert sub.takes_value <= set(options)
 
 
 class TestGauge:
@@ -770,16 +715,12 @@ class TestEstimateWritesJson:
         assert run_cli(capsys, *argv, "-o", str(tmp_path / "est.json"))[0] == 0
         assert (tmp_path / "est.json").read_text() == out
 
-    @pytest.mark.parametrize("config", [None, '{"format": "json"}'], ids=["flag", "config"])
-    def test_format_option_is_gone(self, capsys, tmp_path, field_path, config):
-        argv = ["estimate", "--field", str(field_path), "--centers", "0,0,0,0", "--window", "2.0"]
-        if config is None:
-            argv += ["--format", "json"]
-        else:
-            (tmp_path / "c.json").write_text(config)
-            argv[1:1] = ["--config", str(tmp_path / "c.json")]
+    def test_format_option_is_gone(self, capsys, field_path):
+        argv = ("estimate", "--field", str(field_path), "--centers", "0,0,0,0", "--window", "2.0",
+                "--format", "json")
         code, out, err = run_cli(capsys, *argv)
-        assert code == 1 and not out and "format" in err
+        assert code == 1 and not out
+        assert err == "InvalidInput: unrecognized arguments: --format json\n"
 
 
 class TestRoundtripCommand:

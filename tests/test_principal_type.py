@@ -285,6 +285,12 @@ class TestOneEvaluation:
         trace_ray(maxwell_decomposition.q, NULL_PT.x, NULL_PT.k, (0.0, 0.0), 1.0)
         assert counts == {"hamilton": 1, "term_bound": 1}
 
+    def test_trace_ray_off_the_scaled_covector(self, maxwell_decomposition, counts):
+        # the verdicts at scaled_covector(k0) = k0 / 4, the first stage at k0 itself
+        ray = trace_ray(maxwell_decomposition.q, NULL_PT.x, 4 * NULL_PT.k, (0.0, 0.0), 1.0)
+        assert counts == {"hamilton": 2, "term_bound": 1}
+        assert ray.k[0].tolist() == [4, 0, 0, -4]
+
 
 def r_xi(a: float) -> MatrixSymbol:
     """(k.k) delta_mu^nu - a k_mu k^nu: R_xi gauge for a = 1 - 1/xi, its hint for a = 1 - xi."""

@@ -545,6 +545,12 @@ class TestNanQ:
         with pytest.raises(InvalidInput, match=refused):
             trace_ray(self.q, [0, 0, 0, 1e40], [1, 0, 0, -1], (0, 1), 0.1, method=method)
 
+    def test_overflow_at_the_raw_start(self):
+        # on the cone at scaled_covector(k0), but k0^2 overflows where the ray starts
+        refused = r"^q\(x, k\) or its flow is not finite at x = \(0, 0, 0, 0\), k = \(1e\+200,"
+        with pytest.raises(InvalidInput, match=refused):
+            trace_ray(self.q, [0, 0, 0, 0], [1e200, 0, 0, -1e200], (0, 1), 0.1)
+
     def test_adaptive_shrinks_the_step_on_a_nan_error(self, monkeypatch):
         # a NaN error estimate used to grow the step, so every attempt failed
         monkeypatch.setattr(rays, "_MAX_STEPS", 2000)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from polaray import serialization
 from polaray.cli import run
-from polaray.errors import ParseError
+from polaray.errors import InvalidInput, ParseError
 from polaray.gauge import FourierMode
 from polaray.rays import Ray, trace_ray
 from polaray.serialization import (
@@ -360,6 +360,20 @@ class TestOverwrite:
             read_gridfield(str(path))
 
     @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, np.ones(1)], ids=["nan", "inf", "-inf", "array"]
+    )
+    def test_bad_metadata_is_refused_before_the_file_opens(self, tmp_path, value):
+        field = small_field(np.random.default_rng(SEED))
+        path = tmp_path / "field.gf"
+        write_gridfield(str(path), field)
+        before = path.read_bytes()
+        bad = GridField(field.grid, field.data, {"envelope_transport_error": value})
+        for target in (path, tmp_path / "new.gf"):
+            with pytest.raises(InvalidInput, match="metadata must hold finite JSON values"):
+                write_gridfield(str(target), bad)
+        assert path.read_bytes() == before and not (tmp_path / "new.gf").exists()
+
+    @pytest.mark.parametrize(
         "writer, reader",
         [("write_gridfield", read_gridfield), ("write_orbit_csv", read_orbit_csv)],
     )
@@ -597,6 +611,13 @@ CORRUPTIONS = {
     "gridfield samples < 8": ("field", _replace(b'"samples": [8', b'"samples": [4'), "8 samples"),
     "gridfield time_slices type": ("field", _replace(b'"time_slices": 1', b'"time_slices": 1.5'), "float"),
     "gridfield metadata": ("field", _replace(b'"metadata": {}', b'"metadata": [1]'), "metadata"),
+    **{
+        f"gridfield metadata {value}": (
+            "field", _replace(b'"metadata": {}', b'"metadata": {"e": %s}' % value.encode()),
+            f"bad header: {value} is not a finite number",
+        )
+        for value in ("NaN", "Infinity", "-Infinity", "1e999")
+    },
     "gridfield non-finite body": ("field", _nan_last_sample, "non-finite"),
     "gridfield header not utf-8": ("field", _replace(b'"dtype"', b'"\xffdtype"'), "header"),
     "gridfield dtype": (

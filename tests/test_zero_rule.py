@@ -194,15 +194,20 @@ DECISIONS = {
 
 
 # the verdicts taken at scaled_covector(k) hold over the whole double range of k;
-# the ray start decides at its own k0, and the gauge rows take norms of k
+# the ray start takes its verdicts there too, but its first stage is q's flow at the
+# raw k0, where q overflows above |k| ~ 1e154; the gauge rows take norms of k
 WHOLE_RANGE = [name for name in DECISIONS if name.startswith(("char", "is_real", "kernel"))]
 WIDE_SCALES = [1e-300, 1e-170, *SCALES, 1e170, 1e300]
 
 
+def scales(name):
+    if name in WHOLE_RANGE:
+        return WIDE_SCALES
+    return WIDE_SCALES[:-2] if name.startswith("ray start") else SCALES
+
+
 @pytest.mark.parametrize(
-    "name, c, s",
-    [(name, c, s) for name in DECISIONS for c in SCALES
-     for s in (WIDE_SCALES if name in WHOLE_RANGE else SCALES)],
+    "name, c, s", [(name, c, s) for name in DECISIONS for c in SCALES for s in scales(name)]
 )
 def test_verdicts_do_not_depend_on_scale(name, c, s):
     decide, expected = DECISIONS[name]
