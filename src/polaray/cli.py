@@ -27,7 +27,7 @@ from .gauge import (
     physical_kernel,
     radiation_fix,
 )
-from .minkowski import ZERO_TOL, PhaseSpacePoint, scaled_covector
+from .minkowski import PhaseSpacePoint, scaled_covector
 from .principal_type import (
     PrincipalTypeDecomposition,
     char_membership,
@@ -141,15 +141,15 @@ def _mode_from_args(args) -> FourierMode:
 def _cmd_check_type(args) -> int:
     decomp = _decompose(args)
     pt = PhaseSpacePoint(_parse_reals(args.point, 4, "--point"), _parse_reals(args.k, 4, "--k"))
-    vectors, singular_values = kernel_basis(decomp.p, pt, tol=args.tol)
+    vectors, singular_values = kernel_basis(decomp.p, pt)
     result = {
         "symbol": decomp.p.name or "file",
         "point": [float(v) for v in pt.x],
         "k": [float(v) for v in pt.k],
         "q": pretty(decomp.q),
         "q_value": float(decomp.q.eval_raw(pt.x, scaled_covector(pt.k))[0, 0].real),
-        "real_principal_type": is_real_principal_type(decomp.q, pt, tol=args.tol),
-        "on_char": char_membership(decomp, pt, tol=args.tol),
+        "real_principal_type": is_real_principal_type(decomp.q, pt),
+        "on_char": char_membership(decomp, pt),
         "kernel_dimension": len(vectors),
         "singular_values": [float(s) for s in singular_values],
     }
@@ -318,7 +318,6 @@ def build_parser() -> _Parser:
     _add_symbol_options(sub)
     sub.add_argument("--point", required=True, help="base point t,x1,x2,x3")
     sub.add_argument("--k", required=True, help="covector k0,k1,k2,k3")
-    sub.add_argument("--tol", type=float, default=ZERO_TOL)
     sub.add_argument("-o", "--output")
 
     sub = command("trace", _cmd_trace, "integrate a null ray, emit CSV")

@@ -178,21 +178,11 @@ def radiation_fix(mode: FourierMode) -> tuple[FourierMode, GaugeFunction]:
     return FourierMode(k=mode.k, eps=eps, amplitude=mode.amplitude), GaugeFunction(chi)
 
 
-def physical_polarizations(k, style: str = "linear") -> tuple[np.ndarray, np.ndarray]:
-    """The two transverse polarization vectors at a null covector.
-
-    ``linear`` returns the lam = 1, 2 vectors of :func:`standard_basis`;
-    ``circular`` the combinations (eps1 +/- i eps2)/sqrt(2).  Both
-    satisfy k^mu eps_mu = 0 and eps_0 = 0.
-    """
+def physical_polarizations(k) -> tuple[np.ndarray, np.ndarray]:
+    """The two linear transverse polarization vectors at a null covector: the
+    lam = 1, 2 vectors of :func:`standard_basis`, with k^mu eps_mu = 0 and eps_0 = 0."""
     basis = standard_basis(k)
-    e1, e2 = basis.eps[1], basis.eps[2]
-    if style == "linear":
-        return e1, e2
-    if style == "circular":
-        inv = 1.0 / np.sqrt(2.0)
-        return (e1 + 1j * e2) * inv, (e1 - 1j * e2) * inv
-    raise InvalidInput(f"unknown polarization style {style!r}")
+    return basis.eps[1], basis.eps[2]
 
 
 def physical_kernel(k) -> np.ndarray:
@@ -242,7 +232,7 @@ class ModeClassification:
 def classify_mode(mode: FourierMode) -> ModeClassification:
     """Decompose a mode into transverse, pure-gauge, and violating parts."""
     k = mode.k
-    t1, t2 = physical_polarizations(k, "linear")
+    t1, t2 = physical_polarizations(k)
     partner = np.array([k[0], -k[1], -k[2], -k[3]], dtype=complex)
     basis = np.column_stack([t1, t2, k.astype(complex), partner])
     coeffs = np.linalg.solve(basis, mode.eps)

@@ -5,8 +5,8 @@ real scalar q; the characteristic set is where q vanishes and the
 numerical kernel of p carries the admissible fiber directions.  The
 decomposition is verified by exact polynomial multiplication, never by
 sampling, so a valid decomposition satisfies the defining identity with
-all-zero residual coefficients.  The zero tests use the rule of ``ZERO_TOL``
-with ``tol`` (default ``ZERO_TOL``): no verdict changes when p, q or k is scaled.
+all-zero residual coefficients.  The zero tests follow the rule of ``ZERO_TOL``,
+so no verdict changes when p, q or k is scaled.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .minkowski import ZERO_TOL, PhaseSpacePoint, check_tolerances, failure_site, scaled_covector
+from .minkowski import ZERO_TOL, PhaseSpacePoint, failure_site, scaled_covector
 from .symbols import ComplexSymbol, MatrixSymbol, check_homogeneity, scalar_coefficients
 
 
@@ -78,55 +78,50 @@ def decompose_principal_type(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pointwise(q: MatrixSymbol, x, k, tol: float) -> tuple:
+def _pointwise(q: MatrixSymbol, x, k) -> tuple:
     """``(q, flow, size, q vanishes, dq/dk vanishes)`` at (x, k), from one evaluation of q's
     Hamilton system: size is ``q.term_bound(x, k)``, and q and dq/dk vanish when |q| and
-    max|k_mu| max|dq/dk|, both of q's degree in k like size, are at most tol * size.
+    max|k_mu| max|dq/dk|, both of q's degree in k like size, are at most ZERO_TOL * size.
     A q or size that is not finite raises :class:`InvalidInput` naming the point."""
     value, flow = q.hamilton(np.concatenate([x, k, [1.0]]))
     size = q.term_bound(x, k)[0, 0]
     if not np.isfinite(value) or not np.isfinite(size):
         raise InvalidInput(f"q(x, k) is not finite at {failure_site(x, k)}")
     dq_dk = np.max(np.abs(k)) * np.max(np.abs(flow[:4]))
-    return value, flow, size, abs(value) <= tol * size, dq_dk <= tol * size
+    return value, flow, size, abs(value) <= ZERO_TOL * size, dq_dk <= ZERO_TOL * size
 
 
-def is_real_principal_type(q: MatrixSymbol, pt: PhaseSpacePoint, tol: float = ZERO_TOL) -> bool:
+def is_real_principal_type(q: MatrixSymbol, pt: PhaseSpacePoint) -> bool:
     """Real-principal-type test for a real scalar symbol at one point.
 
     Off the zero set of q the condition is vacuous.  On it, the Hamilton field
     must neither vanish nor be purely radial, which for the dx/dtau components
     reduces to dq/dk != 0.  Both verdicts are taken at ``scaled_covector(k)``.
     """
-    check_tolerances(tol=tol)
-    *_, q_vanishes, dq_dk_vanishes = _pointwise(q, pt.x, scaled_covector(pt.k), tol)
+    *_, q_vanishes, dq_dk_vanishes = _pointwise(q, pt.x, scaled_covector(pt.k))
     return not (q_vanishes and dq_dk_vanishes)
 
 
-def char_membership(
-    d: PrincipalTypeDecomposition, pt: PhaseSpacePoint, tol: float = ZERO_TOL
-) -> bool:
+def char_membership(d: PrincipalTypeDecomposition, pt: PhaseSpacePoint) -> bool:
     """Whether the point lies on the characteristic set q = 0.
 
-    q counts as zero when |q| <= tol * ``q.term_bound``, the size of its terms, at
+    q counts as zero when |q| <= ZERO_TOL * ``q.term_bound``, the size of its terms, at
     ``scaled_covector(k)``, so membership is scale-free in k and a covector on the
     cone up to rounding belongs.  A complex q raises :class:`ComplexSymbol`.
     """
-    check_tolerances(tol=tol)
-    return bool(_pointwise(d.q, pt.x, scaled_covector(pt.k), tol)[3])
+    return bool(_pointwise(d.q, pt.x, scaled_covector(pt.k))[3])
 
 
-def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = ZERO_TOL) -> tuple:
+def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint) -> tuple:
     """Orthonormal numerical nullspace of p at (x, ``scaled_covector(k)``) by singular values.
 
     Returns ``(vectors, singular_values)``: an ``(m, N)`` array whose rows
     span the kernel, and the N singular values in descending order.  A
     right-singular vector v belongs to the kernel iff p v is zero up to
-    rounding, ``sigma <= tol * |p.term_bound(x, k) @ |v||``, so where p
+    rounding, ``sigma <= ZERO_TOL * |p.term_bound(x, k) @ |v||``, so where p
     vanishes up to rounding the kernel is the whole fiber.  A p(x, k) that
     overflows raises :class:`InvalidInput` naming the point.
     """
-    check_tolerances(tol=tol)
     k = scaled_covector(pt.k)
     with np.errstate(over="ignore", invalid="ignore"):
         mat = p.eval_raw(pt.x, k)
@@ -134,7 +129,7 @@ def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint, tol: float = ZERO_TOL) ->
         raise InvalidInput(f"p(x, k) is not finite at {failure_site(pt.x, pt.k)}")
     _, s, vh = np.linalg.svd(mat)
     scale = np.linalg.norm(p.term_bound(pt.x, k) @ np.abs(vh.T), axis=0)
-    return vh[s <= tol * scale].conj(), s
+    return vh[s <= ZERO_TOL * scale].conj(), s
 
 
 def kernel_residual(p: MatrixSymbol, pt: PhaseSpacePoint, omega: np.ndarray) -> float:

@@ -120,7 +120,6 @@ def trace_ray(
     tau_span: tuple[float, float],
     step: float,
     method: str = "rk4",
-    start_tol: float = ZERO_TOL,
     drift_tol: float = 1e-6,
     rtol: float = 1e-10,
     atol: float = 1e-12,
@@ -130,13 +129,13 @@ def trace_ray(
     ``step`` is the fixed step for rk4 (shrunk uniformly so the span is
     an integer number of steps, at most ``_MAX_STEPS``) and the initial
     step for the adaptive embedded pair.  At ``scaled_covector(k0)`` q must
-    vanish and dq/dk must not, by the rule of ``is_real_principal_type`` with
-    tolerance ``start_tol`` (callers project to the cone first); otherwise it raises
+    vanish and dq/dk must not, by the rule of ``is_real_principal_type`` at
+    ``ZERO_TOL`` (callers project to the cone first); otherwise it raises
     :class:`NonNullStart` or :class:`StationaryStart`, and :class:`InvalidInput`
     where q or its term size there, or q or its flow at the raw k0, is not finite.
     A drift monitor aborts if |q| ever exceeds the absolute bound drift_tol or is
     NaN, since q is conserved by the exact flow and silent drift would poison
-    downstream transport.  The four tolerances must be finite and positive.
+    downstream transport.  The three tolerances must be finite and positive.
     """
     x0 = as_point4(x0, "x0")
     k0 = as_point4(k0, "k0")
@@ -147,7 +146,7 @@ def trace_ray(
         raise InvalidInput(f"step must be positive, got {step}")
     if method not in ("rk4", "adaptive"):
         raise InvalidInput(f"unknown method {method!r}")
-    check_tolerances(start_tol=start_tol, drift_tol=drift_tol, rtol=rtol, atol=atol)
+    check_tolerances(drift_tol=drift_tol, rtol=rtol, atol=atol)
     span = tau1 - tau0
     count = span / step - 1e-9
     if method == "rk4" and not count <= _MAX_STEPS:
@@ -157,10 +156,10 @@ def trace_ray(
 
     # the start's verdicts at scaled_covector(k0); the first stage is at the raw k0
     k_scaled = scaled_covector(k0)
-    q0, f, size, on_cone, stationary = _pointwise(q, x0, k_scaled, start_tol)
+    q0, f, size, on_cone, stationary = _pointwise(q, x0, k_scaled)
     if not on_cone:
         raise NonNullStart(
-            f"|q| = {abs(q0):.3e} exceeds start tolerance {start_tol:.1e} times the term size "
+            f"|q| = {abs(q0):.3e} exceeds start tolerance {ZERO_TOL:.1e} times the term size "
             f"{size:.3e} " + failure_site(x0, k0, "step", 0, tau0)
         )
     if stationary:

@@ -253,20 +253,17 @@ class MatrixSymbol:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def identity(cls, dimension: int, name=None) -> "MatrixSymbol":
-        return cls(dimension, 0, [(_ZERO_EXPO, _ZERO_EXPO, np.eye(dimension))], name=name)
+    def identity(cls, dimension: int) -> "MatrixSymbol":
+        return cls(dimension, 0, [(_ZERO_EXPO, _ZERO_EXPO, np.eye(dimension))])
 
     # -- basic queries ------------------------------------------------
 
     def terms(self, part: str = "principal"):
         """Canonically sorted (x_exp, k_exp, coeff) triples of one part."""
-        return [(xe, ke, m.copy()) for (xe, ke), m in self._part(part)[0].items()]
-
-    def _part(self, part: str) -> tuple[dict, int]:
-        """The terms of one part and the compiled output that evaluates it."""
         if part not in ("principal", "lower"):
             raise InvalidInput(f"unknown symbol part {part!r} (use 'principal' or 'lower')")
-        return (self.principal, VALUE) if part == "principal" else (self.lower, LOWER)
+        terms = self.principal if part == "principal" else self.lower
+        return [(xe, ke, m.copy()) for (xe, ke), m in terms.items()]
 
     # -- calculus -----------------------------------------------------
 
@@ -291,20 +288,20 @@ class MatrixSymbol:
             self._hamilton = HamiltonSystem(self)
         return self._hamilton
 
-    def eval(self, pt: PhaseSpacePoint, part: str = "principal") -> np.ndarray:
-        """Exact polynomial evaluation of one part at (x, k)."""
-        return self.compiled(pt.x, pt.k)[self._part(part)[1]]
+    def eval(self, pt: PhaseSpacePoint) -> np.ndarray:
+        """Exact polynomial evaluation of the principal part at (x, k)."""
+        return self.compiled(pt.x, pt.k)[VALUE]
 
-    def eval_raw(self, x, k, part: str = "principal") -> np.ndarray:
-        """Evaluation on raw arrays of shape (..., 4); gives (..., N, N)."""
-        return self.compiled(x, k)[..., self._part(part)[1], :, :]
+    def eval_raw(self, x, k) -> np.ndarray:
+        """The principal part on raw arrays of shape (..., 4); gives (..., N, N)."""
+        return self.compiled(x, k)[..., VALUE, :, :]
 
     @np.errstate(over="ignore")
     def term_bound(self, x, k) -> np.ndarray:
         """sum_t |C_t| |x^a k^b| over the principal terms at (..., 4) points: (..., N, N).
 
         It bounds |p| entrywise and p's rounding error is a few ulps of it, so
-        a value is zero up to rounding iff |value| <= tol * term_bound.  An
+        a value is zero up to rounding iff |value| <= ZERO_TOL * term_bound.  An
         overflowing sum saturates at the largest double.
         """
         c = self.compiled

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .gauge import FourierMode, ZeroFrequency, standard_basis
-from .minkowski import as_point4, spatial_momentum, unit_momentum
+from .minkowski import _exponent, as_point4, spatial_momentum, unit_momentum
 from .transport import HamiltonOrbit
 
 
@@ -445,8 +445,13 @@ def straightness_track(field: GridField) -> LineTrack:
     coords = grid.coordinates()
     centroids = np.empty((grid.time_slices, 3))
     weight, scratch = np.empty((2, *grid.samples))
+    scaled = np.empty_like(field.data[0])
     for j in range(grid.time_slices):
-        _component_energy(field.data[j], weight, scratch)
+        # the slice times the power of two that puts its largest real or imaginary part in
+        # [1, 2), so no |component| or square overflows and not all of them underflow
+        parts = field.data[j].view(float)
+        np.ldexp(parts, _exponent([parts.max(), parts.min()]), out=scaled.view(float))
+        _component_energy(scaled, weight, scratch)
         total = float(weight.sum())
         if total == 0.0:
             raise DegenerateField(f"time slice {j} carries no energy")
@@ -481,12 +486,15 @@ class CompareTolerances:
 
     def __post_init__(self):
         for name in ("max_distance", "max_angle_deg"):
-            if not getattr(self, name) > 0:
-                raise InvalidInput(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidInput(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not 0.0 < self.min_overlap <= 1.0:
             raise InvalidInput(f"min_overlap must lie in (0, 1], got {self.min_overlap}")
-        if math.isnan(self.max_sideband_db):
-            raise InvalidInput("max_sideband_db must not be NaN")
+        # inside the clamped levels' range, so a clamped level gets the unclamped verdict
+        if not -6000.0 < self.max_sideband_db < 6000.0:
+            raise InvalidInput(
+                f"max_sideband_db must lie in (-6000, 6000), got {self.max_sideband_db}"
+            )
 
 
 @dataclass(frozen=True)
@@ -541,9 +549,9 @@ def _point_to_polyline(point: np.ndarray, polyline: np.ndarray) -> tuple[float, 
 
 
 def _suppression_db(num: float, denom: float) -> float:
-    if denom <= 0.0:
-        return math.inf
-    return 20.0 * math.log10(max(num / denom, 1e-300))
+    """20 log10(num / denom), the ratio clamped to [1e-300, 1e300] so the level is finite."""
+    ratio = num / denom if denom > 0.0 else math.inf
+    return 20.0 * math.log10(min(max(ratio, 1e-300), 1e300))
 
 
 def compare(

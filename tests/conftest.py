@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import polaray
+from polaray.gauge import physical_polarizations
 from polaray.minkowski import PhaseSpacePoint
 from polaray.principal_type import decompose_principal_type, kernel_basis
 from polaray.rays import null_project
@@ -101,6 +102,13 @@ def exact_null_points(rng, n):
     return out
 
 
+def circular_polarizations(k):
+    """The circular transverse pair (e1 +/- i e2)/sqrt(2) of the linear pair at k."""
+    e1, e2 = physical_polarizations(k)
+    inv = 1.0 / np.sqrt(2.0)
+    return (e1 + 1j * e2) * inv, (e1 - 1j * e2) * inv
+
+
 # -- finite-difference oracles (evaluation only) -------------------------
 #
 # The differences are computed in extended precision with an evaluation
@@ -170,7 +178,7 @@ def fd_poisson_bracket(a: MatrixSymbol, b: MatrixSymbol, pt: PhaseSpacePoint, h=
 
 
 def fd_subprincipal(sym: MatrixSymbol, pt: PhaseSpacePoint, h=1e-5):
-    total = sym.eval(pt, "lower").astype(complex)
+    total = _eval_highprec(sym, pt.x, pt.k, "lower").astype(complex)
     for mu in range(4):
         total += 0.5j * fd_mixed_partial(sym, pt, mu, h=h)
     return total

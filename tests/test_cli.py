@@ -11,8 +11,11 @@ import pytest
 
 import polaray
 from polaray.cli import build_parser, run
-from polaray.serialization import read_estimates_json, read_orbit_csv, read_ray_csv, roundtrip
+from polaray.serialization import (
+    read_estimates_json, read_orbit_csv, read_ray_csv, roundtrip, write_estimates_json,
+)
 from polaray.symbols import MatrixSymbol, flat_maxwell, format_symbol_file, scalar_wave
+from polaray.wavepacket import PolarizationEstimate
 
 from conftest import (
     graded_index_symbol,
@@ -54,14 +57,6 @@ class TestCheckType:
             assert code == 0
             verdicts.append([payload[key] for key in ("on_char", "real_principal_type")])
         assert verdicts == [[True, True]] * 3
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
-        code, out, err = run_cli(
-            capsys, "check-type", "--symbol", "flat-maxwell", *CHECK_AT, f"--tol={tol}"
-        )
-        assert code == 1 and not out
-        assert err.startswith("InvalidInput: tol must be finite and positive")
 
     def test_off_cone(self, capsys):
         code, out, _ = run_cli(
@@ -183,6 +178,32 @@ class TestCheckTypeAgreesWithTrace:
         )
         assert code == 0 and json.loads(out)["real_principal_type"] is True
 
+    def test_just_off_the_cone(self, capsys):
+        # |q| / (term size) is about 1e-4 here: off the characteristic set for both
+        at = ("--k", "1.0001,0,0,-1")
+        code, out, _ = run_cli(capsys, "check-type", "--symbol", "flat-maxwell", *CHECK_AT[:2], *at)
+        payload = json.loads(out)
+        assert code == 0 and payload["on_char"] is False and payload["kernel_dimension"] == 0
+        code, out, err = run_cli(
+            capsys, "trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0", *at, "--tau", "0:1",
+            "--step", "0.5",
+        )
+        assert code == 2 and not out and err.startswith("NonNullStart: ")
+
+    # |q| / (term size) is about the offset: on the cone below ZERO_TOL, off above it
+    @pytest.mark.parametrize("offset, on_char", [(0.0, True), (1e-12, True), (1e-8, False),
+                                                 (1e-4, False)])
+    def test_one_tolerance_for_both(self, capsys, offset, on_char):
+        at = ("--k", f"{1 + offset!r},0,0,-1")
+        code, out, _ = run_cli(capsys, "check-type", "--symbol", "flat-maxwell", *CHECK_AT[:2], *at)
+        assert code == 0 and json.loads(out)["on_char"] is on_char
+        code, _, err = run_cli(
+            capsys, "trace", "--symbol", "flat-maxwell", "--x0", "0,0,0,0", *at, "--tau", "0:1",
+            "--step", "0.5",
+        )
+        assert code == (0 if on_char else 2)
+        assert on_char or err.startswith("NonNullStart: ")
+
 
 class TestTrace:
     def test_closed_form_last_row(self, capsys, tmp_path):
@@ -233,7 +254,7 @@ class TestTrace:
             ("trace", "--symbol", "flat-maxwell", "--x0", "0,0,0", "--k", "1,0,0,-1",
              "--tau", "0:1", "--step", "0.01"),
             ("check-type", "--symbol", "flat-maxwell", "--point", "0,0,0,0",
-             "--k", "1,0,0,-1", "--tol", "-1"),
+             "--k", "0,0,0,0"),
             ("estimate", "--field", str(field_path), "--centers", "0,0,0,0",
              "--window", "2.0", "--threshold", "1.5"),
         ]
@@ -357,7 +378,11 @@ class TestErrorContract:
             ((*SYNTH, "--extent", "nan,16,16"), None,
              "InvalidInput: grid extents must be finite and positive, got (nan, 16.0, 16.0)"),
             (("compare", "--estimates", "e.json", "--orbit", "o.csv", "--max-sideband-db", "nan"),
-             None, "InvalidInput: max_sideband_db must not be NaN"),
+             None, "InvalidInput: max_sideband_db must lie in (-6000, 6000), got nan"),
+            (("compare", "--estimates", "e.json", "--orbit", "o.csv", "--max-sideband-db", "inf"),
+             None, "InvalidInput: max_sideband_db must lie in (-6000, 6000), got inf"),
+            (("compare", "--estimates", "e.json", "--orbit", "o.csv", "--max-distance", "inf"),
+             None, "InvalidInput: max_distance must be finite and positive, got inf"),
             (("check-type", "--symbol", "scaled-wave", "--scale", "1+x3^1000000", *CHECK_AT), None,
              "InvalidInput: term degree 1000002 exceeds the maximum of 64"),
             (("check-type", "--symbol-file", "p.txt", *CHECK_AT),
@@ -393,6 +418,8 @@ class TestErrorContract:
              "InvalidInput: unrecognized arguments: --config p.txt"),
             (("--config", "p.txt", "trace", *TRACE_FLAT, "--step", "0.5"), None,
              "InvalidInput: unrecognized arguments: --config"),
+            (("check-type", "--symbol", "flat-maxwell", *CHECK_AT, "--tol", "1e-3"), None,
+             "InvalidInput: unrecognized arguments: --tol 1e-3"),
             (("gauge", "--k", "1,0,0,-1", "--eps", "nan,0,0,0"), None,
              "InvalidInput: eps has non-finite components"),
             (("synth", "--k=-1e-16,1e-16,0,0", *SYNTH[3:], "--extent", "16,16,16"), None,
@@ -416,10 +443,12 @@ class TestErrorContract:
             "nan-omega0", "inf-omega0-imag", "overflowing-null-test", "fractional-power",
             "int64-power", "int64-file-exponent", "fractional-order", "fractional-dimension",
             "fractional-tslices", "nan-drift", "nan-drift-adaptive", "nan-start", "nan-tstep",
-            "nan-extent", "nan-sideband", "degree-cap-scale", "degree-cap-file", "overflowing-p",
+            "nan-extent", "nan-sideband", "inf-sideband", "inf-distance",
+            "degree-cap-scale", "degree-cap-file", "overflowing-p",
             "scalar-hint", "x-free-position-overflow", "maxwell-scale", "scalar-wave-dimension",
             "symbol-and-file", "file-scale-dimension", "no-source", "tau-no-colon",
             "tau-not-a-number", "no-centers", "config-is-gone", "config-before-subcommand",
+            "tol-is-gone",
             "nan-eps", "tiny-k0",
             "mixed-degree-hint", "dangling-sign", "empty-factor", "zero-tslices", "zero-sigma",
             "stationary-trace", "stationary-transport",
@@ -690,6 +719,25 @@ class TestPipeline:
         )
         assert code == 3
         assert json.loads(out)["passed"] is False
+
+    def test_timelike_estimate_writes_strict_json(self, capsys, tmp_path):
+        # no transverse part: both sideband levels take the largest finite value
+        orbit_path = tmp_path / "orbit.csv"
+        run_cli(
+            capsys,
+            "transport", "--symbol", "flat-maxwell", "--x0", "0,0,0,0", "--k", K_PI,
+            "--tau", "0:0.1", "--step", "0.001", "--omega0", "0,1,0,0", "-o", str(orbit_path),
+        )
+        est_path = tmp_path / "est.json"
+        timelike = PolarizationEstimate(np.zeros(4), [0, 0, 1], float(PI), [1, 0, 0, 0], 1.0)
+        write_estimates_json(str(est_path), [timelike])
+        code, out, err = run_cli(
+            capsys, "compare", "--estimates", str(est_path), "--orbit", str(orbit_path)
+        )
+        assert code == 3 and not err
+        report = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        entry = report["entries"][0]
+        assert entry["timelike_db"] == entry["longitudinal_db"] == 6000.0
 
 
 class TestEstimateWritesJson:

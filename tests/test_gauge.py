@@ -20,7 +20,7 @@ from polaray.gauge import (
 )
 from polaray.minkowski import ZeroSpatialPart, spatial_momentum
 
-from conftest import random_null_covector
+from conftest import circular_polarizations, random_null_covector
 from oracles import completeness_residual, pairing_matrix, subspace_angle_max, transverse_oracle
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -184,24 +184,25 @@ class TestRadiationFix:
 
 class TestPhysicalPolarizations:
     def test_linear_canonical(self):
-        e1, e2 = physical_polarizations(K_Z, "linear")
+        e1, e2 = physical_polarizations(K_Z)
         assert np.array_equal(e1, np.array([0, 1, 0, 0], dtype=complex))
         assert np.array_equal(e2, np.array([0, 0, 1, 0], dtype=complex))
 
     def test_circular_canonical(self):
-        ep, em = physical_polarizations(K_Z, "circular")
+        ep, em = circular_polarizations(K_Z)
         np.testing.assert_allclose(ep, np.array([0, 1, 1j, 0]) / np.sqrt(2), atol=1e-15)
         np.testing.assert_allclose(em, np.array([0, 1, -1j, 0]) / np.sqrt(2), atol=1e-15)
 
+    def test_linear_pair_only(self):
+        # a circular pair is built from the linear one, as circular_polarizations does
+        with pytest.raises(TypeError, match="unexpected keyword argument 'style'"):
+            physical_polarizations(K_Z, style="circular")
+
     def test_pythagorean_direction_constraints(self):
         k = np.array([5.0, 3.0, 4.0, 0.0])
-        for eps in physical_polarizations(k, "linear"):
+        for eps in (*physical_polarizations(k), *circular_polarizations(k)):
             assert abs(minkowski_pairing(k, eps)) <= 1e-12
             assert abs(eps[0]) <= 1e-12
-
-    def test_unknown_style(self):
-        with pytest.raises(InvalidInput):
-            physical_polarizations(K_Z, "elliptic")
 
 
 class TestPhysicalKernel:

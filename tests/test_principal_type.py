@@ -200,8 +200,8 @@ class TestCharKernelConsistency:
         ]
         assert len(pts) >= 950
         for pt in pts:
-            on_char = char_membership(maxwell_decomposition, pt, tol=1e-10)
-            dim = len(kernel_basis(maxwell, pt, tol=1e-10)[0])
+            on_char = char_membership(maxwell_decomposition, pt)
+            dim = len(kernel_basis(maxwell, pt)[0])
             assert on_char == (dim > 0)
 
     @pytest.mark.parametrize("delta", [0, 3e-11, 9e-11, 1.2e-10, 1.5e-10, 1.8e-10, 3e-10, 1e-6])

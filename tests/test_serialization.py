@@ -544,6 +544,10 @@ def _swap_rows(raw: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def _header_only(raw: bytes) -> bytes:
+    return b"".join(raw.splitlines(keepends=True)[:2])
+
+
 def _nan_last_sample(raw: bytes) -> bytes:
     return raw[:-8] + np.array(math.nan).tobytes()
 
@@ -561,6 +565,8 @@ CORRUPTIONS = {
     ),
     "ray nan q": ("ray", _data_row(2, _field(-1, b"nan")), "line 5: non-finite"),
     "ray decreasing tau": ("ray", _swap_rows, "increasing"),
+    "ray header only": ("ray", _header_only, "ray csv: a ray needs at least one sample"),
+    "orbit header only": ("orbit", _header_only, "a ray needs at least one sample"),
     "orbit nan residual": ("orbit", _data_row(0, _field(-1, b"nan")), "line 3: non-finite"),
     "orbit nan omega imaginary part": (
         "orbit", _data_row(1, _field(11, b"nan")), "line 4: non-finite"

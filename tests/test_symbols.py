@@ -12,6 +12,7 @@ from polaray.errors import DimensionMismatch, InvalidInput, ParseError
 from polaray.minkowski import PhaseSpacePoint
 from polaray.symbols import (
     GRAD,
+    LOWER,
     MAX_DEGREE,
     VALUE,
     _as_expo,
@@ -55,10 +56,10 @@ def scaled_example():
 
 class TestEval:
     def test_maxwell_on_cone_vanishes(self, maxwell):
-        assert np.array_equal(maxwell.eval(NULL_PT, "principal"), np.zeros((4, 4)))
+        assert np.array_equal(maxwell.eval(NULL_PT), np.zeros((4, 4)))
 
     def test_maxwell_timelike_is_identity(self, maxwell):
-        assert np.array_equal(maxwell.eval(TIME_PT, "principal"), np.eye(4))
+        assert np.array_equal(maxwell.eval(TIME_PT), np.eye(4))
 
     def test_scaled_wave_on_cone(self):
         pt = PhaseSpacePoint([0, 0, 0, 1], [1, 0, 0, -1])
@@ -69,11 +70,22 @@ class TestEval:
             1, 2, [((0,) * 4, (2, 0, 0, 0), [[1.0]])], [((0,) * 4, (1, 0, 0, 0), [[1.0]])]
         )
         pt = PhaseSpacePoint([0, 0, 0, 0], [3, 0, 0, 0])
-        assert sym.eval(pt, "lower")[0, 0] == 3.0
+        assert sym.compiled(pt.x, pt.k)[LOWER][0, 0] == 3.0
 
     def test_bad_part_name(self, maxwell):
         with pytest.raises(InvalidInput):
-            maxwell.eval(NULL_PT, "middle")
+            maxwell.terms("middle")
+
+    @pytest.mark.parametrize("call", ["eval", "eval_raw"])
+    def test_evaluates_the_principal_part_only(self, maxwell, call):
+        args = (NULL_PT,) if call == "eval" else (NULL_PT.x, NULL_PT.k)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'part'"):
+            getattr(maxwell, call)(*args, part="lower")
+
+    def test_identity_takes_no_name(self):
+        assert same_terms(MatrixSymbol.identity(2), MatrixSymbol(2, 0, [((0,) * 4, (0,) * 4, np.eye(2))]))
+        with pytest.raises(TypeError, match="unexpected keyword argument 'name'"):
+            MatrixSymbol.identity(2, name="I")
 
 
 class TestDifferentiate:
@@ -543,7 +555,7 @@ class TestCompiledSymbol:
         jet = sym.compiled(pt.x, pt.k)
         expected = [sym.eval(pt), *(sym.diff_x(mu).eval(pt) for mu in range(4))]
         expected += [sym.diff_k(mu).eval(pt) for mu in range(4)]
-        expected.append(sym.eval(pt, "lower"))
+        expected.append(MatrixSymbol(sym.dimension, sym.order - 1, sym.terms("lower")).eval(pt))
         principal = MatrixSymbol(sym.dimension, sym.order, sym.terms("principal"))
         mixed = sum(principal.diff_x(mu).diff_k(mu).eval(pt) for mu in range(4))
         expected.append(mixed)

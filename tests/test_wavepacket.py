@@ -34,6 +34,7 @@ from polaray.wavepacket import (
     windowed_spectrum,
 )
 
+from conftest import circular_polarizations
 from oracles import scalar_component_flags
 
 L = 16.0
@@ -272,7 +273,7 @@ class TestEstimates:
 
     def test_circular_polarization_overlap(self):
         kcov, _, _ = carrier([0, 0, 8])
-        plus, minus = physical_polarizations(kcov, "circular")
+        plus, minus = circular_polarizations(kcov)
         field = synthesize(WavePacketSpec(FourierMode(kcov, plus), np.zeros(4), 2.0), small_grid())
         e = estimate_polarization_set(field, [np.zeros(4)], 2.0, 0.2)[0]
         assert abs(np.vdot(e.omega_hat, plus)) >= 0.99
@@ -665,14 +666,39 @@ class TestStraightnessTrack:
             small_grid(n=32, nt=3, dt=0.4),
         )
         unit = straightness_track(field)
-        for scale in (2.0**-60, 2.0**-300):
+        for scale in (2.0**-60, 2.0**-300, 2.0**-540):
+            # each slice is rescaled by a power of two before squaring: the same bits
             track = straightness_track(GridField(field.grid, field.data * scale))
-            assert track.speed == pytest.approx(unit.speed, rel=1e-12, abs=0)
-            np.testing.assert_allclose(track.direction, unit.direction, rtol=1e-12, atol=1e-300)
+            assert track.speed == unit.speed and np.array_equal(track.direction, unit.direction)
+        # 1e160 is no power of two, so the field's bits change; its square would overflow
+        track = straightness_track(GridField(field.grid, field.data * 1e160))
+        assert track.speed == pytest.approx(unit.speed, rel=1e-15, abs=0)
+        np.testing.assert_allclose(track.direction, unit.direction, rtol=0, atol=1e-15)
+        # re = im everywhere and the largest part at the top exponent: |component| overflows
+        even = np.abs(field.data) * (1 + 1j)
+        parts = even.view(float)
+        top = GridField(field.grid, np.ldexp(parts, 1024 - np.frexp(parts.max())[1]).view(complex))
+        base = straightness_track(GridField(field.grid, even))
+        track = straightness_track(top)
+        assert track.speed == base.speed and np.array_equal(track.direction, base.direction)
         data = field.data.copy()
         data[1] = 0.0
         with pytest.raises(DegenerateField, match="time slice 1 carries no energy"):
             straightness_track(GridField(field.grid, data))
+
+    @pytest.mark.parametrize("exponents", [(-1000, 0, 0), (0, 1000, -1000), (-540, -540, 900)])
+    def test_each_slice_is_scaled_on_its_own(self, exponents):
+        # the centroid of a slice is energy-weighted, so a power of two per slice keeps its bits
+        kcov, _, _ = carrier([0, 0, 8])
+        field = synthesize(
+            WavePacketSpec(FourierMode(kcov, [0, 1, 0, 0]), np.array([0, 0, 0, -1.0]), 2.0),
+            small_grid(n=32, nt=3, dt=0.4),
+        )
+        unit = straightness_track(field)
+        scale = np.array([2.0**e for e in exponents]).reshape(3, 1, 1, 1, 1)
+        track = straightness_track(GridField(field.grid, field.data * scale))
+        assert track.speed == unit.speed and np.array_equal(track.direction, unit.direction)
+        assert track.line_residual == unit.line_residual
 
     def test_needs_three_slices(self):
         kcov, _, _ = carrier([0, 0, 8])
@@ -761,21 +787,30 @@ class TestCompare:
         report = compare(estimates, rotated, CompareTolerances(max_distance=1.0))
         assert not report.passed
         assert all(e.overlap <= 0.1 for e in report.entries)
-        # a purely time-like estimate has no transverse part: an infinite sideband level
+        # a purely time-like estimate has no transverse part: the largest sideband level
         timelike = [dataclasses.replace(e, omega_hat=[1, 0, 0, 0]) for e in estimates]
         report = compare(timelike, orbit, CompareTolerances(max_distance=1.0))
         assert not report.passed
-        assert all(e.timelike_db == math.inf for e in report.entries)
+        assert all(e.timelike_db == e.longitudinal_db == 6000.0 for e in report.entries)
+        # the loosest gate still refuses it, as it would the unclamped level
+        loose = CompareTolerances(max_distance=1.0, max_sideband_db=5999.0)
+        report = compare(timelike, orbit, loose)
+        assert not any(e.passed for e in report.entries)
 
     @pytest.mark.parametrize(
         "bad",
         [
             {"max_distance": -1.0},
             {"max_distance": math.nan},
+            {"max_distance": math.inf},
             {"max_angle_deg": 0.0},
+            {"max_angle_deg": math.inf},
             {"min_overlap": 5.0},
             {"min_overlap": 0.0},
             {"max_sideband_db": math.nan},
+            {"max_sideband_db": math.inf},
+            {"max_sideband_db": 6000.0},
+            {"max_sideband_db": -6000.0},
         ],
     )
     def test_tolerances_are_checked(self, bad):

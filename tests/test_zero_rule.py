@@ -216,14 +216,7 @@ def test_verdicts_do_not_depend_on_scale(name, c, s):
 
 # -- tolerances are finite and positive -----------------------------------------
 
-MAXWELL = decompose_principal_type(flat_maxwell())
-NULL_PT = PhaseSpacePoint(X, NULL_K)
-
 TOLERANCE_USES = {
-    "char_membership": lambda tol: char_membership(MAXWELL, NULL_PT, tol=tol),
-    "kernel_basis": lambda tol: kernel_basis(MAXWELL.p, NULL_PT, tol=tol),
-    "is_real_principal_type": lambda tol: is_real_principal_type(MAXWELL.q, NULL_PT, tol=tol),
-    "start_tol": lambda tol: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, start_tol=tol),
     "drift_tol": lambda tol: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, drift_tol=tol),
     "rtol": lambda tol: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, "adaptive", rtol=tol),
     "atol": lambda tol: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, "adaptive", atol=tol),
@@ -235,3 +228,22 @@ TOLERANCE_USES = {
 def test_tolerances_must_be_finite_and_positive(use, tol):
     with pytest.raises(InvalidInput, match="must be finite and positive"):
         TOLERANCE_USES[use](tol)
+
+
+# -- the zero rule's tolerance is the constant ZERO_TOL, not a parameter --------
+
+PT = PhaseSpacePoint(X, NULL_K)
+TOLERANCE_COPIES = {
+    "kernel_basis tol": lambda: kernel_basis(flat_maxwell(), PT, tol=1e-3),
+    "char_membership tol": lambda: char_membership(decompose_principal_type(flat_maxwell()), PT,
+                                                   tol=1e-3),
+    "is_real_principal_type tol": lambda: is_real_principal_type(SCALED_WAVE, PT, tol=1e-3),
+    "trace_ray start_tol": lambda: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, start_tol=1.0),
+}
+
+
+@pytest.mark.parametrize("use", TOLERANCE_COPIES)
+def test_no_settable_copy_of_the_zero_tolerance(use):
+    keyword = use.split()[-1]
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        TOLERANCE_COPIES[use]()
