@@ -30,9 +30,8 @@ from .gauge import (
 from .minkowski import PhaseSpacePoint, scaled_covector
 from .principal_type import (
     PrincipalTypeDecomposition,
-    char_membership,
+    _pointwise,
     decompose_principal_type,
-    is_real_principal_type,
     kernel_basis,
 )
 from .rays import null_project, trace_ray
@@ -142,14 +141,15 @@ def _cmd_check_type(args) -> int:
     decomp = _decompose(args)
     pt = PhaseSpacePoint(_parse_reals(args.point, 4, "--point"), _parse_reals(args.k, 4, "--k"))
     vectors, singular_values = kernel_basis(decomp.p, pt)
+    q_value, _, _, on_char, stationary = _pointwise(decomp.q, pt.x, scaled_covector(pt.k))
     result = {
         "symbol": decomp.p.name or "file",
         "point": [float(v) for v in pt.x],
         "k": [float(v) for v in pt.k],
         "q": pretty(decomp.q),
-        "q_value": float(decomp.q.eval_raw(pt.x, scaled_covector(pt.k))[0, 0].real),
-        "real_principal_type": is_real_principal_type(decomp.q, pt),
-        "on_char": char_membership(decomp, pt),
+        "q_value": float(q_value),
+        "real_principal_type": not (on_char and stationary),
+        "on_char": bool(on_char),
         "kernel_dimension": len(vectors),
         "singular_values": [float(s) for s in singular_values],
     }

@@ -24,6 +24,9 @@ SIGNATURE = (1.0, -1.0, -1.0, -1.0)
 # The zero rule: a value is zero up to rounding when |value| <= ZERO_TOL * the summed sizes
 # of the terms it is made of, so scaling a symbol or a covector changes no verdict.
 ZERO_TOL = 1e-10
+# The drift rule: a value the exact flow keeps at zero (q along a ray, p omega along an
+# orbit) has drifted when it exceeds DRIFT_TOL * the size of its terms at the start.
+DRIFT_TOL = 1e-7
 
 
 class InvalidPoint(InvalidInput, ValueError):
@@ -45,13 +48,6 @@ def as_point4(x, name: str = "point") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidPoint(f"{name} has non-finite components: {arr}")
     return arr
-
-
-def check_tolerances(**tolerances) -> None:
-    """Refuse, by name, each tolerance argument that is not finite and positive."""
-    for name, value in tolerances.items():
-        if not 0 < value < float("inf"):
-            raise InvalidInput(f"{name} must be finite and positive, got {value}")
 
 
 def _exponent(v) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .minkowski import ZERO_TOL, PhaseSpacePoint, failure_site, scaled_covector
+from .minkowski import ZERO_TOL, PhaseSpacePoint, _exponent, failure_site, scaled_covector
 from .symbols import ComplexSymbol, MatrixSymbol, check_homogeneity, scalar_coefficients
 
 
@@ -132,6 +132,7 @@ def kernel_basis(p: MatrixSymbol, pt: PhaseSpacePoint) -> tuple:
     return vh[s <= ZERO_TOL * scale].conj(), s
 
 
+@np.errstate(over="ignore")  # a sum of squares that overflows is taken again scaled
 def kernel_residual(p: MatrixSymbol, pt: PhaseSpacePoint, omega: np.ndarray) -> float:
     """|p(x,k) w| / |w|, the fiber-membership residual of a vector."""
     omega = np.asarray(omega, dtype=complex)
@@ -142,6 +143,13 @@ def kernel_residual(p: MatrixSymbol, pt: PhaseSpacePoint, omega: np.ndarray) -> 
 
 
 def _fiber_norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a complex array by that function's own sum, sqrt(re.re + im.im)."""
+    """``np.linalg.norm`` of a complex array by that function's own sum, sqrt(re.re + im.im);
+    a sum that over- or underflows is taken again on v scaled by a power of two."""
     v = v.ravel(order="K")
-    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    total = v.real.dot(v.real) + v.imag.dot(v.imag)
+    if 2.0**-900 <= total <= 2.0**900:
+        return math.sqrt(total)
+    n = _exponent(np.fmax(np.abs(v.real), np.abs(v.imag)))
+    w = np.empty_like(v, dtype=complex)  # strided like v's parts, so the dots sum alike
+    w.real, w.imag = np.ldexp(v.real, n), np.ldexp(v.imag, n)
+    return math.ldexp(math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag)), -n)

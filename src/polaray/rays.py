@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .minkowski import (
-    ZERO_TOL, PhaseSpacePoint, ZeroSpatialPart, _norm, as_point4, check_tolerances, failure_site,
+    DRIFT_TOL, ZERO_TOL, PhaseSpacePoint, ZeroSpatialPart, _norm, as_point4, failure_site,
     scaled_covector,
 )
 from .principal_type import _pointwise
@@ -94,14 +94,15 @@ def null_project(k, branch: str = "+") -> np.ndarray:
 # the most steps one trace may take: rk4 steps, or adaptive attempts
 # (accepted or rejected) before the adaptive trace gives up
 _MAX_STEPS = 10_000_000
+_RTOL, _ATOL = 1e-10, 1e-12  # the adaptive pair's relative and absolute error weights
 
 
-def _check_drift(q: float, drift_tol: float, i: int, tau: float, y: np.ndarray) -> None:
-    """Abort the trace when |q| after step i exceeds the drift bound or is NaN."""
-    if not abs(q) <= drift_tol:
+def _check_drift(q: float, size: float, i: int, tau: float, y: np.ndarray) -> None:
+    """Abort the trace when |q| after step i exceeds DRIFT_TOL * size or is NaN."""
+    if not abs(q) <= DRIFT_TOL * size:
         raise ConstraintDrift(
-            f"|q| = {abs(q):.3e} exceeded drift bound {drift_tol:.1e} "
-            + failure_site(y[:4], y[4:8], "step", i, tau)
+            f"|q| = {abs(q):.3e} exceeded drift bound {DRIFT_TOL:.1e} times the start's "
+            f"term size {size:.3e} " + failure_site(y[:4], y[4:8], "step", i, tau)
         )
 
 
@@ -114,15 +115,7 @@ def _ray(tau, ys, qs, method: str, step: float) -> Ray:
 # overflow and NaN are reported by the |q| checks after every step
 @np.errstate(over="ignore", invalid="ignore")
 def trace_ray(
-    q: MatrixSymbol,
-    x0,
-    k0,
-    tau_span: tuple[float, float],
-    step: float,
-    method: str = "rk4",
-    drift_tol: float = 1e-6,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    q: MatrixSymbol, x0, k0, tau_span: tuple[float, float], step: float, method: str = "rk4"
 ) -> Ray:
     """Integrate the Hamilton flow of q from (x0, k0) over tau_span.
 
@@ -133,9 +126,9 @@ def trace_ray(
     ``ZERO_TOL`` (callers project to the cone first); otherwise it raises
     :class:`NonNullStart` or :class:`StationaryStart`, and :class:`InvalidInput`
     where q or its term size there, or q or its flow at the raw k0, is not finite.
-    A drift monitor aborts if |q| ever exceeds the absolute bound drift_tol or is
-    NaN, since q is conserved by the exact flow and silent drift would poison
-    downstream transport.  The three tolerances must be finite and positive.
+    A drift monitor raises :class:`ConstraintDrift` if |q| after a step exceeds
+    ``DRIFT_TOL`` times the start's term size ``q.term_bound(x0, k0)`` or is NaN, since
+    q is conserved by the exact flow and silent drift would poison downstream transport.
     """
     x0 = as_point4(x0, "x0")
     k0 = as_point4(k0, "k0")
@@ -146,7 +139,6 @@ def trace_ray(
         raise InvalidInput(f"step must be positive, got {step}")
     if method not in ("rk4", "adaptive"):
         raise InvalidInput(f"unknown method {method!r}")
-    check_tolerances(drift_tol=drift_tol, rtol=rtol, atol=atol)
     span = tau1 - tau0
     count = span / step - 1e-9
     if method == "rk4" and not count <= _MAX_STEPS:
@@ -172,6 +164,7 @@ def trace_ray(
     y = np.concatenate([x0, k0, [1.0]])
     if not np.array_equal(k_scaled, k0):
         q0, f = system(y)
+        size = q.term_bound(x0, k0)[0, 0]
         if not (np.isfinite(q0) and np.isfinite(f).all()):
             raise InvalidInput(f"q(x, k) or its flow is not finite at {failure_site(x0, k0)}")
     if span == 0.0:
@@ -214,10 +207,10 @@ def trace_ray(
             # the next step's first stage also gives q for the drift check
             system.into(y, stages[0])
             qs[i + 1] = stages[0, 0]
-            _check_drift(qs[i + 1], drift_tol, i + 1, tau[i + 1], y)
+            _check_drift(qs[i + 1], size, i + 1, tau[i + 1], y)
         return _ray(tau, ys, qs, "rk4", h)
 
-    return _trace_adaptive(system, y, q0, f, tau0, tau1, step, drift_tol, rtol, atol)
+    return _trace_adaptive(system, y, q0, f, size, tau0, tau1, step)
 
 
 # Dormand-Prince 5(4) tableau, A zero-padded to 7 x 7: stage i is
@@ -236,13 +229,14 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 
 _DP_E = _DP_A[6] - _DP_B4
 
 
-def _trace_adaptive(system: HamiltonSystem, y, q0, f, tau0, tau1, h0, drift_tol, rtol, atol):
+def _trace_adaptive(system: HamiltonSystem, y, q0, f, size, tau0, tau1, h0):
     taus = [tau0]
     ys = [y]
     qs = [q0]
     tau = tau0
     h = min(h0, tau1 - tau0)
-    h_min = 16 * np.finfo(float).eps * max(abs(tau0), abs(tau1), 1.0)
+    # relative to the span's end points, so a span scaled with 1/|k| keeps its step count
+    h_min = 16 * np.finfo(float).eps * max(abs(tau0), abs(tau1))
     # stage i's (q, dy/dtau) in row i; a rejected attempt leaves row 0, the flow at y, as is
     out = np.empty((7, 10))
     out[0, 0], out[0, 1:] = q0, f
@@ -260,12 +254,12 @@ def _trace_adaptive(system: HamiltonSystem, y, q0, f, tau0, tau1, h0, drift_tol,
         for i in range(1, 7):
             system.into(np.add(y, np.matmul(ha[i, :i], stages[:i], out=yi), out=yi), out[i])
         err_y = h * (_DP_E @ stages)
-        err = np.max(np.abs(err_y) / (atol + rtol * np.maximum(np.abs(y), np.abs(yi))))
+        err = np.max(np.abs(err_y) / (_ATOL + _RTOL * np.maximum(np.abs(y), np.abs(yi))))
         if err <= 1.0:
             tau += h
             y, out[0] = yi.copy(), out[6]
             qi = out[6, 0]
-            _check_drift(qi, drift_tol, len(taus), tau, y)
+            _check_drift(qi, size, len(taus), tau, y)
             taus.append(tau)
             ys.append(y)
             qs.append(qi)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .minkowski import PhaseSpacePoint, check_tolerances, failure_site
+from .minkowski import DRIFT_TOL, PhaseSpacePoint, failure_site
 from .principal_type import PrincipalTypeDecomposition, _fiber_norm, kernel_basis, kernel_residual
 from .rays import Ray
 from .symbols import connection_matrices
@@ -73,12 +73,7 @@ def connection_matrix(d: PrincipalTypeDecomposition, pt: PhaseSpacePoint) -> np.
     return connection_matrices(d.p_tilde, d.p, pt.x, pt.k)
 
 
-def transport(
-    d: PrincipalTypeDecomposition,
-    ray: Ray,
-    omega0,
-    residual_tol: float = 1e-6,
-) -> HamiltonOrbit:
+def transport(d: PrincipalTypeDecomposition, ray: Ray, omega0) -> HamiltonOrbit:
     """Transport a fiber vector along a ray: d omega/dtau = -M omega.
 
     Integration reuses the ray's tau grid with one RK4 step per interval.
@@ -94,11 +89,11 @@ def transport(
     Raises
     ------
     InvalidInput
-        If omega0 is not N finite components or ``residual_tol`` is not
-        finite and positive.
+        If omega0 is not N finite components.
     KernelEscape
-        If the kernel residual |p omega| / |omega| exceeds
-        ``residual_tol`` or is NaN at any sample, including the start.
+        If the kernel residual |p omega| / |omega| exceeds ``DRIFT_TOL`` times the
+        largest entry of ``d.p.term_bound`` at the ray's start (for p = q I, the
+        ray's drift bound) or is NaN at any sample, including the start.
     """
     omega0 = np.asarray(omega0, dtype=complex)
     dim = d.p.dimension
@@ -106,7 +101,6 @@ def transport(
         raise InvalidInput(f"omega0 must have shape ({dim},)")
     if not np.all(np.isfinite(omega0)):
         raise InvalidInput(f"omega0 has non-finite components: {omega0}")
-    check_tolerances(residual_tol=residual_tol)
     n = len(ray)
     # a constant p~ is invertible, so on the cone p's kernel is the whole fiber
     m = dim if d.p_tilde.compiled.constant else len(kernel_basis(d.p, ray.point(0))[0])
@@ -140,9 +134,11 @@ def transport(
 
     residuals = _orbit_residuals(d, ray, omega)
     worst = int(np.argmax(residuals))
-    if not residuals[worst] <= residual_tol:
+    size = np.max(d.p.term_bound(ray.x[0], ray.k[0]))
+    if not residuals[worst] <= DRIFT_TOL * size:
         raise KernelEscape(
-            f"kernel residual {residuals[worst]:.3e} exceeds {residual_tol:.1e} "
+            f"kernel residual {residuals[worst]:.3e} exceeds {DRIFT_TOL:.1e} times the start's "
+            f"term size {size:.3e} "
             + failure_site(ray.x[worst], ray.k[worst], "sample", worst, ray.tau[worst])
         )
     return HamiltonOrbit(ray=ray, omega=omega, residuals=residuals, reprojected=0 < m < dim)
@@ -161,6 +157,7 @@ def _orbit_residuals(d: PrincipalTypeDecomposition, ray: Ray, omega: np.ndarray)
     )
 
 
+@np.errstate(over="ignore")  # a sum of squares that overflows is taken again scaled
 def project_wavefront(samples):
     """Base points (x, k) of all samples with a nonzero fiber vector.
 

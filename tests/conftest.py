@@ -276,6 +276,12 @@ def weyl_start(spatial=(1.2, 0.0, 0.6), grade=0.1):
     return x, k, vectors[0]
 
 
+def bits(a, b) -> bool:
+    """Whether two float or complex arrays hold the same bits, signed zeros and NaNs included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def observed_orders(ends) -> list[float]:
     """Convergence orders from end states at successively halved steps."""
     gaps = [float(np.max(np.abs(b - a))) for a, b in zip(ends, ends[1:])]

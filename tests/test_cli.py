@@ -369,7 +369,8 @@ class TestErrorContract:
              "ParseError: symbol file line 1"),
             ((*SYNTH, "--extent", "16,16,16", "--tslices", "2.5"), None,
              "InvalidInput: argument --tslices"),
-            (X8_DRIFT, None, "ConstraintDrift: |q| = nan exceeded drift bound 1.0e-06 at step 1,"),
+            (X8_DRIFT, None, "ConstraintDrift: |q| = nan exceeded drift bound 1.0e-07 times the "
+             "start's term size 2.189e+00 at step 1,"),
             ((*X8_DRIFT, "--method", "adaptive"), None, "ConstraintDrift: |q| = "),
             (X8_OVERFLOW, None,
              "InvalidInput: q(x, k) is not finite at x = (0, 0, 0, 1e+40), k = (1, 0, 0, -1)"),

@@ -237,12 +237,24 @@ class TestCharKernelConsistency:
             if n % 2:  # put a few special entries in at random places
                 v[rng.integers(4, size=2)] = rng.choice(specials, size=2)
             with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e200 overflow
-                want = float(np.linalg.norm(v))
-                residual = float(np.linalg.norm(maxwell.eval(pt) @ v)) / want if want else 0.0
+                want = norm_by_parts(v)
+                residual = norm_by_parts(maxwell.eval(pt) @ v) / want if want else 0.0
                 got = [_fiber_norm(v), kernel_residual(maxwell, pt, v)]
             assert np.array(got).view(np.uint64).tolist() == (
                 np.array([want, residual]).view(np.uint64).tolist()
             )
+
+    @pytest.mark.parametrize("e", [-1000, -600, -300, 300, 600, 1000])
+    def test_norms_scale_exactly_by_powers_of_two(self, maxwell, rng, e):
+        # 2^e v and p(x, 2^(e/2) k) keep the bits of v and p(x, k) scaled by 2^e
+        for _ in range(50):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            big = np.ldexp(v.real, e) + 1j * np.ldexp(v.imag, e)
+            with np.errstate(over="ignore"):  # as kernel_residual and project_wavefront call it
+                assert _fiber_norm(big) == math.ldexp(_fiber_norm(v), e) > 0.0
+            x, k = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+            got = kernel_residual(maxwell, PhaseSpacePoint(x, np.ldexp(k, e // 2)), v)
+            assert got == math.ldexp(kernel_residual(maxwell, PhaseSpacePoint(x, k), v), e)
 
     def test_fiber_linearity(self, maxwell, rng):
         for k in EXACT_NULL_COVECTORS[:5]:
@@ -251,6 +263,19 @@ class TestCharKernelConsistency:
             for v in vectors:
                 for phase in (1j, np.exp(0.7j), -1.0):
                     assert kernel_residual(maxwell, pt, phase * v) <= 1e-12
+
+
+def norm_by_parts(v) -> float:
+    """np.linalg.norm(v) where its squares sum within [2^-900, 2^900]; elsewhere the same
+    sum taken on v scaled by the power of two that puts its largest part in [1, 2)."""
+    norm = float(np.linalg.norm(v))
+    if 2.0**-450 <= norm <= 2.0**450:
+        return norm
+    parts = np.fmax(np.abs(v.real), np.abs(v.imag))
+    e = 1 - math.frexp(float(np.max(parts)))[1] if np.any(parts > 0) else 0
+    scaled = np.empty_like(v)
+    scaled.real, scaled.imag = np.ldexp(v.real, e), np.ldexp(v.imag, e)
+    return math.ldexp(float(np.linalg.norm(scaled)), -e)
 
 
 class TestOneEvaluation:
@@ -287,9 +312,19 @@ class TestOneEvaluation:
 
     def test_trace_ray_off_the_scaled_covector(self, maxwell_decomposition, counts):
         # the verdicts at scaled_covector(k0) = k0 / 4, the first stage at k0 itself
+        # and the drift bound's term size at k0
         ray = trace_ray(maxwell_decomposition.q, NULL_PT.x, 4 * NULL_PT.k, (0.0, 0.0), 1.0)
-        assert counts == {"hamilton": 2, "term_bound": 1}
+        assert counts == {"hamilton": 2, "term_bound": 2}
         assert ray.k[0].tolist() == [4, 0, 0, -4]
+
+    @pytest.mark.parametrize("k", ["1,0,0,-1", "4,0,0,-4"])
+    def test_check_type(self, counts, capsys, k):
+        # q, on_char and real_principal_type from one evaluation; the other term_bound is
+        # p's, inside kernel_basis
+        assert run(["check-type", "--symbol", "flat-maxwell", "--point", "0,0,0,0", "--k", k]) == 0
+        assert counts == {"hamilton": 1, "term_bound": 2}
+        out = json.loads(capsys.readouterr().out)
+        assert (out["q_value"], out["on_char"], out["real_principal_type"]) == (0.0, True, True)
 
 
 def r_xi(a: float) -> MatrixSymbol:

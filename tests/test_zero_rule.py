@@ -4,11 +4,12 @@ Covectors put on the cone by ``null_project`` are on it only up to
 rounding, over ten decades of |k|.  Every decision that asks "is q zero
 here?" must accept all of them, and must still refuse covectors that are
 off the cone.  No decision changes when the symbol is multiplied by a
-constant or the covector by a positive scale.
+constant or the covector by a positive scale.  The drift monitors of rays
+and orbits scale the same way: their bound is DRIFT_TOL times the start's
+term size.
 """
 
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ from polaray.symbols import (
     scalar_wave,
     scaled_wave,
 )
+from polaray.transport import transport
+
+from conftest import bits, graded_index_symbol, graded_null_start
 
 EPS = [0, 0, 0, 1]
 
@@ -214,23 +218,7 @@ def test_verdicts_do_not_depend_on_scale(name, c, s):
     assert decide(c, s) == expected
 
 
-# -- tolerances are finite and positive -----------------------------------------
-
-TOLERANCE_USES = {
-    "drift_tol": lambda tol: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, drift_tol=tol),
-    "rtol": lambda tol: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, "adaptive", rtol=tol),
-    "atol": lambda tol: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, "adaptive", atol=tol),
-}
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
-@pytest.mark.parametrize("use", TOLERANCE_USES)
-def test_tolerances_must_be_finite_and_positive(use, tol):
-    with pytest.raises(InvalidInput, match="must be finite and positive"):
-        TOLERANCE_USES[use](tol)
-
-
-# -- the zero rule's tolerance is the constant ZERO_TOL, not a parameter --------
+# -- the tolerances are the constants ZERO_TOL and DRIFT_TOL, not parameters ---
 
 PT = PhaseSpacePoint(X, NULL_K)
 TOLERANCE_COPIES = {
@@ -239,6 +227,13 @@ TOLERANCE_COPIES = {
                                                    tol=1e-3),
     "is_real_principal_type tol": lambda: is_real_principal_type(SCALED_WAVE, PT, tol=1e-3),
     "trace_ray start_tol": lambda: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, start_tol=1.0),
+    "trace_ray drift_tol": lambda: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, drift_tol=1.0),
+    "trace_ray rtol": lambda: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, "adaptive", rtol=1.0),
+    "trace_ray atol": lambda: trace_ray(SCALED_WAVE, X, NULL_K, (0, 1), 0.5, "adaptive", atol=1.0),
+    "transport residual_tol": lambda: transport(
+        decompose_principal_type(SCALED_WAVE), trace_ray(SCALED_WAVE, X, NULL_K, (0, 0), 0.5),
+        [1.0], residual_tol=1.0,
+    ),
 }
 
 
@@ -247,3 +242,46 @@ def test_no_settable_copy_of_the_zero_tolerance(use):
     keyword = use.split()[-1]
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         TOLERANCE_COPIES[use]()
+
+
+# -- the drift and kernel-escape bounds scale with q and k ----------------------
+#
+# q and p are of degree 2 in k: at s k0 the flow over tau / s passes the same x,
+# with k scaled by s and q and p by s^2.  For a power of two s every product is
+# exact, so the orbit is the s = 1 orbit scaled bit for bit.
+
+ORBIT_DECOMPOSITIONS = {
+    "graded": lambda: decompose_principal_type(graded_index_symbol(2)),
+    # the hinted bundle symbol: p is not q I, so the residuals are |p omega| / |omega|
+    "hinted": lambda: decompose_principal_type(
+        graded_index_symbol(2, scale=np.diag([1.0, 2.0])),
+        hint=MatrixSymbol(2, 0, [(Z, Z, np.diag([2.0, 1.0]))]),
+    ),
+}
+
+
+def scaled_orbit(name, s, method="rk4"):
+    d = ORBIT_DECOMPOSITIONS[name]()
+    x0, k0 = graded_null_start()
+    ray = trace_ray(d.q, x0, s * k0, (0.0, 4.0 / s), 0.02 / s, method=method)
+    return ray, transport(d, ray, [0.6, 0.8j])
+
+
+@pytest.mark.parametrize("e", [-330, -100, 100, 330])
+@pytest.mark.parametrize("name", ORBIT_DECOMPOSITIONS)
+def test_rk4_orbits_scale_exactly(name, e):
+    s = 2.0**e
+    ray, orbit = scaled_orbit(name, 1.0)
+    scaled_ray, scaled = scaled_orbit(name, s)
+    assert bits(scaled_ray.x, ray.x) and bits(scaled.omega, orbit.omega)
+    assert bits(scaled_ray.k, s * ray.k) and bits(scaled_ray.tau, ray.tau / s)
+    assert bits(scaled_ray.q, s**2 * ray.q) and bits(scaled.residuals, s**2 * orbit.residuals)
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e100])
+@pytest.mark.parametrize("name", ORBIT_DECOMPOSITIONS)
+def test_adaptive_orbits_at_any_scale(name, s):
+    ray, _ = scaled_orbit(name, 1.0, "adaptive")
+    scaled_ray, _ = scaled_orbit(name, s, "adaptive")
+    assert scaled_ray.tau[-1] == 4.0 / s
+    assert np.max(np.abs(scaled_ray.x[-1] - ray.x[-1])) <= 1e-8
